@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import product
 
 from repro.network.packets import PacketClass
 
@@ -26,26 +27,50 @@ class ChannelKind(enum.Enum):
     VC1 = "vc1"
 
 
+def _is_channel(pclass: PacketClass, kind: ChannelKind) -> bool:
+    if pclass is PacketClass.SPECIAL:
+        return kind is ChannelKind.ADAPTIVE
+    return not (pclass.is_io and kind is ChannelKind.ADAPTIVE)
+
+
+#: dense index of every (class, kind) pair that is a channel, classes in
+#: coherence order and ADAPTIVE, VC0, VC1 within a class.
+_CHANNEL_INDEX = {
+    pair: index
+    for index, pair in enumerate(
+        pair for pair in product(PacketClass, ChannelKind) if _is_channel(*pair)
+    )
+}
+NUM_CHANNELS = len(_CHANNEL_INDEX)
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class VirtualChannel:
     """One of the 19 virtual channels: a (class, kind) pair.
 
     Hashing and equality are by (class, kind) value with a precomputed
-    hash -- channels are dictionary keys in the simulator's innermost
-    loops, and the default dataclass hash (which re-hashes two enum
-    members every call) dominated early profiles.
+    hash -- the default dataclass hash (which re-hashes two enum
+    members every call) dominated early profiles.  The simulator's
+    inner loops do not hash channels at all: per-channel state lives in
+    lists addressed by :attr:`index`.
     """
 
     pclass: PacketClass
     kind: ChannelKind
     _hash: int = 0
+    #: position in :func:`all_virtual_channels`, 0 .. NUM_CHANNELS - 1
+    index: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
-        if self.pclass is PacketClass.SPECIAL and self.kind is not ChannelKind.ADAPTIVE:
-            raise ValueError("the special class has a single channel")
-        if self.pclass.is_io and self.kind is ChannelKind.ADAPTIVE:
-            raise ValueError("I/O packets only use the deadlock-free channels")
+        index = _CHANNEL_INDEX.get((self.pclass, self.kind))
+        if index is None:
+            raise ValueError(
+                "the special class has a single channel"
+                if self.pclass is PacketClass.SPECIAL
+                else "I/O packets only use the deadlock-free channels"
+            )
         object.__setattr__(self, "_hash", hash((self.pclass, self.kind)))
+        object.__setattr__(self, "index", index)
 
     def __hash__(self) -> int:
         return self._hash
@@ -61,19 +86,7 @@ class VirtualChannel:
 @lru_cache(maxsize=None)
 def all_virtual_channels() -> tuple[VirtualChannel, ...]:
     """The 21364's virtual channels (interned: always the same tuple)."""
-    channels = []
-    for pclass in PacketClass:
-        if pclass is PacketClass.SPECIAL:
-            channels.append(VirtualChannel(pclass, ChannelKind.ADAPTIVE))
-            continue
-        kinds = (
-            (ChannelKind.VC0, ChannelKind.VC1)
-            if pclass.is_io
-            else (ChannelKind.ADAPTIVE, ChannelKind.VC0, ChannelKind.VC1)
-        )
-        for kind in kinds:
-            channels.append(VirtualChannel(pclass, kind))
-    return tuple(channels)
+    return tuple(VirtualChannel(pclass, kind) for pclass, kind in _CHANNEL_INDEX)
 
 
 @dataclass(frozen=True)
@@ -127,9 +140,18 @@ class BufferPlan:
             return max(self.escape_capacity, 2)
         return self.escape_capacity
 
+    @cached_property
+    def capacities(self) -> tuple[int, ...]:
+        """:meth:`capacity` of every channel, by :attr:`VirtualChannel.index`.
+
+        Computed once per plan: every input buffer of a network shares
+        the plan, and with it this tuple.
+        """
+        return tuple(self.capacity(channel) for channel in all_virtual_channels())
+
     def total_packets(self) -> int:
         """Total packet buffering per input port under this plan."""
-        return sum(self.capacity(channel) for channel in all_virtual_channels())
+        return sum(self.capacities)
 
 
 def default_buffer_plan() -> BufferPlan:

@@ -22,31 +22,21 @@ def adaptive_candidates(
     return topology.minimal_directions(current, destination)
 
 
-_DIMENSION_ORDER_CACHE: dict[tuple[int, int, int], Direction | None] = {}
-
-
 def dimension_order_direction(
     topology: Torus2D, current: int, destination: int
 ) -> Direction | None:
     """The single escape-route direction: finish x before starting y."""
-    key = (id(topology), current, destination)
-    if key in _DIMENSION_ORDER_CACHE:
-        return _DIMENSION_ORDER_CACHE[key]
     dx = topology.ring_offset(current, destination, 0)
     if dx > 0:
-        result = Direction.EAST
-    elif dx < 0:
-        result = Direction.WEST
-    else:
-        dy = topology.ring_offset(current, destination, 1)
-        if dy > 0:
-            result = Direction.NORTH
-        elif dy < 0:
-            result = Direction.SOUTH
-        else:
-            result = None
-    _DIMENSION_ORDER_CACHE[key] = result
-    return result
+        return Direction.EAST
+    if dx < 0:
+        return Direction.WEST
+    dy = topology.ring_offset(current, destination, 1)
+    if dy > 0:
+        return Direction.NORTH
+    if dy < 0:
+        return Direction.SOUTH
+    return None
 
 
 def escape_vc_after_hop(

@@ -55,11 +55,9 @@ class Torus2D:
 
     width: int
     height: int
-    #: lazily built routing caches -- pure functions of (src, dst), hit
-    #: millions of times per simulation (excluded from eq/repr).
-    _minimal_cache: dict = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    #: lazily filled caches, owned by the instance so they die with it
+    #: and two tori never share an entry (excluded from eq/repr).
+    _routes: dict = field(default_factory=dict, compare=False, repr=False)
     _wrap_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -123,9 +121,6 @@ class Torus2D:
         when *src* equals *dst*.  This is the adaptive route set of the
         21364: packets adaptively pick among these at every hop.
         """
-        cached = self._minimal_cache.get((src, dst))
-        if cached is not None:
-            return cached
         self._check(src)
         self._check(dst)
         directions = []
@@ -139,9 +134,21 @@ class Torus2D:
             directions.append(Direction.NORTH)
         elif dy < 0:
             directions.append(Direction.SOUTH)
-        result = tuple(directions)
-        self._minimal_cache[(src, dst)] = result
-        return result
+        return tuple(directions)
+
+    def routes_from(self, node: int) -> list:
+        """The route-table row of *node*: one slot per destination.
+
+        Slots start as None; the routing layer's user (the router)
+        stores what it derived for ``(node, destination)`` on first use
+        and reads it back on every later hop, so routing functions run
+        once per pair per torus instead of once per readiness test.
+        """
+        row = self._routes.get(node)
+        if row is None:
+            self._check(node)
+            row = self._routes[node] = [None] * self.num_nodes
+        return row
 
     def crosses_wraparound(self, node: int, direction: Direction) -> bool:
         """Whether the hop from *node* in *direction* uses a wrap link.

@@ -256,10 +256,18 @@ class InvariantChecker:
                     ))
 
     def _check_buffers(self, sim, now: float, found: list) -> None:
-        """Duplicate uids, credit sanity and the age bound in one walk."""
+        """Duplicate uids, credit sanity, the age bound and the routers'
+        nomination indexes in one walk."""
         seen: dict[int, tuple[int, object]] = {}
         max_wait = self.config.max_wait_cycles
         for router in sim.routers:
+            # The index is maintained incrementally from buffer reports;
+            # rebuilt from the queues it must come out the same, or a
+            # launch is nominating from (or sleeping on) stale heads.
+            for drift in router.head_index_drift():
+                found.append(InvariantViolation(
+                    now, "nomination-index", f"node {router.node}: {drift}"
+                ))
             for port, buffer in router.buffers.items():
                 for channel in buffer.channels_with_waiting():
                     for packet in buffer.packets(channel):

@@ -16,6 +16,7 @@ pin-to-pin latency constant).
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
 from repro.network.channels import (
     BufferPlan,
@@ -24,33 +25,48 @@ from repro.network.channels import (
 )
 from repro.network.packets import Packet
 
+_CHANNELS = all_virtual_channels()
+
 
 class InputBuffer:
-    """Buffering for one input port: a FIFO per virtual channel."""
+    """Buffering for one input port: a FIFO per virtual channel.
+
+    Per-channel state lives in lists addressed by
+    :attr:`VirtualChannel.index`; no channel is ever hashed.
+    """
 
     def __init__(self, plan: BufferPlan) -> None:
         self._plan = plan
-        self._queues: dict[VirtualChannel, deque[Packet]] = {
-            channel: deque() for channel in all_virtual_channels()
-        }
-        self._reserved: dict[VirtualChannel, int] = {
-            channel: 0 for channel in self._queues
-        }
-        # Hot-path accounting: the simulator polls these every launch.
+        self._capacity = plan.capacities
+        self._queues: list[deque[Packet]] = [deque() for _ in _CHANNELS]
+        self._reserved = [0] * len(_CHANNELS)
         self._count = 0
-        self._nonempty: set[VirtualChannel] = set()
+        self._watcher: Callable[[int, int, Packet | None], None] | None = None
+
+    def watch(self, watcher: Callable[[int, int, Packet | None], None]) -> None:
+        """Report every arrival and departure to *watcher*.
+
+        Called after the buffer has changed as ``watcher(index, delta,
+        head)``: the channel's index, +1 or -1 packets, and the packet
+        now at the channel's head (None once it drains).  The owning
+        router keeps its nomination index current from these reports,
+        so arbitration never has to walk the queues to learn what
+        changed.
+        """
+        self._watcher = watcher
 
     # -- capacity ----------------------------------------------------
 
     def capacity(self, channel: VirtualChannel) -> int:
-        return self._plan.capacity(channel)
+        return self._capacity[channel.index]
 
     def free_slots(self, channel: VirtualChannel) -> int:
         """Slots neither occupied nor promised to an in-flight packet."""
+        index = channel.index
         return (
-            self.capacity(channel)
-            - len(self._queues[channel])
-            - self._reserved[channel]
+            self._capacity[index]
+            - len(self._queues[index])
+            - self._reserved[index]
         )
 
     def can_reserve(self, channel: VirtualChannel) -> bool:
@@ -60,23 +76,22 @@ class InputBuffer:
         """Promise one slot to a packet granted upstream."""
         if not self.can_reserve(channel):
             raise BufferOverflowError(f"no free slot in {channel}")
-        self._reserved[channel] += 1
+        self._reserved[channel.index] += 1
 
     def cancel_reservation(self, channel: VirtualChannel) -> None:
-        if self._reserved[channel] <= 0:
+        if self._reserved[channel.index] <= 0:
             raise ValueError(f"no reservation to cancel on {channel}")
-        self._reserved[channel] -= 1
+        self._reserved[channel.index] -= 1
 
     # -- occupancy ---------------------------------------------------
 
     def commit(self, packet: Packet, channel: VirtualChannel) -> None:
         """Arrival: turn a reservation into an occupied slot."""
-        if self._reserved[channel] <= 0:
+        index = channel.index
+        if self._reserved[index] <= 0:
             raise ValueError(f"arrival without reservation on {channel}")
-        self._reserved[channel] -= 1
-        self._queues[channel].append(packet)
-        self._count += 1
-        self._nonempty.add(channel)
+        self._reserved[index] -= 1
+        self._enqueue(packet, index)
 
     def inject(self, packet: Packet, channel: VirtualChannel) -> bool:
         """Local-port enqueue without a prior reservation.
@@ -87,26 +102,32 @@ class InputBuffer:
         """
         if self.free_slots(channel) <= 0:
             return False
-        self._queues[channel].append(packet)
-        self._count += 1
-        self._nonempty.add(channel)
+        self._enqueue(packet, channel.index)
         return True
 
+    def _enqueue(self, packet: Packet, index: int) -> None:
+        queue = self._queues[index]
+        queue.append(packet)
+        self._count += 1
+        if self._watcher is not None:
+            self._watcher(index, 1, queue[0])
+
     def head(self, channel: VirtualChannel) -> Packet | None:
-        queue = self._queues[channel]
+        queue = self._queues[channel.index]
         return queue[0] if queue else None
 
     def remove(self, packet: Packet, channel: VirtualChannel) -> None:
         """Departure: the packet won arbitration and left the router."""
-        queue = self._queues[channel]
+        index = channel.index
+        queue = self._queues[index]
         if not queue or queue[0] is not packet:
             # Read-port arbiters only nominate FIFO heads, so a grant
             # always removes the head; anything else is a model bug.
             raise ValueError(f"{packet} is not at the head of {channel}")
         queue.popleft()
         self._count -= 1
-        if not queue:
-            self._nonempty.discard(channel)
+        if self._watcher is not None:
+            self._watcher(index, -1, queue[0] if queue else None)
 
     # -- introspection -----------------------------------------------
 
@@ -116,32 +137,30 @@ class InputBuffer:
         Read-only view for invariant checking and diagnostics; the
         underlying deque must not be mutated during iteration.
         """
-        return iter(self._queues[channel])
+        return iter(self._queues[channel.index])
 
     def reserved(self, channel: VirtualChannel) -> int:
         """Slots promised to in-flight packets but not yet occupied."""
-        return self._reserved[channel]
+        return self._reserved[channel.index]
 
     def credit_state(self):
         """Yield ``(channel, occupancy, reserved)`` for non-idle channels.
 
         The invariant checker walks this to assert credit-flow sanity
-        without touching the per-channel dicts directly.
+        without touching the per-channel lists directly.
         """
-        for channel, queue in self._queues.items():
-            occupancy = len(queue)
-            reserved = self._reserved[channel]
-            if occupancy or reserved:
-                yield channel, occupancy, reserved
+        for channel, queue, reserved in zip(_CHANNELS, self._queues, self._reserved):
+            if queue or reserved:
+                yield channel, len(queue), reserved
 
     def occupancy(self, channel: VirtualChannel | None = None) -> int:
         if channel is not None:
-            return len(self._queues[channel])
+            return len(self._queues[channel.index])
         return self._count
 
     def channels_with_waiting(self) -> set[VirtualChannel]:
-        """Channels holding at least one packet (a live set: don't mutate)."""
-        return self._nonempty
+        """Channels holding at least one packet."""
+        return {channel for channel, queue in zip(_CHANNELS, self._queues) if queue}
 
     def is_empty(self) -> bool:
         return self._count == 0

@@ -18,17 +18,26 @@ drives it with two calls per arbitration *launch*:
 
 Everything timing related (when launches happen, event scheduling) is
 the simulator's job; the router is purely reactive.
+
+Launches far outnumber packet movements (beyond saturation three in
+four nominate nothing), so :meth:`nominate` reads a *nomination index*
+instead of scanning buffers: for every input port, the head packet of
+each occupied channel with the bitmask of outputs that head could use.
+The buffers report arrivals and departures (:meth:`InputBuffer.watch`),
+which is the only time a head -- and so the index -- can change.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from repro.core.antistarvation import AntiStarvationTracker
 from repro.core.base import Arbiter
 from repro.core.types import Grant, Nomination, SourceKind
 from repro.network.channels import (
+    NUM_CHANNELS,
     BufferPlan,
     ChannelKind,
     VirtualChannel,
@@ -48,16 +57,31 @@ from repro.router.buffers import InputBuffer
 from repro.router.connection_matrix import ConnectionMatrix
 from repro.router.ports import (
     InputPort,
+    NUM_INPUT_PORTS,
     NUM_OUTPUT_PORTS,
+    NUM_ROWS,
     OutputPort,
     READ_PORTS_PER_INPUT,
-    output_for_direction,
-    row_of,
+    TORUS_OUTPUTS,
 )
 
-#: fixed tie-break order for LRS channel selection (determinism).
-_CHANNEL_RANK = {c: i for i, c in enumerate(all_virtual_channels())}
-_channel_rank = _CHANNEL_RANK.__getitem__
+_CHANNELS = all_virtual_channels()
+_INPUT_PORTS = tuple(InputPort)
+_OUTPUT_PORTS = tuple(OutputPort)
+#: torus output index == direction value
+_DIRECTIONS = tuple(Direction)
+_NUM_TORUS_PORTS = len(TORUS_OUTPUTS)
+#: where a packet sinks when it does not name its own local outputs
+_DEFAULT_SINKS = (int(OutputPort.L0), int(OutputPort.L1))
+#: never-selected channels rank oldest, in channel order: they start on
+#: distinct stamps below the first real one (the LRS clock starts at 1).
+_UNSELECTED_STAMPS = tuple(range(-NUM_CHANNELS, 0))
+
+
+def _sinks(packet: Packet) -> tuple[int, ...]:
+    """Local outputs a packet may sink through at its destination."""
+    sinks = packet.sink_outputs
+    return _DEFAULT_SINKS if sinks is None else sinks
 
 
 @dataclass(slots=True)
@@ -137,20 +161,134 @@ class Router:
         #: torus output -> (neighbor router, neighbor's input port)
         self.downstream: dict[OutputPort, tuple["Router", InputPort]] = {}
         self._in_flight: set[int] = set()
-        #: rows with an unresolved nomination -- SPAA's "small list of
-        #: in-flight packets, only 16": each input-port arbiter keeps at
-        #: most one nomination outstanding until its Reset step.
-        self._row_in_flight: set[int] = set()
-        #: per-row least-recently-selected stamps per virtual channel;
-        #: never-selected channels rank oldest, ties break on a fixed
-        #: channel index so simulations stay deterministic.
-        self._vc_stamp: dict[int, dict[VirtualChannel, int]] = {}
+        #: bit ``row`` is set while that row's nomination is unresolved
+        #: -- SPAA's "small list of in-flight packets, only 16": each
+        #: input-port arbiter keeps at most one nomination outstanding
+        #: until its Reset step.
+        self._rows_in_flight = 0
+        #: per-row least-recently-selected stamp of every channel, by
+        #: channel index; a selection takes the next tick of the clock.
+        self._vc_stamp = [list(_UNSELECTED_STAMPS) for _ in range(NUM_ROWS)]
         self._vc_clock = 0
         #: per-row rotation for picking one of two adaptive outputs
-        self._output_toggle: dict[int, int] = {}
+        self._output_toggle = [0] * NUM_ROWS
         #: launch gating, managed by the simulator
         self.last_launch_time = float("-inf")
         self.launch_scheduled_at: float | None = None
+
+        #: outputs wired to each row, as a bitmask
+        self._row_outputs = [0] * NUM_ROWS
+        for row, output in matrix.cells:
+            self._row_outputs[row] |= 1 << output
+        #: this node's row of the torus' lazily filled route table
+        self._routes = topology.routes_from(node)
+        #: the nomination index, whose invariant head_index_drift
+        #: checks: per input port, the index of every occupied channel
+        #: -> (its head packet, the outputs that packet could leave by)
+        self._heads: list[dict[int, tuple[Packet, int]]] = [
+            {} for _ in range(NUM_INPUT_PORTS)
+        ]
+        #: per input port, the union of its heads' output masks
+        self._wanted = [0] * NUM_INPUT_PORTS
+        #: packets in all eight buffers
+        self._buffered = 0
+        for port, buffer in self.buffers.items():
+            buffer.watch(partial(self._buffer_changed, int(port)))
+
+    # -- the nomination index ------------------------------------------
+
+    def _route(
+        self, destination: int
+    ) -> tuple[int, tuple[Direction, ...], Direction | None]:
+        """(productive outputs, adaptive directions, escape direction).
+
+        Torus output index == direction value, so a direction doubles
+        as its output's bit position.
+        """
+        route = self._routes[destination]
+        if route is None:
+            adaptive = adaptive_candidates(self.topology, self.node, destination)
+            escape = dimension_order_direction(
+                self.topology, self.node, destination
+            )
+            outputs = 0
+            for direction in adaptive:
+                outputs |= 1 << direction
+            route = self._routes[destination] = (outputs, adaptive, escape)
+        return route
+
+    def _productive_outputs(self, port: int, packet: Packet) -> int:
+        """Outputs *packet*, waiting at input *port*, could ever leave by.
+
+        Routing only: whether they are busy, wired to a given row or
+        backed by buffer space downstream is tested at each launch.
+        """
+        if packet.destination == self.node:
+            outputs = 0
+            for output in _sinks(packet):
+                outputs |= 1 << output
+            return outputs
+        outputs, _, escape = self._route(packet.destination)
+        if not packet.pclass.adaptive_allowed:
+            outputs = 1 << escape
+        if port < _NUM_TORUS_PORTS:
+            # A packet arriving at torus input port P came from the
+            # neighbor in direction P; leaving via output P would
+            # reverse, which minimal-rectangle routing never does.
+            outputs &= ~(1 << port)
+        return outputs
+
+    def _buffer_changed(
+        self, port: int, channel: int, delta: int, head: Packet | None
+    ) -> None:
+        """One packet entered or left *channel* of input *port*."""
+        self._buffered += delta
+        heads = self._heads[port]
+        if head is None:
+            del heads[channel]
+        else:
+            known = heads.get(channel)
+            if known is not None and known[0] is head:
+                return  # queued behind the same head
+            heads[channel] = (head, self._productive_outputs(port, head))
+        wanted = 0
+        for _, outputs in heads.values():
+            wanted |= outputs
+        self._wanted[port] = wanted
+
+    def head_index_drift(self) -> list[str]:
+        """Where the nomination index disagrees with the buffers.
+
+        Rebuilds the index from the queues and compares; empty when the
+        invariant holds.  For the invariant checker and tests -- the
+        arbitration path never needs it.
+        """
+        drift = []
+        buffered = 0
+        for port, buffer in self.buffers.items():
+            buffered += buffer.occupancy()
+            heads = {}
+            wanted = 0
+            for channel in buffer.channels_with_waiting():
+                head = buffer.head(channel)
+                outputs = self._productive_outputs(int(port), head)
+                heads[channel.index] = (head, outputs)
+                wanted |= outputs
+            if heads != self._heads[port]:
+                drift.append(
+                    f"{port.name}: indexed heads {self._heads[port]} "
+                    f"but buffered heads {heads}"
+                )
+            if wanted != self._wanted[port]:
+                drift.append(
+                    f"{port.name}: indexed outputs {self._wanted[port]:#b} "
+                    f"but heads want {wanted:#b}"
+                )
+        if buffered != self._buffered:
+            drift.append(
+                f"counted {self._buffered} packets but buffers hold {buffered}"
+            )
+        return drift
 
     # -- nomination (the LA stage) -------------------------------------
 
@@ -162,47 +300,66 @@ class Router:
         nominations_per_port: int = READ_PORTS_PER_INPUT,
     ) -> Launch | None:
         """Build one arbitration launch; None when nothing is ready."""
+        free = 0
+        bit = 1
+        for busy_until in self.output_busy_until:
+            if busy_until <= resolve_time:
+                free |= bit
+            bit <<= 1
         nominations: list[Nomination] = []
         plans: dict[tuple[int, int, int], HopPlan] = {}
-        for port in InputPort:
-            buffer = self.buffers[port]
-            if buffer.is_empty():
+        row_outputs = self._row_outputs
+        for port, wanted in enumerate(self._wanted):
+            wanted &= free
+            if not wanted:
                 continue
             port_nominations = 0
-            for read_port in range(READ_PORTS_PER_INPUT):
+            first_row = port * READ_PORTS_PER_INPUT
+            for row in range(first_row, first_row + READ_PORTS_PER_INPUT):
                 if port_nominations >= nominations_per_port:
                     break
-                row = row_of(port, read_port)
-                if row in self._row_in_flight:
+                if self._rows_in_flight >> row & 1:
                     # Each read-port arbiter keeps at most one
                     # nomination outstanding (SPAA's Reset step); with
                     # one nomination per port per launch the pair
                     # alternates read ports across launches, giving the
                     # paper's 16-entry in-flight list.
                     continue
-                picked = self._pick_for_row(row, port, buffer, resolve_time, fanout)
+                reachable = wanted & row_outputs[row]
+                if not reachable:
+                    continue
+                picked = self._pick_for_row(row, port, reachable, fanout)
                 if picked is None:
                     continue
-                packet, channel, candidates = picked
-                outputs = tuple(int(plan.output) for plan in candidates)
+                packet, channel, hops = picked
                 nominations.append(
                     Nomination(
                         row=row,
                         packet=packet.uid,
-                        outputs=outputs,
+                        outputs=tuple(output for output, _ in hops),
                         source=(
-                            SourceKind.NETWORK if port.is_network else SourceKind.LOCAL
+                            SourceKind.NETWORK
+                            if port < _NUM_TORUS_PORTS
+                            else SourceKind.LOCAL
                         ),
                         age=max(0, int(now - packet.waiting_since)),
-                        group=int(port),
+                        group=port,
                         group_capacity=READ_PORTS_PER_INPUT,
                     )
                 )
-                for plan in candidates:
-                    plans[(row, packet.uid, int(plan.output))] = plan
+                for output, target in hops:
+                    plans[(row, packet.uid, output)] = HopPlan(
+                        packet=packet,
+                        in_port=_INPUT_PORTS[port],
+                        from_channel=_CHANNELS[channel],
+                        output=_OUTPUT_PORTS[output],
+                        target_channel=target,
+                        direction=None if target is None else _DIRECTIONS[output],
+                    )
                 self._in_flight.add(packet.uid)
-                self._row_in_flight.add(row)
-                self._touch_vc(row, channel)
+                self._rows_in_flight |= 1 << row
+                self._vc_clock += 1
+                self._vc_stamp[row][channel] = self._vc_clock
                 port_nominations += 1
         if not nominations:
             return None
@@ -213,153 +370,80 @@ class Router:
         return Launch(time=now, nominations=nominations, plans=plans)
 
     def _pick_for_row(
-        self,
-        row: int,
-        port: InputPort,
-        buffer: InputBuffer,
-        resolve_time: float,
-        fanout: int,
-    ) -> tuple[Packet, VirtualChannel, list[HopPlan]] | None:
-        """The read-port arbiter: oldest packet from the LRS channel."""
-        for channel in self._channels_in_lrs_order(row, buffer):
-            packet = buffer.head(channel)
-            if packet is None or packet.uid in self._in_flight:
+        self, row: int, port: int, reachable: int, fanout: int
+    ) -> tuple[Packet, int, list[tuple[int, VirtualChannel | None]]] | None:
+        """The read-port arbiter: oldest packet from the LRS channel.
+
+        *reachable* is the free outputs wired to *row* that some head
+        of *port* wants; only channels whose head wants one of them can
+        pass the readiness tests, and they are tried in LRS order.
+        """
+        heads = self._heads[port]
+        channels = [
+            channel
+            for channel, (_, outputs) in heads.items()
+            if outputs & reachable
+        ]
+        if len(channels) > 1:
+            channels.sort(key=self._vc_stamp[row].__getitem__)
+        for channel in channels:
+            packet, outputs = heads[channel]
+            if packet.uid in self._in_flight:
                 continue
-            candidates = self._candidate_plans(
-                row, port, packet, channel, resolve_time
-            )
-            if not candidates:
+            hops = self._ready_hops(packet, outputs & reachable)
+            if not hops:
                 continue
-            if fanout == 1 and len(candidates) > 1:
+            if fanout == 1 and len(hops) > 1:
                 # SPAA commits to a single output; rotate the choice so
                 # both adaptive directions get exercised over time.
-                toggle = self._output_toggle.get(row, 0)
-                candidates = [candidates[toggle % len(candidates)]]
+                toggle = self._output_toggle[row]
+                hops = [hops[toggle % len(hops)]]
                 self._output_toggle[row] = toggle + 1
             else:
-                candidates = candidates[:fanout]
-            return packet, channel, candidates
+                hops = hops[:fanout]
+            return packet, channel, hops
         return None
-
-    def _channels_in_lrs_order(
-        self, row: int, buffer: InputBuffer
-    ) -> list[VirtualChannel]:
-        nonempty = buffer.channels_with_waiting()
-        if len(nonempty) <= 1:
-            return list(nonempty)
-        stamps = self._vc_stamp.get(row)
-        if stamps is None:
-            return sorted(nonempty, key=_channel_rank)
-        return sorted(
-            nonempty, key=lambda c: (stamps.get(c, 0), _channel_rank(c))
-        )
-
-    def _touch_vc(self, row: int, channel: VirtualChannel) -> None:
-        self._vc_clock += 1
-        self._vc_stamp.setdefault(row, {})[channel] = self._vc_clock
 
     # -- readiness tests ------------------------------------------------
 
-    def _candidate_plans(
-        self,
-        row: int,
-        port: InputPort,
-        packet: Packet,
-        channel: VirtualChannel,
-        resolve_time: float,
-    ) -> list[HopPlan]:
+    def _ready_hops(
+        self, packet: Packet, ready: int
+    ) -> list[tuple[int, VirtualChannel | None]]:
+        """(output, downstream channel) candidates of one head packet.
+
+        *ready* holds the outputs the packet could use that are free at
+        resolve time and wired to the asking row; what is left to test
+        is buffer space downstream.
+        """
         if packet.destination == self.node:
-            return self._sink_plans(row, port, packet, channel, resolve_time)
-        plans: list[HopPlan] = []
-        if packet.pclass.adaptive_allowed:
-            for direction in adaptive_candidates(
-                self.topology, self.node, packet.destination
-            ):
-                plan = self._network_plan(
-                    row, port, packet, channel, direction,
-                    adaptive_channel(packet.pclass), resolve_time,
-                )
-                if plan is not None:
-                    plans.append(plan)
-            if plans:
-                return plans
+            return [
+                (output, None) for output in _sinks(packet) if ready >> output & 1
+            ]
+        _, adaptive, escape = self._routes[packet.destination]
+        pclass = packet.pclass
+        if pclass.adaptive_allowed:
+            target = adaptive_channel(pclass)
+            hops = [
+                (int(direction), target)
+                for direction in adaptive
+                if ready >> direction & 1
+                and self._downstream_buffer(direction).can_reserve(target)
+            ]
+            if hops:
+                return hops
         # Blocked adaptively (or I/O-class): try the escape network.
-        direction = dimension_order_direction(
-            self.topology, self.node, packet.destination
-        )
-        if direction is None:
+        if not ready >> escape & 1:
             return []
-        vc_index = escape_vc_after_hop(self.topology, packet, self.node, direction)
-        plan = self._network_plan(
-            row, port, packet, channel, direction,
-            escape_channel(packet.pclass, vc_index), resolve_time,
+        target = escape_channel(
+            pclass, escape_vc_after_hop(self.topology, packet, self.node, escape)
         )
-        return [plan] if plan is not None else []
+        if self._downstream_buffer(escape).can_reserve(target):
+            return [(int(escape), target)]
+        return []
 
-    def _network_plan(
-        self,
-        row: int,
-        port: InputPort,
-        packet: Packet,
-        channel: VirtualChannel,
-        direction: Direction,
-        target_channel: VirtualChannel,
-        resolve_time: float,
-    ) -> HopPlan | None:
-        # Checks ordered cheapest-first: this test runs millions of
-        # times per simulation.  Torus output index == direction value.
-        out_index = int(direction)
-        if self.output_busy_until[out_index] > resolve_time:
-            return None
-        if (row, out_index) not in self.matrix.cells:
-            return None
-        # A packet arriving at torus input port P came from the
-        # neighbor in direction P; leaving via output P would reverse,
-        # which minimal-rectangle routing never does.
-        if int(port) == out_index and port.is_network:
-            return None
-        output = output_for_direction(direction)
+    def _downstream_buffer(self, output: int) -> InputBuffer:
         neighbor, in_port = self.downstream[output]
-        if not neighbor.buffers[in_port].can_reserve(target_channel):
-            return None
-        return HopPlan(
-            packet=packet,
-            in_port=port,
-            from_channel=channel,
-            output=output,
-            target_channel=target_channel,
-            direction=direction,
-        )
-
-    def _sink_plans(
-        self,
-        row: int,
-        port: InputPort,
-        packet: Packet,
-        channel: VirtualChannel,
-        resolve_time: float,
-    ) -> list[HopPlan]:
-        sinks = packet.sink_outputs
-        if sinks is None:
-            sinks = (int(OutputPort.L0), int(OutputPort.L1))
-        plans = []
-        for out in sinks:
-            output = OutputPort(out)
-            if not self.matrix.connected(row, output):
-                continue
-            if self.output_busy_until[int(output)] > resolve_time:
-                continue
-            plans.append(
-                HopPlan(
-                    packet=packet,
-                    in_port=port,
-                    from_channel=channel,
-                    output=output,
-                    target_channel=None,
-                    direction=None,
-                )
-            )
-        return plans
+        return neighbor.buffers[in_port]
 
     # -- resolution (the GA stage) ---------------------------------------
 
@@ -373,7 +457,7 @@ class Router:
                 for out in nom.outputs
                 if self._still_ready(launch.plans[(nom.row, nom.packet, out)], now)
             )
-            self._row_in_flight.discard(nom.row)
+            self._rows_in_flight &= ~(1 << nom.row)
             if outputs:
                 if outputs != nom.outputs:
                     nom = Nomination(
@@ -433,8 +517,7 @@ class Router:
             return False
         if plan.target_channel is None:
             return True
-        neighbor, in_port = self.downstream[plan.output]
-        return neighbor.buffers[in_port].can_reserve(plan.target_channel)
+        return self._downstream_buffer(plan.output).can_reserve(plan.target_channel)
 
     def _apply_grant(self, grant: Grant, launch: Launch, now: float) -> Dispatch:
         plan = launch.plans[(grant.row, grant.packet, grant.output)]
@@ -445,8 +528,7 @@ class Router:
             cycles_per_flit = self.local_cycles_per_flit
         else:
             cycles_per_flit = self.torus_cycles_per_flit
-            neighbor, in_port = self.downstream[plan.output]
-            neighbor.buffers[in_port].reserve(plan.target_channel)
+            self._downstream_buffer(plan.output).reserve(plan.target_channel)
             packet.last_direction = plan.direction
             packet.escape_vc = (
                 None
@@ -477,23 +559,22 @@ class Router:
         self.arbiter.reset()
         self.antistarvation.reset()
         self._in_flight.clear()
-        self._row_in_flight.clear()
-        self._vc_stamp.clear()
+        self._rows_in_flight = 0
+        self._vc_stamp = [list(_UNSELECTED_STAMPS) for _ in range(NUM_ROWS)]
         self._vc_clock = 0
-        self._output_toggle.clear()
+        self._output_toggle = [0] * NUM_ROWS
         self.last_launch_time = float("-inf")
         self.launch_scheduled_at = None
 
     # -- introspection -----------------------------------------------------
 
     def total_buffered(self) -> int:
-        return sum(buffer.occupancy() for buffer in self.buffers.values())
+        return self._buffered
 
     def has_arbitrable_work(self) -> bool:
-        """Cheap check: any non-in-flight packet waiting anywhere."""
-        for buffer in self.buffers.values():
-            for channel in buffer.channels_with_waiting():
-                head = buffer.head(channel)
-                if head is not None and head.uid not in self._in_flight:
-                    return True
-        return False
+        """Cheap check: any non-in-flight packet waiting anywhere.
+
+        Only channel heads are ever in flight, and a head stays put
+        until its launch resolves, so comparing counts is enough.
+        """
+        return sum(map(len, self._heads)) > len(self._in_flight)

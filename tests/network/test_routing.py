@@ -52,6 +52,17 @@ class TestDimensionOrder:
         torus = Torus2D(4, 4)
         assert dimension_order_direction(torus, 3, 3) is None
 
+    def test_answer_belongs_to_the_torus_asked_not_to_one_freed_earlier(self):
+        """A cache keyed by ``id(topology)`` served the 8-wide answer to
+        a 16-wide torus that CPython had given the freed torus' id."""
+        for _ in range(200):
+            small = Torus2D(8, 8)
+            assert dimension_order_direction(small, 0, 5) is Direction.WEST
+            del small
+            large = Torus2D(16, 16)
+            assert dimension_order_direction(large, 0, 5) is Direction.EAST
+            del large
+
     def test_escape_route_always_reaches_destination(self):
         torus = Torus2D(5, 3)
         for src in range(torus.num_nodes):

@@ -98,6 +98,17 @@ class TestDistancesAndRouting:
         assert torus.crosses_wraparound(12, Direction.NORTH)
         assert torus.crosses_wraparound(0, Direction.SOUTH)
 
+    def test_route_table_rows_belong_to_one_torus(self):
+        torus, twin = Torus2D(4, 4), Torus2D(4, 4)
+        row = torus.routes_from(5)
+        assert row == [None] * 16
+        row[9] = "whatever the router derived"
+        assert torus.routes_from(5) is row
+        assert twin.routes_from(5) == [None] * 16
+        assert torus == twin, "the table is not part of a torus' value"
+        with pytest.raises(ValueError):
+            torus.routes_from(16)
+
     def test_average_distance_4x4(self):
         # Ring of 4: per-dimension mean over all pairs = (0+1+1+2)/4 = 1;
         # excluding self inflates slightly: 32/15.

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,8 @@ from repro.obs.perf import (
     run_gate,
 )
 from repro.obs.profiler import PhaseProfiler
+
+BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
 def _record(
@@ -253,6 +257,40 @@ class TestGate:
         current = _record(run_id="now", metric_value=50.0)
         baseline = _record(run_id="base", metric_value=100.0)
         assert gate_area(current, baseline, tolerance=0.5) == []
+
+    @pytest.mark.parametrize(
+        "module, metric",
+        [
+            ("bench_parallel_sweep", "supervision_overhead_fraction"),
+            ("bench_service", "coordinator_overhead_fraction"),
+        ],
+    )
+    def test_rising_overhead_fraction_fails_the_gate(self, module, metric):
+        """An overhead is a cost: the benches must record it as
+        lower-is-better, or the gate flags the improvement and waves
+        the regression through."""
+        source = (BENCHMARKS / f"{module}.py").read_text("utf-8")
+        (call,) = [
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "metric"
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == metric
+        ]
+        options = {k.arg: ast.literal_eval(k.value) for k in call.keywords}
+
+        def area(overhead: float) -> AreaRecord:
+            recorder = PerfRecorder("test_overhead", module)
+            recorder.metric(metric, overhead, **options)
+            record = _record(area="sweeps")
+            record.benches = [recorder.finish(wall_s=1.0)]
+            return record
+
+        (violation,) = gate_area(area(0.10), area(0.02), tolerance=0.5)
+        assert violation.metric == metric
+        assert violation.regression == pytest.approx(4.0)
+        assert gate_area(area(0.02), area(0.10), tolerance=0.5) == []
 
     def test_zero_baseline_metric_gates_nothing(self):
         current = _record(run_id="now", metric_value=1.0)

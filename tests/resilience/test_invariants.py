@@ -70,6 +70,18 @@ class TestViolationDetection:
         found = checker.check_network(sim)
         assert any(v.name == "buffer-credit" for v in found)
 
+    def test_nomination_index_drift_detected_by_the_full_walk(self, tiny_config):
+        sim = NetworkSimulator(tiny_config)
+        sim.run()
+        checker = InvariantChecker()
+        assert checker.check_network(sim, full=True) == []
+        router = next(r for r in sim.routers if r.total_buffered())
+        port = next(p for p, heads in enumerate(router._heads) if heads)
+        router._heads[port].clear()  # the index forgot this port's heads
+        found = checker.check_network(sim, full=True)
+        assert [v.name for v in found] == ["nomination-index"]
+        assert f"node {router.node}" in found[0].detail
+
     def test_fail_fast_raises_at_the_breach(self, tiny_config):
         sim = NetworkSimulator(tiny_config)
         sim.run()
