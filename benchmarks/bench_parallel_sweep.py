@@ -14,13 +14,11 @@ cannot beat serial and the curve is reported without being gated.
 from __future__ import annotations
 
 import os
-import statistics
 import time
 
 import pytest
 
 from repro.core.registry import TIMING_ALGORITHMS
-from repro.resilience.supervisor import SupervisorConfig
 from repro.sim.config import (
     NetworkConfig,
     SimulationConfig,
@@ -45,13 +43,11 @@ def _config() -> SimulationConfig:
     )
 
 
-def _timed_sweep(
-    workers: int, profile_into=None, supervisor=None
-) -> tuple[float, dict]:
+def _timed_sweep(workers: int, profile_into=None) -> tuple[float, dict]:
     started = time.perf_counter()
     curves = sweep_algorithms(
         _config(), TIMING_ALGORITHMS, RATES, workers=workers,
-        supervisor=supervisor, profile_into=profile_into,
+        profile_into=profile_into,
     )
     return time.perf_counter() - started, curves
 
@@ -104,92 +100,3 @@ def test_parallel_sweep_scaling(benchmark, perf_record):
         )
     else:
         print(f"  (speedup gate skipped: only {cores} core(s))")
-
-
-#: a smaller grid than the scaling bench: the overhead gate needs many
-#: interleaved repeats, so each sweep must stay cheap.
-OVERHEAD_ALGOS = ("PIM1", "SPAA-base")
-OVERHEAD_RATES = (0.005, 0.02)
-
-
-def _overhead_sweep(supervisor=None) -> tuple[float, dict]:
-    started = time.perf_counter()
-    curves = sweep_algorithms(
-        _config(), OVERHEAD_ALGOS, OVERHEAD_RATES, workers=2,
-        supervisor=supervisor,
-    )
-    return time.perf_counter() - started, curves
-
-
-def _interleaved_medians(run_a, run_b, repeats: int = 7):
-    """Median-of-N wall times of two sweep variants, sampled alternately.
-
-    Same discipline as ``bench_resilience_overhead.py``: interleaving
-    cancels slow drift, the median resists scheduler hiccups, and the
-    first pair is a discarded warmup.  Returns each side's median and
-    its last curves (for the parity gate, so no extra sweeps needed).
-    """
-    run_a()
-    run_b()
-    times_a, times_b = [], []
-    curves_a = curves_b = None
-    for i in range(repeats):
-        order = (
-            [(times_a, run_a, "a"), (times_b, run_b, "b")]
-            if i % 2 == 0
-            else [(times_b, run_b, "b"), (times_a, run_a, "a")]
-        )
-        for times, run, side in order:
-            elapsed, curves = run()
-            times.append(elapsed)
-            if side == "a":
-                curves_a = curves
-            else:
-                curves_b = curves
-    return (
-        statistics.median(times_a),
-        statistics.median(times_b),
-        curves_a,
-        curves_b,
-    )
-
-
-@pytest.mark.repro("supervised pool overhead: <2% over the plain pool")
-def test_supervision_overhead_under_two_percent(perf_record):
-    """Acceptance: supervision (heartbeat ticks in the simulation loop,
-    the parent's poll/deadline bookkeeping, per-worker pipes instead of
-    a ProcessPoolExecutor) costs under 2% wall time on a healthy sweep.
-
-    The supervisor's bounds are set generously so no reaping happens:
-    this measures the pure cost of being watched, which is the price
-    every supervised production sweep pays.  This gate caught a real
-    bug once -- a due-but-undispatchable retry zeroed the supervision
-    loop's poll timeout and the parent busy-spun at 100% CPU against
-    its own workers (~30% wall on a small host).
-    """
-    supervisor = SupervisorConfig(
-        point_timeout_s=600.0, heartbeat_stale_s=600.0
-    )
-    with perf_record.phase("interleaved-runs"):
-        plain, supervised, plain_curves, supervised_curves = (
-            _interleaved_medians(
-                _overhead_sweep,
-                lambda: _overhead_sweep(supervisor=supervisor),
-            )
-        )
-    overhead = supervised / plain - 1.0
-    perf_record.metric(
-        "supervision_overhead_fraction", overhead, higher_is_better=False
-    )
-    print(
-        f"\nsupervision overhead: {overhead:+.2%} "
-        f"(plain pool {plain:.2f}s, supervised {supervised:.2f}s)"
-    )
-    # Parity first: supervision must never change what is computed.
-    assert _flatten(supervised_curves) == _flatten(plain_curves), (
-        "supervised sweep diverged from the plain pool"
-    )
-    assert overhead < 0.02, (
-        f"supervision cost {overhead:.1%} wall time (budget 2%); check "
-        "the poll timeout and heartbeat throttle before blaming noise"
-    )

@@ -3,8 +3,10 @@
 The campaign rides the existing resilience machinery: completed
 scenarios checkpoint into a :class:`~repro.resilience.SweepJournal`
 (keyed ``(scenario_id, float(index))`` via its generic outcome API) so
-a killed campaign resumes where it stopped; ``workers > 1`` fans
-scenarios over a spawn-context process pool with the parent as the
+a killed campaign resumes where it stopped; ``workers > 1``, a
+:class:`~repro.resilience.SupervisorConfig` or a fleet hands the
+scenarios to the one :class:`~repro.resilience.PointSupervisor`
+scheduler (local spawn workers, or remote ones) with the parent as the
 single journal writer, mirroring
 :class:`~repro.sim.parallel.ParallelSweepRunner`.  Every failing
 scenario is captured as a self-contained replay bundle (and optionally
@@ -21,9 +23,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Callable
 
@@ -38,6 +38,7 @@ from repro.chaos.scenario import (
 from repro.chaos.shrink import shrink_scenario, write_minimal
 from repro.resilience.checkpoint import SweepJournal
 from repro.resilience.supervisor import PointSupervisor, SupervisorConfig
+from repro.sim.parallel import _claim_once_file
 
 #: test-only hook mirroring repro.sim.parallel's point hooks: wedge the
 #: worker that picks up a matching scenario_id (or "*"), honouring the
@@ -50,15 +51,19 @@ CAMPAIGN_SCHEMA = 1
 MANIFEST_NAME = "campaign_manifest.json"
 JOURNAL_NAME = "campaign.journal.jsonl"
 
-#: Static outcome details for supervised/fleet infrastructure failures.
-#: Deliberately wall-clock-free and shared between the single-host
-#: supervisor path and the fleet path: the campaign manifest must stay
-#: byte-identical across runs, hosts and backends.
+#: Static outcome details for infrastructure failures.  Deliberately
+#: wall-clock-free and shared by local and fleet runs: the campaign
+#: manifest must stay byte-identical across runs, hosts and backends.
 TIMEOUT_DETAIL = (
     "reaped by supervisor: wall-clock deadline or "
     "heartbeat staleness exceeded"
 )
 CRASH_DETAIL = "worker lost under supervision"
+#: scheduler crash kind -> the terminal outcome's (status, detail).
+_INFRASTRUCTURE_OUTCOMES = {
+    "timeout": ("timeout", TIMEOUT_DETAIL),
+    "worker-lost": ("crash", CRASH_DETAIL),
+}
 
 
 @dataclass(frozen=True)
@@ -78,15 +83,16 @@ class CampaignConfig:
     shrink_failures: bool = False
     #: write one JSONL telemetry trace per scenario under ``traces/``.
     traces: bool = True
-    #: run scenarios under a PointSupervisor (heartbeats, deadlines,
-    #: reaping); a reaped scenario becomes a terminal "timeout"/"crash"
-    #: outcome -- chaos outcomes are data, so nothing is retried.
+    #: the scheduler's deadline and staleness bound; a lost or reaped
+    #: local worker costs its scenario a terminal "crash"/"timeout"
+    #: outcome -- chaos outcomes are data, so nothing is retried.  Set,
+    #: it also adds the manifest's ``supervisor`` section.
     supervisor: SupervisorConfig | None = None
     #: a live :class:`repro.service.ServiceServer`; scenarios are
-    #: leased to its remote workers.  Unlike the single-host supervised
-    #: path, *infrastructure* crashes (a killed or wedged fleet worker)
-    #: are retried up to quarantine, so a chaotic fleet converges on
-    #: the same manifest a healthy single-host run produces.
+    #: leased to its remote workers.  Unlike on a local pool,
+    #: *infrastructure* crashes (a killed or wedged fleet worker) are
+    #: retried up to quarantine, so a chaotic fleet converges on the
+    #: same manifest a healthy single-host run produces.
     fleet: object | None = None
 
     def __post_init__(self) -> None:
@@ -169,8 +175,6 @@ def _maybe_wedge_scenario(scenario: ChaosScenario) -> None:
     wedge = os.environ.get(WEDGE_SCENARIO_ENV)
     if not wedge or wedge not in ("*", scenario.scenario_id):
         return
-    from repro.sim.parallel import _claim_once_file
-
     if not _claim_once_file():
         return
     while True:  # no heartbeats: the supervisor must reap us
@@ -178,132 +182,80 @@ def _maybe_wedge_scenario(scenario: ChaosScenario) -> None:
 
 
 def _supervised_scenario(payload, heartbeat) -> ScenarioOutcome:
-    """The supervisor's task runner: payload is (scenario, trace_path)."""
+    """The scheduler's task runner: payload is (scenario, trace_path)."""
     scenario, trace_path = payload
     _maybe_wedge_scenario(scenario)
     return run_scenario(scenario, trace_path, heartbeat=heartbeat)
 
 
-def _run_supervised(
+def _run_scheduled(
     config: CampaignConfig,
     todo: list[ChaosScenario],
     journal: SweepJournal,
     outcomes: dict[int, ScenarioOutcome],
     progress: Callable[[str], None] | None,
 ) -> None:
-    """Fan scenarios over supervised workers; reaped ones become data.
+    """Fan scenarios over the scheduler's holders, local or remote.
 
-    Unlike :func:`_run_pool`, a worker that dies takes only its own
-    scenario down (the pool replenishes), and a worker that *wedges*
-    is reaped at the configured deadline/staleness bound instead of
-    hanging the campaign forever.  Outcome details for supervised
-    failures are deliberately static strings: the campaign manifest
-    must stay byte-identical across runs, and wall-clock-flavoured
-    reap details would break that contract.
+    The only policy difference is ``resubmit_crashed``.  On a local
+    pool it is off and chaos outcomes are data: a worker that dies
+    costs its own scenario a ``crash`` outcome (the pool replenishes)
+    and one reaped at the configured bound a ``timeout``.  On a fleet
+    it is on: losing a worker mid-scenario is coordinator weather, so
+    the scenario is re-leased, the re-run's deterministic outcome lands
+    instead, and only a scenario that crashes workers all the way to
+    quarantine gets a terminal infrastructure outcome.
     """
     by_index = {scenario.index: scenario for scenario in todo}
-    supervisor = PointSupervisor(
-        workers=min(config.workers, len(todo)),
-        runner=_supervised_scenario,
-        config=config.supervisor,
-        resubmit_crashed=False,
-    )
-    with supervisor:
-        for scenario in todo:
-            supervisor.submit(
-                scenario.index, (scenario, _trace_path(config, scenario))
-            )
-        while supervisor.outstanding:
-            event = supervisor.next_event()
-            scenario = by_index[event.task_id]
-            if event.kind == "result":
-                outcome = event.result
-            elif event.kind == "timeout":
-                outcome = ScenarioOutcome(
-                    scenario_id=scenario.scenario_id,
-                    status="timeout",
-                    detail=TIMEOUT_DETAIL,
-                )
-            else:  # worker-lost
-                outcome = ScenarioOutcome(
-                    scenario_id=scenario.scenario_id,
-                    status="crash",
-                    detail=CRASH_DETAIL,
-                )
-            journal.record_outcome(
-                scenario.scenario_id, float(scenario.index), outcome.as_dict()
-            )
-            outcomes[scenario.index] = outcome
-            if progress is not None:
-                progress(
-                    f"[{len(outcomes)}/{config.count_total()}] "
-                    f"{scenario.scenario_id} ({scenario.kind}, "
-                    f"{scenario.algorithm}) -> {outcome.status}"
-                )
+    supervisor_config = config.supervisor or SupervisorConfig()
+    if config.fleet is not None:
+        from repro.service.coordinator import FleetCoordinator
 
-
-def _run_fleet(
-    config: CampaignConfig,
-    todo: list[ChaosScenario],
-    journal: SweepJournal,
-    outcomes: dict[int, ScenarioOutcome],
-    progress: Callable[[str], None] | None,
-) -> None:
-    """Lease scenarios to the connected remote fleet.
-
-    Infrastructure failures are *retried* here (``resubmit_crashed``):
-    losing a fleet worker mid-scenario is coordinator weather, not
-    scenario data, so the re-run's deterministic outcome lands instead
-    and the manifest matches a healthy single-host run byte for byte.
-    Only a scenario that crashes workers all the way to quarantine
-    becomes a terminal ``timeout``/``crash`` outcome -- with the same
-    static detail strings the single-host supervised path writes.
-    """
-    from repro.service.coordinator import FleetCoordinator
-
-    by_index = {scenario.index: scenario for scenario in todo}
-    #: last infrastructure failure kind per scenario, so quarantine
-    #: can classify the terminal outcome (wedge -> timeout, death ->
-    #: crash) like the single-host path does.
+        scheduler = FleetCoordinator(
+            config.fleet,
+            config=supervisor_config,
+            resubmit_crashed=True,
+            task_kind="chaos-scenario",
+        )
+    else:
+        scheduler = PointSupervisor(
+            workers=min(config.workers, len(todo)),
+            runner=_supervised_scenario,
+            config=supervisor_config,
+            resubmit_crashed=False,
+        )
+    #: last crash kind per scenario: a quarantine's terminal outcome.
     last_kind: dict[int, str] = {}
-    coordinator = FleetCoordinator(
-        config.fleet,
-        config=config.supervisor or SupervisorConfig(),
-        resubmit_crashed=True,
-        task_kind="chaos-scenario",
-    )
-    with coordinator:
+    with scheduler:
         for scenario in todo:
-            coordinator.submit(
+            scheduler.submit(
                 scenario.index, (scenario, _trace_path(config, scenario))
             )
-        while coordinator.outstanding:
-            event = coordinator.next_event()
+        while scheduler.outstanding:
+            event = scheduler.next_event()
             scenario = by_index[event.task_id]
             if event.kind in ("worker-lost", "timeout"):
-                # Intermediate: the coordinator re-leases (or follows
-                # up with "quarantined").  Nothing is journalled -- the
-                # journal records scenario outcomes, not weather.
                 last_kind[scenario.index] = event.kind
-                if progress is not None:
-                    progress(
-                        f"{scenario.scenario_id} {event.kind} "
-                        f"(crash {event.crashes}); re-leasing"
-                    )
-                continue
+                if scheduler.resubmit_crashed:
+                    # Intermediate: the scheduler re-leases (or follows
+                    # up with "quarantined").  Nothing is journalled --
+                    # the journal records outcomes, not weather.
+                    if progress is not None:
+                        progress(
+                            f"{scenario.scenario_id} {event.kind} "
+                            f"(crash {event.crashes}); re-leasing"
+                        )
+                    continue
             if event.kind == "result":
                 outcome = event.result
-            elif last_kind.get(scenario.index) == "timeout":
+            else:  # a terminal crash, or quarantined after several
+                status, detail = _INFRASTRUCTURE_OUTCOMES[
+                    last_kind[scenario.index]
+                ]
                 outcome = ScenarioOutcome(
                     scenario_id=scenario.scenario_id,
-                    status="timeout",
-                    detail=TIMEOUT_DETAIL,
-                )
-            else:  # quarantined after repeated worker deaths
-                outcome = ScenarioOutcome(
-                    scenario_id=scenario.scenario_id,
-                    status="crash",
-                    detail=CRASH_DETAIL,
+                    status=status,
+                    detail=detail,
                 )
             journal.record_outcome(
                 scenario.scenario_id, float(scenario.index), outcome.as_dict()
@@ -315,57 +267,6 @@ def _run_fleet(
                     f"{scenario.scenario_id} ({scenario.kind}, "
                     f"{scenario.algorithm}) -> {outcome.status}"
                 )
-
-
-def _run_pool(
-    config: CampaignConfig,
-    todo: list[ChaosScenario],
-    journal: SweepJournal,
-    outcomes: dict[int, ScenarioOutcome],
-    progress: Callable[[str], None] | None,
-) -> None:
-    """Fan scenarios over spawn workers; the parent owns the journal.
-
-    A worker that dies (or a scenario whose pickle round-trip breaks)
-    surfaces as that scenario's ``crash`` outcome rather than killing
-    the campaign: chaos harnesses must outlive the chaos.
-    """
-    pool = ProcessPoolExecutor(
-        max_workers=config.workers, mp_context=get_context("spawn")
-    )
-    try:
-        pending = {
-            pool.submit(
-                run_scenario, scenario, _trace_path(config, scenario)
-            ): scenario
-            for scenario in todo
-        }
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                scenario = pending.pop(future)
-                try:
-                    outcome = future.result()
-                except Exception as error:
-                    outcome = ScenarioOutcome(
-                        scenario_id=scenario.scenario_id,
-                        status="crash",
-                        detail=f"worker failure: {type(error).__name__}: {error}",
-                    )
-                journal.record_outcome(
-                    scenario.scenario_id,
-                    float(scenario.index),
-                    outcome.as_dict(),
-                )
-                outcomes[scenario.index] = outcome
-                if progress is not None:
-                    progress(
-                        f"[{len(outcomes)}/{config.count_total()}] "
-                        f"{scenario.scenario_id} ({scenario.kind}, "
-                        f"{scenario.algorithm}) -> {outcome.status}"
-                    )
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run_campaign(
@@ -397,12 +298,13 @@ def run_campaign(
     # a SIGKILLed run leaves a stale lock that a same-host restart
     # takes over after the dead-pid check.
     with journal.lock():
-        if config.fleet is not None and todo:
-            _run_fleet(config, todo, journal, outcomes, progress)
-        elif config.supervisor is not None and todo:
-            _run_supervised(config, todo, journal, outcomes, progress)
-        elif config.workers > 1 and len(todo) > 1:
-            _run_pool(config, todo, journal, outcomes, progress)
+        pooled = (
+            config.fleet is not None
+            or config.supervisor is not None
+            or (config.workers > 1 and len(todo) > 1)
+        )
+        if pooled and todo:
+            _run_scheduled(config, todo, journal, outcomes, progress)
         else:
             _run_serial(config, todo, journal, outcomes, progress)
 

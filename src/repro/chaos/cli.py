@@ -186,8 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="run scenarios in a spawn-context process pool of N workers; "
-             "per-scenario outcomes are bitwise identical to a serial run",
+        help="run scenarios on N supervised spawn-context workers; "
+             "per-scenario outcomes are bitwise identical to a serial run, "
+             "and a worker that dies costs only its own scenario a "
+             "'crash' outcome",
     )
     run_p.add_argument(
         "--resume",
@@ -199,10 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="run scenarios supervised: a worker wedged past SECONDS "
-             "of wall clock (or heartbeat silence) is reaped and its "
-             "scenario recorded as a 'timeout' outcome instead of "
-             "hanging the campaign",
+        help="a worker wedged past SECONDS of wall clock (or heartbeat "
+             "silence) is reaped and its scenario recorded as a 'timeout' "
+             "outcome instead of hanging the campaign; also adds the "
+             "manifest's supervisor section",
     )
     run_p.add_argument(
         "--inject-deadlock",

@@ -2,7 +2,7 @@
 
 :func:`run_scenario` is a module-level function of picklable arguments
 so campaign workers can call it across a spawn-context process
-boundary, exactly like :func:`repro.sim.parallel.run_point_spec`.  It
+boundary, exactly like :func:`repro.sim.parallel.run_point_attempt`.  It
 never raises for a *failing* scenario -- invariant violations,
 deadlocks and drain failures are the campaign's product, not its
 errors -- and instead classifies every run into a

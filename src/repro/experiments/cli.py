@@ -38,19 +38,23 @@ from repro.sim.sweep import SweepGuard
 
 
 def _supervisor_config(args: argparse.Namespace) -> SupervisorConfig | None:
-    """Build the supervised-execution knobs from the CLI flags.
+    """Build the scheduler's knobs from the CLI flags.
 
-    ``--point-timeout`` arms both the hard per-point deadline and the
-    heartbeat-staleness bound at the same value: a wedged point stops
-    beating long before a healthy one would exhaust the deadline, and
-    one number is all the CLI needs to expose.
+    Every ``--workers > 1`` sweep runs under the scheduler, so the
+    config exists whenever a pool does (``--quarantine-after`` alone
+    must take effect).  ``--point-timeout`` arms both the hard
+    per-point deadline and the heartbeat-staleness bound at the same
+    value: a wedged point stops beating long before a healthy one
+    would exhaust the deadline, and one number is all the CLI needs to
+    expose.  Without it both stay off and only a dead worker is acted
+    on.
     """
-    if args.point_timeout is None:
-        return None
-    if args.point_timeout <= 0:
+    if args.point_timeout is not None and args.point_timeout <= 0:
         raise SystemExit("--point-timeout must be positive")
     if args.quarantine_after < 1:
         raise SystemExit("--quarantine-after must be at least 1")
+    if args.workers == 1 and args.point_timeout is None:
+        return None
     return SupervisorConfig(
         point_timeout_s=args.point_timeout,
         heartbeat_stale_s=args.point_timeout,
@@ -69,6 +73,7 @@ def _sweep_guard(args: argparse.Namespace) -> SweepGuard | None:
         or args.resume
         or args.max_attempts > 1
         or args.point_timeout is not None
+        or args.workers > 1
     )
     if not wanted:
         return None
@@ -309,20 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="with --workers > 1, run the pool supervised: reap any "
-             "worker whose point exceeds SECONDS of wall clock or whose "
-             "in-loop heartbeat goes stale for SECONDS, journal the "
-             "reap, and retry the point on a fresh worker (see "
-             "docs/resilience.md)",
+        help="with --workers > 1, also reap any worker whose point "
+             "exceeds SECONDS of wall clock or whose in-loop heartbeat "
+             "goes stale for SECONDS, journal the reap, and retry the "
+             "point on a fresh worker; without it only a dead worker "
+             "is replaced (see docs/resilience.md)",
     )
     resilience.add_argument(
         "--quarantine-after",
         type=int,
         default=3,
         metavar="K",
-        help="quarantine a point after K supervised crashes "
+        help="with --workers > 1, quarantine a point after K crashes "
              "(worker deaths or reaps) instead of retrying it forever "
-             "(default 3; only meaningful with --point-timeout)",
+             "(default 3)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress lines"

@@ -21,10 +21,11 @@ package makes the reproduction hard to break and loud when it does:
   persists completed BNF points so long sweeps survive crashes and can
   resume a partial curve (torn-tail tolerant: a half-written final
   line from a crash is salvaged, not fatal);
-* :mod:`repro.resilience.supervisor` -- a :class:`PointSupervisor`
-  that runs pool workers under heartbeats, per-task deadlines and
-  poison-point quarantine, reaping and replenishing instead of
-  hanging or aborting.
+* :mod:`repro.resilience.supervisor` -- :class:`PointSupervisor`, the
+  one lease-driven scheduler behind every pooled sweep and campaign
+  (local spawn workers or a remote fleet): heartbeats, per-task
+  deadlines and poison-point quarantine, reaping and replenishing
+  instead of hanging or aborting.
 """
 
 from repro.resilience.backoff import jittered_backoff

@@ -1,10 +1,10 @@
-"""Lease bookkeeping shared by the supervisor and the fleet coordinator.
+"""Lease bookkeeping for the scheduler.
 
 A *lease* is one grant of one task to one holder -- a local worker
-process under :class:`~repro.resilience.supervisor.PointSupervisor`,
-or a remote worker connection under
-:class:`repro.service.coordinator.FleetCoordinator`.  Both schedulers
-need exactly the same bookkeeping around it:
+process, or a remote worker connection behind
+:func:`repro.service.coordinator.FleetCoordinator` -- by
+:class:`~repro.resilience.supervisor.PointSupervisor`.  Whatever the
+holder, the bookkeeping around it is the same:
 
 * when was the task granted, and when did its holder last heartbeat;
 * which leases have expired (wall-clock deadline, or heartbeat gone
@@ -12,10 +12,10 @@ need exactly the same bookkeeping around it:
 * how many times has this task crashed its holder, and is it due for
   quarantine.
 
-:class:`LeaseTable` owns that state so the two schedulers cannot
-drift: the supervisor reaps the *process* holding an expired lease,
-the coordinator kicks the *connection*, but "expired" and "poison"
-mean the same thing in both.  Each lease carries a table-unique
+:class:`LeaseTable` owns that state: the pool transport reaps the
+*process* holding an expired lease, the fleet transport kicks the
+*connection*, but "expired" and "poison" mean the same thing for
+both.  Each lease carries a table-unique
 ``dispatch`` id; a scheduler that stamps the id onto the work it hands
 out can recognize (and discard) stale deliveries from a holder whose
 lease was already expired and re-granted -- that is what makes
@@ -118,9 +118,9 @@ class LeaseTable:
     def expired(self, now: float | None = None) -> list[tuple[Lease, str]]:
         """Leases past a bound, with the human-readable reap detail.
 
-        The detail strings are the journalled/traced reap reasons;
-        they are shared verbatim between the single-host supervisor
-        and the fleet coordinator so operators read one vocabulary.
+        The detail strings are the journalled/traced reap reasons,
+        the same for local and fleet holders so operators read one
+        vocabulary.
         """
         if now is None:
             now = time.monotonic()

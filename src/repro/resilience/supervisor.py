@@ -1,45 +1,38 @@
-"""Supervised process workers: heartbeats, deadlines, reaping, quarantine.
+"""The one lease-driven scheduler, and its local (pipe-to-child) transport.
 
-``ProcessPoolExecutor`` has two failure modes that kill a long sweep
-or chaos campaign outright: a worker that *dies* breaks the whole pool
-(``BrokenProcessPool`` fails every pending future), and a worker that
-*wedges* -- an infinite loop, a lost wake-up -- hangs the parent's
-``wait()`` forever, because the executor has no per-task deadline and
-no way to terminate one worker without poisoning the rest.
+Every pooled sweep and chaos campaign -- ``workers > 1`` on one host,
+or a remote fleet -- is dispatched by :class:`PointSupervisor`.  It
+alone owns the delayed ready-heap, the payloads, the
+:class:`~repro.resilience.leases.LeaseTable`, the event queue, the
+crash -> resubmit -> quarantine policy, the stats and the telemetry
+callbacks, and it reaches its *holders* only through a small
+:class:`Transport`.  Two exist: the spawn-context pool below -- raw
+``multiprocessing.Process`` workers the parent owns outright, one
+duplex pipe each (an executor pool cannot terminate one wedged worker,
+and one dead worker breaks all of its pending futures) -- and the TCP
+fleet in :mod:`repro.service.coordinator`.  The scheduler
 
-:class:`PointSupervisor` replaces the executor with raw spawn-context
-``multiprocessing.Process`` workers it owns outright, one duplex pipe
-each, so it can
-
-* watch **heartbeats**: the task runner receives a heartbeat callable
-  that the simulation drives from inside its event loop (see
+* watches **heartbeats**: the task runner receives a heartbeat
+  callable that the simulation drives from inside its event loop (see
   ``NetworkSimulator(heartbeat=...)``), so a wedged loop stops beating
   -- a thread-based heartbeat would defeat the whole point;
-* enforce a per-task **wall-clock deadline** and a **heartbeat
-  staleness** threshold, reaping (terminate + join, then kill) any
-  worker that trips either, and replenishing the pool with a fresh
-  process instead of aborting;
-* classify every abnormal end as a :class:`SupervisorEvent` --
-  ``worker-lost`` (the process died), ``timeout`` (reaped at a
-  deadline) or ``quarantined`` (the same task crashed its worker
-  ``quarantine_after`` times: a poison point that would otherwise eat
-  the pool forever) -- so the caller can journal each one and a
-  ``--resume`` rerun retries it;
-* report counters and trace events through an optional
-  :class:`~repro.obs.telemetry.Telemetry`
-  (``resilience_worker_lost_total`` / ``resilience_point_timeouts_total``
-  / ``resilience_quarantined_total``).
+* enforces a per-task **wall-clock deadline** and a **heartbeat
+  staleness** bound (both off by default), dropping any holder that
+  trips either -- the pool reaps it (terminate + join, then kill) and
+  spawns a fresh process, the fleet kicks the connection;
+* discards any delivery whose ``(dispatch, holder)`` does not match
+  the task's live lease: at-least-once dispatch records exactly once;
+* classifies every abnormal end as a :class:`SupervisorEvent` so the
+  caller can journal each one and a ``--resume`` rerun retries it (a
+  hand-off that fails because the holder died before the task reached
+  it is *not* one: the task never ran and is simply requeued);
+* reports counters and trace events through an optional telemetry.
 
-Determinism: the supervisor only decides *where and when* a task runs,
-never what it computes -- task payloads are the same picklable specs
-the executor carried, workers rebuild all state from them, and results
-stay bitwise identical to a serial run.  Wall-clock only ever flows
-into *reaping decisions*, never into results, so supervised outcomes
-journal deterministically.
-
-This is ROADMAP item 2's lease/heartbeat scheduler at single-host
-scale: the same (lease = task assignment, heartbeat, reap, reassign)
-protocol later stretches over many hosts.
+Determinism: the scheduler only decides *where and when* a task runs,
+never what it computes -- payloads are picklable specs, workers
+rebuild all state from them, and results stay bitwise identical to a
+serial run.  Wall-clock only ever flows into *drop decisions*, never
+into results, so outcomes journal deterministically.
 """
 
 from __future__ import annotations
@@ -47,51 +40,53 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple, Protocol
 
-from repro.resilience.leases import LeaseTable
+from repro.resilience.leases import Lease, LeaseTable
 
 __all__ = [
+    "Delivery",
     "PointSupervisor",
     "SupervisorConfig",
     "SupervisorEvent",
+    "Transport",
 ]
+
+#: spawn keeps workers free of inherited parent state (open sinks, RNGs,
+#: the loaded journal) whatever the platform's default start method is.
+MP_CONTEXT = "spawn"
 
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Tuning knobs for one supervised pool.
+    """Tuning knobs for one scheduler.
 
     Attributes:
-        point_timeout_s: hard wall-clock ceiling per task; a worker
-            still running when it expires is reaped (``None`` = no
+        point_timeout_s: hard wall-clock ceiling per task; a holder
+            still running when it expires is dropped (``None`` = no
             deadline).
-        heartbeat_stale_s: reap a worker whose last heartbeat is older
+        heartbeat_stale_s: drop a holder whose last heartbeat is older
             than this -- catches wedges long before a generous
             deadline would (``None`` = staleness not checked).
         heartbeat_interval_cycles: how often (in simulated cycles) the
             simulation's heartbeat tick fires; the sender additionally
             throttles to wall time, so small values are safe.
-        quarantine_after: supervised crashes (worker-lost + timeout)
-            of one task before it is quarantined instead of retried.
-        rerun_quarantined: after quarantining, re-run the point
-            serially in the parent process to capture the real
-            traceback (off by default: a poison point that SIGKILLs
-            its worker would then kill the parent).
-        poll_interval_s: the supervisor's liveness/deadline poll
-            cadence; also bounds how long a reap can lag its deadline.
-        reap_grace_s: seconds to wait after ``terminate()`` before
-            escalating to ``kill()``.
+        quarantine_after: crashes (worker-lost + timeout) of one task
+            before it is quarantined instead of retried.
+        poll_interval_s: the scheduler's liveness/deadline poll
+            cadence; also bounds how long a drop can lag its deadline.
+        reap_grace_s: seconds the pool waits after ``terminate()``
+            before escalating to ``kill()``.
     """
 
     point_timeout_s: float | None = None
     heartbeat_stale_s: float | None = None
     heartbeat_interval_cycles: float = 1_000.0
     quarantine_after: int = 3
-    rerun_quarantined: bool = False
     poll_interval_s: float = 0.05
     reap_grace_s: float = 5.0
 
@@ -119,19 +114,19 @@ class SupervisorConfig:
 
 @dataclass(frozen=True)
 class SupervisorEvent:
-    """One supervision outcome handed to the caller, in order.
+    """One scheduling outcome handed to the caller, in order.
 
     ``kind`` is one of:
 
     * ``"result"`` -- the task finished; :attr:`result` is whatever the
       runner returned (the normal case, successes and in-task failures
       alike);
-    * ``"worker-lost"`` -- the worker process died mid-task (SIGKILL,
-      OOM, segfault); the task will be retried unless quarantine is
-      due;
-    * ``"timeout"`` -- the worker was reaped at the task deadline or
-      the heartbeat-staleness threshold; retried likewise;
-    * ``"quarantined"`` -- the task crashed its worker
+    * ``"worker-lost"`` -- the holder died or disconnected mid-task
+      (SIGKILL, OOM, segfault) or its runner let an exception escape;
+      the task will be retried unless quarantine is due;
+    * ``"timeout"`` -- the holder was dropped at the task deadline or
+      the heartbeat-staleness bound; retried likewise;
+    * ``"quarantined"`` -- the task crashed its holders
       ``quarantine_after`` times and is abandoned; always follows the
       final crash's own event.
     """
@@ -140,91 +135,53 @@ class SupervisorEvent:
     task_id: Any
     result: Any = None
     detail: str = ""
-    #: supervised crashes of this task so far (0 for clean results).
+    #: crashes of this task so far (0 for clean results).
     crashes: int = 0
 
 
-class _HeartbeatSender:
-    """The callable a worker's task runner drives between epochs.
+class Delivery(NamedTuple):
+    """One thing a transport heard from (or about) a holder.
 
-    Throttled to wall time so a fast simulation loop does not flood
-    the pipe; a send failure (parent gone) is swallowed -- the reap
-    arrives either way.
+    ``kind`` is ``"heartbeat"``, ``"done"`` (*data* is the runner's
+    result), ``"error"`` (the runner raised) or ``"left"`` (the holder
+    is gone) -- *data* is then the detail.  All but ``left`` echo the
+    ``task_id``/``dispatch`` stamped on the task.
     """
 
-    def __init__(self, conn: Connection, min_interval_s: float = 0.2) -> None:
-        self._conn = conn
-        self._min_interval_s = min_interval_s
-        self._task_id: Any = None
-        self._last = 0.0
-
-    def reset(self, task_id: Any) -> None:
-        self._task_id = task_id
-        self._last = 0.0
-        self()  # one immediate beat: "task received, alive"
-
-    def __call__(self) -> None:
-        now = time.monotonic()
-        if now - self._last < self._min_interval_s:
-            return
-        self._last = now
-        try:
-            self._conn.send(("heartbeat", self._task_id))
-        except OSError:
-            pass
-
-
-def _worker_main(conn: Connection, runner: Callable[[Any, Callable], Any]) -> None:
-    """Long-lived worker loop: recv task, run, send result, repeat.
-
-    Module-level so a spawn context can pickle it by reference.  Any
-    exception escaping *runner* is reported as an ``error`` message
-    (the worker survives); runners are expected to catch task-level
-    exceptions themselves and fold them into their result objects.
-    """
-    heartbeat = _HeartbeatSender(conn)
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message[0] == "exit":
-            break
-        _, task_id, payload = message
-        heartbeat.reset(task_id)
-        try:
-            result = runner(payload, heartbeat)
-        except BaseException as error:  # noqa: BLE001 -- report, don't die
-            reply = ("error", task_id, f"{type(error).__name__}: {error}")
-        else:
-            reply = ("done", task_id, result)
-        try:
-            conn.send(reply)
-        except Exception as error:  # result not picklable, parent gone, ...
-            try:
-                conn.send((
-                    "error",
-                    task_id,
-                    f"result failed to serialize: "
-                    f"{type(error).__name__}: {error}",
-                ))
-            except Exception:
-                break
-    try:
-        conn.close()
-    except OSError:
-        pass
-
-
-@dataclass
-class _Worker:
-    process: Any
-    conn: Connection
+    kind: str
+    holder: Any
     task_id: Any = None
+    dispatch: int | None = None
+    data: Any = None
+
+
+class Transport(Protocol):
+    """How the scheduler reaches its holders (each has a ``name``)."""
+
+    #: transport-specific counters, folded into the scheduler's stats.
+    stats: dict[str, int]
+
+    def idle_holder(self, busy: Callable[[Any], Any]) -> Any | None:
+        """A live holder for which ``busy(holder)`` (it has a live lease)
+        is falsy, or ``None`` when there is none."""
+
+    def send(self, lease: Lease, payload: Any, reassigned: bool) -> None:
+        """Hand *payload* to ``lease.holder``, stamped with the lease's
+        dispatch id.  Raises ``OSError``, after disposing of the holder,
+        when the task cannot have reached it."""
+
+    def poll(self, timeout: float) -> list[Delivery]:
+        """Wait up to *timeout* seconds for deliveries."""
+
+    def drop(self, lease: Lease, detail: str) -> None:
+        """Forcibly dispose of the holder of an expired lease."""
+
+    def close(self) -> None:
+        """Release whatever the transport owns."""
 
 
 class PointSupervisor:
-    """A self-healing pool of supervised worker processes.
+    """The scheduler, over a self-healing local pool by default.
 
     Usage::
 
@@ -238,11 +195,12 @@ class PointSupervisor:
     *runner* is a module-level callable ``runner(payload, heartbeat)``
     executed in the worker; it should call ``heartbeat()`` between
     simulation epochs (the sweep and chaos runners thread it into the
-    simulator's heartbeat tick).
+    simulator's heartbeat tick).  :meth:`over` builds the same
+    scheduler over any other :class:`Transport`.
 
     With ``resubmit_crashed=True`` (the sweep's mode) a crashed task is
     automatically resubmitted until ``quarantine_after`` crashes, then
-    a ``quarantined`` event ends it.  With ``False`` (the campaign's
+    a ``quarantined`` event ends it.  With ``False`` (a local campaign's
     mode) each crash event is terminal and the caller decides.
     """
 
@@ -251,38 +209,60 @@ class PointSupervisor:
         workers: int,
         runner: Callable[[Any, Callable], Any],
         config: SupervisorConfig | None = None,
-        mp_context: str = "spawn",
         telemetry=None,
         resubmit_crashed: bool = True,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.workers = workers
-        self.runner = runner
-        self.config = config if config is not None else SupervisorConfig()
+        config = config if config is not None else SupervisorConfig()
+        self._schedule_over(
+            ProcessPoolTransport(workers, runner, config.reap_grace_s),
+            config, telemetry, resubmit_crashed,
+        )
+
+    @classmethod
+    def over(
+        cls,
+        transport: Transport,
+        config: SupervisorConfig | None = None,
+        telemetry=None,
+        resubmit_crashed: bool = True,
+    ) -> "PointSupervisor":
+        """The scheduler over *transport* (the fleet; a test's fake)."""
+        self = cls.__new__(cls)
+        config = config if config is not None else SupervisorConfig()
+        self._schedule_over(transport, config, telemetry, resubmit_crashed)
+        return self
+
+    def _schedule_over(
+        self,
+        transport: Transport,
+        config: SupervisorConfig,
+        telemetry,
+        resubmit_crashed: bool,
+    ) -> None:
+        self.transport = transport
+        self.config = config
         self.telemetry = telemetry
         self.resubmit_crashed = resubmit_crashed
-        self._context = get_context(mp_context)
-        self._pool: list[_Worker] = []
-        #: (ready_at, seq, task_id) min-heap of tasks awaiting a slot;
+        #: (ready_at, seq, task_id) min-heap of tasks awaiting a holder;
         #: ready_at implements parent-side retry backoff.
         self._ready: list[tuple[float, int, Any]] = []
         self._seq = itertools.count()
         self._payloads: dict[Any, Any] = {}
-        #: lease + crash/quarantine bookkeeping, shared verbatim with
-        #: the fleet coordinator (repro.service.coordinator).
         self._leases = LeaseTable(
-            deadline_s=self.config.point_timeout_s,
-            stale_s=self.config.heartbeat_stale_s,
+            deadline_s=config.point_timeout_s,
+            stale_s=config.heartbeat_stale_s,
         )
         self._events: list[SupervisorEvent] = []
         self._started = time.monotonic()
         self._closed = False
-        self.stats = {
+        #: respawns: holders lost or dropped mid-task (the pool replaces
+        #: each); duplicates: stale deliveries the live-lease check threw out.
+        self._counts = {
             "worker_lost": 0,
             "timeouts": 0,
             "quarantined": 0,
             "respawns": 0,
+            "duplicates": 0,
         }
 
     # -- lifecycle -------------------------------------------------------
@@ -294,30 +274,11 @@ class PointSupervisor:
         self.close()
 
     def close(self) -> None:
-        """Shut every worker down (graceful when idle, forceful else)."""
+        """Stop scheduling and close the transport."""
         if self._closed:
             return
         self._closed = True
-        for worker in self._pool:
-            if worker.process.is_alive() and worker.task_id is None:
-                try:
-                    worker.conn.send(("exit",))
-                except OSError:
-                    pass
-        deadline = time.monotonic() + self.config.reap_grace_s
-        for worker in self._pool:
-            worker.process.join(max(0.0, deadline - time.monotonic()))
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(self.config.reap_grace_s)
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join()
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-        self._pool.clear()
+        self.transport.close()
 
     # -- submitting and consuming ----------------------------------------
 
@@ -337,12 +298,8 @@ class PointSupervisor:
 
     @property
     def outstanding(self) -> bool:
-        """True while any task is queued, running or awaiting delivery."""
-        return bool(
-            self._events
-            or self._ready
-            or any(w.task_id is not None for w in self._pool)
-        )
+        """True while any task is queued, leased or awaiting delivery."""
+        return bool(self._events or self._ready or len(self._leases))
 
     def next_event(self) -> SupervisorEvent:
         """Block until the next :class:`SupervisorEvent` is available."""
@@ -353,59 +310,249 @@ class PointSupervisor:
                 raise RuntimeError("no outstanding supervised work")
             self._pump()
 
+    @property
+    def stats(self) -> dict[str, int]:
+        """Live totals: the scheduler's plus the transport's own."""
+        return {**self._counts, **self.transport.stats}
+
     def summary(self) -> dict:
         """The manifest's supervisor section: config + live totals."""
         return {**self.config.as_dict(), **self.stats}
 
-    # -- the supervision loop --------------------------------------------
+    # -- the scheduling loop ---------------------------------------------
 
     def _pump(self) -> None:
         self._dispatch_ready()
-        conns = [w.conn for w in self._pool]
-        if conns:
-            # Wake early only for a *future* retry coming due.  A task
-            # that is already due but undispatched means every slot is
-            # busy -- nothing to wake for until a worker speaks, so a
-            # zero timeout here would busy-spin the parent at 100% CPU
-            # against its own workers.
-            timeout = self.config.poll_interval_s
-            if self._ready:
-                until_due = self._ready[0][0] - time.monotonic()
-                if until_due > 0.0:
-                    timeout = min(timeout, until_due)
-            by_conn = {w.conn: w for w in self._pool}
-            for conn in connection_wait(conns, timeout=timeout):
-                self._drain_conn(by_conn[conn])
-        elif self._ready:
-            # No workers yet (all dead, none respawned until a slot is
-            # needed): wait out the nearest backoff without spinning.
-            time.sleep(
-                min(
-                    self.config.poll_interval_s,
-                    max(0.0, self._ready[0][0] - time.monotonic()),
-                )
-            )
-        self._check_workers()
+        # Wake early only for a *future* retry coming due.  A task that
+        # is already due but undispatched means every holder is busy:
+        # a zero timeout here would busy-spin the parent at 100% CPU
+        # against its own workers.
+        timeout = self.config.poll_interval_s
+        if self._ready:
+            until_due = self._ready[0][0] - time.monotonic()
+            if until_due > 0.0:
+                timeout = min(timeout, until_due)
+        for delivery in self.transport.poll(timeout):
+            self._handle(delivery)
+        # Expiry is the lease table's verdict; disposing of the holder
+        # is the transport's job.  It must go: a wedged holder would
+        # otherwise keep its slot, or deliver a stale result later.
+        for lease, detail in self._leases.expired():
+            self._leases.release(lease.task_id)
+            self.transport.drop(lease, detail)
+            self._counts["respawns"] += 1
+            self._record_crash("timeout", lease.task_id, detail)
 
     def _dispatch_ready(self) -> None:
         now = time.monotonic()
         while self._ready and self._ready[0][0] <= now:
-            worker = self._idle_worker()
-            if worker is None:
+            holder = self.transport.idle_holder(self._leases.held_by)
+            if holder is None:
                 return
             _, _, task_id = heapq.heappop(self._ready)
-            worker.task_id = task_id
-            self._leases.grant(task_id, worker, now)
+            payload = self._payloads[task_id]
+            reassigned = self._leases.crashes(task_id) > 0
+            lease = self._leases.grant(task_id, holder, now)
             try:
-                worker.conn.send(("task", task_id, self._payloads[task_id]))
+                self.transport.send(lease, payload, reassigned)
             except OSError:
-                # Dead before dispatch; _check_workers reaps and the
-                # crash path requeues.
-                pass
+                # The holder died between idle and send: the task
+                # never ran, so this is a requeue, not a crash.
+                self._leases.release(task_id)
+                self.submit(task_id, payload)
 
-    def _idle_worker(self) -> _Worker | None:
+    def _handle(self, delivery: Delivery) -> None:
+        kind, holder, task_id, dispatch, data = delivery
+        if kind == "left":
+            for lease in self._leases.held_by(holder):
+                self._leases.release(lease.task_id)
+                self._counts["respawns"] += 1
+                self._record_crash("worker-lost", lease.task_id, data)
+            return
+        # Exactly-once over at-least-once dispatch: only the holder of
+        # the task's live lease, echoing that lease's dispatch id, is
+        # heard.  Anything else outlived an expired, re-granted lease.
+        lease = self._leases.lease_for(task_id)
+        live = (
+            lease is not None
+            and lease.dispatch == dispatch
+            and lease.holder is holder
+        )
+        if kind == "heartbeat":
+            if live:
+                self._leases.beat(task_id)
+        elif not live:
+            self._counts["duplicates"] += 1
+            if self.telemetry is not None and self.telemetry.enabled:
+                self.telemetry.on_duplicate_result(
+                    time.monotonic() - self._started,
+                    "<unknown>" if task_id is None else str(task_id),
+                    holder.name,
+                )
+        elif kind == "done":
+            self._leases.release(task_id)
+            self._events.append(
+                SupervisorEvent(
+                    kind="result",
+                    task_id=task_id,
+                    result=data,
+                    crashes=self._leases.crashes(task_id),
+                )
+            )
+        elif kind == "error":
+            # The runner let an exception escape (runners fold task
+            # failures into results, so this is abnormal).  The holder
+            # survives; account it like a crash so a repeat offender
+            # still quarantines.
+            self._leases.release(task_id)
+            self._record_crash("worker-lost", task_id, str(data))
+
+    def _record_crash(self, kind: str, task_id: Any, detail: str) -> None:
+        count = self._leases.record_crash(task_id)
+        tracing = self.telemetry is not None and self.telemetry.enabled
+        elapsed = time.monotonic() - self._started
+        if kind == "timeout":
+            self._counts["timeouts"] += 1
+            if tracing:
+                self.telemetry.on_point_timeout(
+                    elapsed, str(task_id), detail, count
+                )
+        else:
+            self._counts["worker_lost"] += 1
+            if tracing:
+                self.telemetry.on_worker_lost(
+                    elapsed, str(task_id), detail, count
+                )
+        self._events.append(
+            SupervisorEvent(
+                kind=kind, task_id=task_id, detail=detail, crashes=count
+            )
+        )
+        if not self.resubmit_crashed:
+            return
+        if not self._leases.should_quarantine(
+            task_id, self.config.quarantine_after
+        ):
+            self.submit(task_id, self._payloads[task_id])
+            return
+        self._counts["quarantined"] += 1
+        if tracing:
+            self.telemetry.on_quarantine(elapsed, str(task_id), count, detail)
+        self._events.append(
+            SupervisorEvent(
+                kind="quarantined", task_id=task_id, detail=detail, crashes=count
+            )
+        )
+
+
+# -- the local transport: spawn-context children on duplex pipes -----------
+
+
+class _HeartbeatSender:
+    """The callable a worker's task runner drives between epochs.
+
+    Throttled to wall time so a fast simulation loop does not flood
+    the pipe; a send failure (parent gone) is swallowed -- the reap
+    arrives either way.
+    """
+
+    def __init__(self, conn: Connection, min_interval_s: float = 0.2) -> None:
+        self._conn = conn
+        self._min_interval_s = min_interval_s
+        self._tag: Any = None
+        self._last = 0.0
+
+    def reset(self, tag: Any) -> None:
+        self._tag = tag
+        self._last = 0.0
+        self()  # one immediate beat: "task received, alive"
+
+    def __call__(self) -> None:
+        now = time.monotonic()
+        if now - self._last < self._min_interval_s:
+            return
+        self._last = now
+        try:
+            self._conn.send(("heartbeat", self._tag))
+        except OSError:
+            pass
+
+
+def _worker_main(conn: Connection, runner: Callable[[Any, Callable], Any]) -> None:
+    """Long-lived worker loop: recv task, run, send result, repeat.
+
+    Module-level so a spawn context can pickle it by reference.  Every
+    reply echoes the task's opaque *tag* (task id + dispatch id).  Any
+    exception escaping *runner* is reported as an ``error`` message
+    (the worker survives); runners are expected to catch task-level
+    exceptions themselves and fold them into their result objects.
+    """
+    heartbeat = _HeartbeatSender(conn)
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            break
+        if message[0] == "exit":
+            break
+        _, tag, payload = message
+        heartbeat.reset(tag)
+        try:
+            result = runner(payload, heartbeat)
+        except BaseException as error:  # noqa: BLE001 -- report, don't die
+            reply = ("error", tag, f"{type(error).__name__}: {error}")
+        else:
+            reply = ("done", tag, result)
+        try:
+            conn.send(reply)
+        except Exception as error:  # result not picklable, parent gone, ...
+            try:
+                conn.send((
+                    "error",
+                    tag,
+                    f"result failed to serialize: "
+                    f"{type(error).__name__}: {error}",
+                ))
+            except Exception:
+                break
+    try:
+        conn.close()
+    except OSError:
+        pass
+
+
+@dataclass(eq=False)
+class _Worker:
+    process: Any
+    conn: Connection
+
+    @property
+    def name(self) -> str:
+        return f"pid {self.process.pid}"
+
+
+class ProcessPoolTransport:
+    """Up to *workers* child processes, spawned on demand and replaced
+    when they die or are reaped."""
+
+    def __init__(
+        self,
+        workers: int,
+        runner: Callable[[Any, Callable], Any],
+        reap_grace_s: float,
+    ) -> None:
+        if workers < 1:
+            raise ValueError("workers must be at least 1")
+        self.workers = workers
+        self.runner = runner
+        self.reap_grace_s = reap_grace_s
+        self.stats: dict[str, int] = {}
+        self._context = get_context(MP_CONTEXT)
+        self._pool: list[_Worker] = []
+
+    def idle_holder(self, busy: Callable[[Any], Any]) -> _Worker | None:
         for worker in self._pool:
-            if worker.task_id is None and worker.process.is_alive():
+            if not busy(worker) and worker.process.is_alive():
                 return worker
         if len(self._pool) < self.workers:
             return self._spawn()
@@ -424,119 +571,70 @@ class PointSupervisor:
         self._pool.append(worker)
         return worker
 
-    def _drain_conn(self, worker: _Worker) -> None:
-        while True:
-            try:
-                if not worker.conn.poll():
-                    return
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                return  # process death; _check_workers classifies it
-            kind = message[0]
-            if kind == "heartbeat":
-                if message[1] == worker.task_id:
-                    self._leases.beat(worker.task_id)
-            elif kind == "done":
-                _, task_id, result = message
-                worker.task_id = None
-                self._leases.release(task_id)
-                self._events.append(
-                    SupervisorEvent(
-                        kind="result",
-                        task_id=task_id,
-                        result=result,
-                        crashes=self._leases.crashes(task_id),
-                    )
-                )
-            elif kind == "error":
-                # The runner let an exception escape (runners fold task
-                # failures into results, so this is abnormal).  The
-                # worker survives; account it like a crash so a
-                # repeat offender still quarantines.
-                _, task_id, detail = message
-                worker.task_id = None
-                self._leases.release(task_id)
-                self._record_crash("worker-lost", task_id, detail)
+    def send(self, lease: Lease, payload: Any, reassigned: bool) -> None:
+        worker = lease.holder
+        try:
+            worker.conn.send(("task", (lease.task_id, lease.dispatch), payload))
+        except OSError:
+            self._reap(worker)
+            raise
 
-    def _check_workers(self) -> None:
-        now = time.monotonic()
+    def poll(self, timeout: float) -> list[Delivery]:
+        deliveries: list[Delivery] = []
+        if not self._pool:
+            # Every task is waiting out a backoff and no worker has
+            # been needed yet: sleep instead of spinning.
+            time.sleep(timeout)
+            return deliveries
+        by_conn = {worker.conn: worker for worker in self._pool}
+        for conn in connection_wait(list(by_conn), timeout=timeout):
+            worker = by_conn[conn]
+            while True:
+                try:
+                    if not conn.poll():
+                        break
+                    kind, (task_id, dispatch), *rest = conn.recv()
+                except (EOFError, OSError):
+                    break  # process death; classified just below
+                deliveries.append(
+                    Delivery(kind, worker, task_id, dispatch, *rest)
+                )
         for worker in list(self._pool):
             if not worker.process.is_alive():
                 self._pool.remove(worker)
-                try:
+                with suppress(OSError):
                     worker.conn.close()
-                except OSError:
-                    pass
-                if worker.task_id is not None:
-                    task_id = worker.task_id
-                    self._leases.release(task_id)
-                    self.stats["respawns"] += 1
-                    self._record_crash(
-                        "worker-lost",
-                        task_id,
-                        f"worker process died "
-                        f"(exitcode {worker.process.exitcode})",
-                    )
-                continue
-        # Deadline / heartbeat-staleness expiry is the lease table's
-        # verdict; reaping the holder process is ours.
-        for lease, detail in self._leases.expired(now):
-            if lease.holder in self._pool:
-                self._reap(lease.holder, "timeout", detail)
+                deliveries.append(Delivery(
+                    "left",
+                    worker,
+                    data=f"worker process died "
+                         f"(exitcode {worker.process.exitcode})",
+                ))
+        return deliveries
 
-    def _reap(self, worker: _Worker, kind: str, detail: str) -> None:
-        task_id = worker.task_id
+    def drop(self, lease: Lease, detail: str) -> None:
+        if lease.holder in self._pool:
+            self._reap(lease.holder)
+
+    def _reap(self, worker: _Worker) -> None:
         self._pool.remove(worker)
-        self._leases.release(task_id)
         worker.process.terminate()
-        worker.process.join(self.config.reap_grace_s)
+        worker.process.join(self.reap_grace_s)
         if worker.process.is_alive():
             worker.process.kill()
             worker.process.join()
-        try:
+        with suppress(OSError):
             worker.conn.close()
-        except OSError:
-            pass
-        self.stats["respawns"] += 1
-        self._record_crash(kind, task_id, detail)
 
-    def _record_crash(self, kind: str, task_id: Any, detail: str) -> None:
-        count = self._leases.record_crash(task_id)
-        elapsed = time.monotonic() - self._started
-        if kind == "timeout":
-            self.stats["timeouts"] += 1
-            if self.telemetry is not None and self.telemetry.enabled:
-                self.telemetry.on_point_timeout(
-                    elapsed, str(task_id), detail, count
-                )
-        else:
-            self.stats["worker_lost"] += 1
-            if self.telemetry is not None and self.telemetry.enabled:
-                self.telemetry.on_worker_lost(
-                    elapsed, str(task_id), detail, count
-                )
-        self._events.append(
-            SupervisorEvent(
-                kind=kind, task_id=task_id, detail=detail, crashes=count
-            )
-        )
-        if not self.resubmit_crashed:
-            return
-        if not self._leases.should_quarantine(
-            task_id, self.config.quarantine_after
-        ):
-            self.submit(task_id, self._payloads[task_id])
-            return
-        self.stats["quarantined"] += 1
-        if self.telemetry is not None and self.telemetry.enabled:
-            self.telemetry.on_quarantine(
-                time.monotonic() - self._started, str(task_id), count, detail
-            )
-        self._events.append(
-            SupervisorEvent(
-                kind="quarantined",
-                task_id=task_id,
-                detail=detail,
-                crashes=count,
-            )
-        )
+    def close(self) -> None:
+        """Shut every worker down (ask first, then terminate, then kill)."""
+        for worker in self._pool:
+            if worker.process.is_alive():
+                try:
+                    worker.conn.send(("exit",))
+                except OSError:
+                    pass
+        deadline = time.monotonic() + self.reap_grace_s
+        for worker in list(self._pool):
+            worker.process.join(max(0.0, deadline - time.monotonic()))
+            self._reap(worker)

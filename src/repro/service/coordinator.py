@@ -1,24 +1,22 @@
-"""Lease-based fleet scheduler: the distributed ``PointSupervisor``.
+"""The fleet transport: remote workers behind the one scheduler.
 
-:class:`FleetCoordinator` drives remote workers through a
-:class:`~repro.service.server.ServiceServer` with exactly the
-interface of :class:`~repro.resilience.supervisor.PointSupervisor`
-(``submit`` / ``next_event`` / ``outstanding`` / ``summary``), so
-:class:`~repro.sim.parallel.ParallelSweepRunner` and the chaos
-campaign swap it in without changing their event loops.  Policy is
-the same :class:`~repro.resilience.supervisor.SupervisorConfig` --
-deadlines, staleness, quarantine -- and the bookkeeping is the same
-:class:`~repro.resilience.leases.LeaseTable`; only the *holder*
-changes from a local process to a remote connection.
+:func:`FleetCoordinator` builds the ordinary
+:class:`~repro.resilience.supervisor.PointSupervisor` -- same ready
+heap, lease table, crash/quarantine policy, events and
+:class:`~repro.resilience.supervisor.SupervisorConfig` as a local pool
+-- over a :class:`FleetTransport`, whose holders are the connections
+joined to a :class:`~repro.service.server.ServiceServer` instead of
+child processes.  Everything wire-shaped lives here: tokens, task
+frames, payload encoding, and kicking a connection.
 
 Exactly-once recording over at-least-once dispatch:
 
-* every grant stamps the table-unique lease ``dispatch`` id onto the
-  task frame, and workers echo it on heartbeats and results;
+* every task frame carries the table-unique lease ``dispatch`` id and
+  a token naming the task; workers echo both on heartbeats and results;
 * a delivery whose ``(token, dispatch)`` does not match the live
   lease held by *that* connection is stale -- its lease expired and
-  the task was re-granted -- and is counted and discarded, never
-  journalled;
+  the task was re-granted -- and the scheduler counts and discards
+  it, never journals it (an unknown token resolves to no task);
 * the coordinator stays the journal's single writer; workers never
   touch it.
 
@@ -30,333 +28,168 @@ ever leased out again.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import queue
 import secrets
 import time
-from typing import Any
+from typing import Any, Callable
 
-from repro.resilience.leases import LeaseTable
-from repro.resilience.supervisor import SupervisorConfig, SupervisorEvent
+from repro.resilience.leases import Lease
+from repro.resilience.supervisor import (
+    Delivery,
+    PointSupervisor,
+    SupervisorConfig,
+)
 from repro.service.protocol import decode_payload, encode_payload
 from repro.service.server import ServiceServer, WorkerConnection
 
-__all__ = ["FleetCoordinator"]
+__all__ = ["FleetCoordinator", "FleetTransport"]
+
+#: wire frame type -> delivery kind.
+_DELIVERY_KINDS = {"heartbeat": "heartbeat", "result": "done", "error": "error"}
 
 
-class FleetCoordinator:
-    """Schedule submitted tasks across the server's joined workers.
+def FleetCoordinator(  # noqa: N802 -- reads as the class it used to be
+    server: ServiceServer,
+    config: SupervisorConfig | None = None,
+    telemetry=None,
+    resubmit_crashed: bool = True,
+    task_kind: str = "sweep-point",
+) -> PointSupervisor:
+    """The scheduler over *server*'s joined workers.
 
-    Drop-in for :class:`~repro.resilience.supervisor.PointSupervisor`
-    (same events, same ``resubmit_crashed`` semantics); *task_kind*
-    names the worker-side runner (``"sweep-point"`` or
+    *task_kind* names the worker-side runner (``"sweep-point"`` or
     ``"chaos-scenario"``, see ``repro.service.worker.TASK_RUNNERS``).
-
-    ``close()`` does **not** close the shared server: one serve loop
+    Closing it does **not** close the shared server: one serve loop
     runs many sweeps (fig10 panels, campaign phases) over one fleet.
     """
+    return PointSupervisor.over(
+        FleetTransport(server, task_kind, telemetry),
+        config,
+        telemetry,
+        resubmit_crashed,
+    )
+
+
+class FleetTransport:
+    """Lease tasks to the server's connected workers over TCP."""
 
     def __init__(
-        self,
-        server: ServiceServer,
-        config: SupervisorConfig | None = None,
-        telemetry=None,
-        resubmit_crashed: bool = True,
-        task_kind: str = "sweep-point",
+        self, server: ServiceServer, task_kind: str, telemetry=None
     ) -> None:
         self.server = server
-        self.config = config if config is not None else SupervisorConfig()
-        self.telemetry = telemetry
-        self.resubmit_crashed = resubmit_crashed
         self.task_kind = task_kind
-        self._leases = LeaseTable(
-            deadline_s=self.config.point_timeout_s,
-            stale_s=self.config.heartbeat_stale_s,
-        )
-        #: (ready_at, seq, task_id) min-heap, as in the supervisor.
-        self._ready: list[tuple[float, int, Any]] = []
-        self._seq = itertools.count()
-        self._payloads: dict[Any, Any] = {}
+        self.telemetry = telemetry
+        self.stats = {"leases": 0, "reassignments": 0, "worker_connects": 0}
         # Tokens travel where task ids cannot (task ids are arbitrary
         # tuples; frames are JSON).  The nonce keeps tokens unique
         # across successive coordinators sharing one server, so a
         # previous sweep's straggler result can never match.
         self._token_prefix = secrets.token_hex(4)
+        self._seq = itertools.count()
         self._tokens: dict[Any, str] = {}
         self._tasks_by_token: dict[str, Any] = {}
-        self._events: list[SupervisorEvent] = []
         self._started = time.monotonic()
-        self._closed = False
-        self.stats = {
-            "worker_lost": 0,
-            "timeouts": 0,
-            "quarantined": 0,
-            "respawns": 0,
-            "leases": 0,
-            "reassignments": 0,
-            "duplicates": 0,
-            "worker_connects": 0,
-        }
 
-    # -- lifecycle -------------------------------------------------------
+    def _tracing(self) -> bool:
+        return self.telemetry is not None and self.telemetry.enabled
 
-    def __enter__(self) -> "FleetCoordinator":
-        return self
+    def idle_holder(
+        self, busy: Callable[[Any], Any]
+    ) -> WorkerConnection | None:
+        # The server's live connection list is the roster (so a fleet
+        # assembled for a previous sweep carries over); a worker is
+        # idle when it holds no lease in *this* scheduler's table.
+        for worker in self.server.workers:
+            if not busy(worker):
+                return worker
+        return None
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Stop scheduling; the server (and its workers) live on."""
-        self._closed = True
-
-    # -- submitting and consuming ----------------------------------------
-
-    def submit(self, task_id: Any, payload: Any, delay_s: float = 0.0) -> None:
-        """Queue *payload* under *task_id*; *delay_s* defers dispatch."""
-        if self._closed:
-            raise RuntimeError("coordinator is closed")
-        self._payloads[task_id] = payload
-        if task_id not in self._tokens:
+    def send(self, lease: Lease, payload: Any, reassigned: bool) -> None:
+        worker: WorkerConnection = lease.holder
+        token = self._tokens.get(lease.task_id)
+        if token is None:
             token = f"{self._token_prefix}-{next(self._seq)}"
-            self._tokens[task_id] = token
-            self._tasks_by_token[token] = task_id
-        heapq.heappush(
-            self._ready,
-            (time.monotonic() + max(0.0, delay_s), next(self._seq), task_id),
-        )
+            self._tokens[lease.task_id] = token
+            self._tasks_by_token[token] = lease.task_id
+        try:
+            worker.channel.send({
+                "type": "task",
+                "token": token,
+                "dispatch": lease.dispatch,
+                "task_kind": self.task_kind,
+                "payload": encode_payload(payload),
+            })
+        except OSError:
+            # Connection died under us; the reader's ``leave`` cleans
+            # the roster.
+            self.server.kick(worker)
+            raise
+        self.stats["leases"] += 1
+        self.stats["reassignments"] += reassigned
+        if self._tracing():
+            self.telemetry.on_lease_granted(
+                time.monotonic() - self._started,
+                str(lease.task_id),
+                worker.name,
+                lease.dispatch,
+                reassigned,
+            )
 
-    @property
-    def outstanding(self) -> bool:
-        """True while any task is queued, leased or awaiting delivery."""
-        return bool(self._events or self._ready or len(self._leases))
-
-    def next_event(self) -> SupervisorEvent:
-        """Block until the next :class:`SupervisorEvent` is available."""
-        while True:
-            if self._events:
-                return self._events.pop(0)
-            if not self.outstanding:
-                raise RuntimeError("no outstanding fleet work")
-            self._pump()
-
-    def summary(self) -> dict:
-        """The manifest's supervisor section: config + live totals."""
-        return {**self.config.as_dict(), **self.stats}
-
-    def status(self) -> dict:
-        """One-shot snapshot for the ``status`` CLI verb."""
-        return {
-            "workers": [w.name for w in self.server.workers],
-            "queued": len(self._ready),
-            "leased": len(self._leases),
-            "stats": dict(self.stats),
-        }
-
-    # -- the scheduling loop ---------------------------------------------
-
-    def _pump(self) -> None:
-        self._dispatch_ready()
-        timeout = self.config.poll_interval_s
-        if self._ready:
-            until_due = self._ready[0][0] - time.monotonic()
-            if until_due > 0.0:
-                timeout = min(timeout, until_due)
+    def poll(self, timeout: float) -> list[Delivery]:
+        deliveries: list[Delivery] = []
         try:
             item = self.server.inbox.get(timeout=timeout)
         except queue.Empty:
             item = None
         while item is not None:
-            self._handle(item)
+            kind, worker = item[0], item[1]
+            if kind == "join":
+                self.stats["worker_connects"] += 1
+                if self._tracing():
+                    self.telemetry.on_worker_connect(
+                        time.monotonic() - self._started, worker.name
+                    )
+            elif kind == "leave":
+                deliveries.append(Delivery(
+                    "left",
+                    worker,
+                    data=f"worker {worker.name} disconnected mid-task",
+                ))
+            elif kind == "message":
+                delivery = self._decode(worker, item[2])
+                if delivery is not None:
+                    deliveries.append(delivery)
             try:
                 item = self.server.inbox.get_nowait()
             except queue.Empty:
                 item = None
-        self._check_leases()
+        return deliveries
 
-    def _idle_worker(self) -> WorkerConnection | None:
-        # The server's live connection list is the roster (so a fleet
-        # assembled for a previous sweep carries over); a worker is
-        # idle when it holds no lease in *this* coordinator's table.
-        for worker in self.server.workers:
-            if not self._leases.held_by(worker):
-                return worker
-        return None
-
-    def _dispatch_ready(self) -> None:
-        now = time.monotonic()
-        while self._ready and self._ready[0][0] <= now:
-            worker = self._idle_worker()
-            if worker is None:
-                return
-            _, _, task_id = heapq.heappop(self._ready)
-            reassigned = self._leases.crashes(task_id) > 0
-            lease = self._leases.grant(task_id, worker, now)
-            self.stats["leases"] += 1
-            if reassigned:
-                self.stats["reassignments"] += 1
-            if self.telemetry is not None and self.telemetry.enabled:
-                self.telemetry.on_lease_granted(
-                    time.monotonic() - self._started,
-                    str(task_id),
-                    worker.name,
-                    lease.dispatch,
-                    reassigned,
-                )
-            frame = {
-                "type": "task",
-                "token": self._tokens[task_id],
-                "dispatch": lease.dispatch,
-                "task_kind": self.task_kind,
-                "payload": encode_payload(self._payloads[task_id]),
-            }
-            try:
-                worker.channel.send(frame)
-            except OSError:
-                # Connection died under us: requeue (the task never
-                # ran, so this is not a crash) and let the reader's
-                # ``leave`` clean the roster.
-                self._leases.release(task_id)
-                self.stats["leases"] -= 1
-                if reassigned:
-                    self.stats["reassignments"] -= 1
-                self.submit(task_id, self._payloads[task_id])
-                self.server.kick(worker)
-
-    def _handle(self, item: tuple) -> None:
-        kind = item[0]
-        if kind == "join":
-            self.stats["worker_connects"] += 1
-            if self.telemetry is not None and self.telemetry.enabled:
-                self.telemetry.on_worker_connect(
-                    time.monotonic() - self._started, item[1].name
-                )
-        elif kind == "leave":
-            self._worker_left(item[1])
-        elif kind == "message":
-            self._worker_message(item[1], item[2])
-
-    def _worker_left(self, worker: WorkerConnection) -> None:
-        for lease in self._leases.held_by(worker):
-            self._leases.release(lease.task_id)
-            self._record_crash(
-                "worker-lost",
-                lease.task_id,
-                f"worker {worker.name} disconnected mid-task",
-            )
-
-    def _worker_message(self, worker: WorkerConnection, frame: dict) -> None:
-        kind = frame.get("type")
-        if kind == "heartbeat":
-            lease = self._live_lease(worker, frame)
-            if lease is not None:
-                self._leases.beat(lease.task_id)
-        elif kind == "result":
-            lease = self._live_lease(worker, frame)
-            if lease is None:
-                self._count_duplicate(worker, frame)
-                return
-            task_id = lease.task_id
-            self._leases.release(task_id)
-            self._events.append(
-                SupervisorEvent(
-                    kind="result",
-                    task_id=task_id,
-                    result=decode_payload(frame["payload"]),
-                    crashes=self._leases.crashes(task_id),
-                )
-            )
-        elif kind == "error":
-            lease = self._live_lease(worker, frame)
-            if lease is None:
-                self._count_duplicate(worker, frame)
-                return
-            task_id = lease.task_id
-            self._leases.release(task_id)
-            self._record_crash(
-                "worker-lost",
-                task_id,
-                str(frame.get("detail", "worker runner raised")),
-            )
-
-    def _live_lease(self, worker: WorkerConnection, frame: dict):
-        """The live lease a delivery matches, else ``None`` (stale)."""
+    def _decode(self, worker: WorkerConnection, frame: dict) -> Delivery | None:
+        kind = _DELIVERY_KINDS.get(frame.get("type"))
+        if kind is None:
+            return None
         task_id = self._tasks_by_token.get(frame.get("token"))
-        if task_id is None:
-            return None
-        lease = self._leases.lease_for(task_id)
-        if (
-            lease is None
-            or lease.dispatch != frame.get("dispatch")
-            or lease.holder is not worker
-        ):
-            return None
-        return lease
+        data = None
+        if kind == "done" and task_id is not None:
+            data = decode_payload(frame["payload"])
+        elif kind == "error":
+            data = frame.get("detail", "worker runner raised")
+        return Delivery(kind, worker, task_id, frame.get("dispatch"), data)
 
-    def _count_duplicate(self, worker: WorkerConnection, frame: dict) -> None:
-        self.stats["duplicates"] += 1
-        if self.telemetry is not None and self.telemetry.enabled:
-            self.telemetry.on_duplicate_result(
+    def drop(self, lease: Lease, detail: str) -> None:
+        # The remote analogue of reaping: drop the connection so a
+        # wedged worker cannot later deliver a stale result as a live
+        # one (and its process notices on reconnect).
+        if self._tracing():
+            self.telemetry.on_lease_expired(
                 time.monotonic() - self._started,
-                str(self._tasks_by_token.get(frame.get("token"), "<unknown>")),
-                worker.name,
+                str(lease.task_id),
+                lease.holder.name,
+                detail,
             )
+        self.server.kick(lease.holder)
 
-    def _check_leases(self) -> None:
-        for lease, detail in self._leases.expired():
-            worker = lease.holder
-            self._leases.release(lease.task_id)
-            if self.telemetry is not None and self.telemetry.enabled:
-                self.telemetry.on_lease_expired(
-                    time.monotonic() - self._started,
-                    str(lease.task_id),
-                    worker.name,
-                    detail,
-                )
-            # The remote analogue of reaping: drop the connection so
-            # a wedged worker cannot later deliver a stale result as
-            # a live one (and its process notices on reconnect).
-            self.server.kick(worker)
-            self._record_crash("timeout", lease.task_id, detail)
-
-    def _record_crash(self, kind: str, task_id: Any, detail: str) -> None:
-        count = self._leases.record_crash(task_id)
-        elapsed = time.monotonic() - self._started
-        if kind == "timeout":
-            self.stats["timeouts"] += 1
-            if self.telemetry is not None and self.telemetry.enabled:
-                self.telemetry.on_point_timeout(
-                    elapsed, str(task_id), detail, count
-                )
-        else:
-            self.stats["worker_lost"] += 1
-            if self.telemetry is not None and self.telemetry.enabled:
-                self.telemetry.on_worker_lost(
-                    elapsed, str(task_id), detail, count
-                )
-        self._events.append(
-            SupervisorEvent(
-                kind=kind, task_id=task_id, detail=detail, crashes=count
-            )
-        )
-        if not self.resubmit_crashed:
-            return
-        if not self._leases.should_quarantine(
-            task_id, self.config.quarantine_after
-        ):
-            self.submit(task_id, self._payloads[task_id])
-            return
-        self.stats["quarantined"] += 1
-        if self.telemetry is not None and self.telemetry.enabled:
-            self.telemetry.on_quarantine(
-                time.monotonic() - self._started, str(task_id), count, detail
-            )
-        self._events.append(
-            SupervisorEvent(
-                kind="quarantined",
-                task_id=task_id,
-                detail=detail,
-                crashes=count,
-            )
-        )
+    def close(self) -> None:
+        """Nothing to release: the server (and its workers) live on."""

@@ -65,11 +65,11 @@ def job_from_args(args) -> dict:
     return job
 
 
-def _supervisor_for(job: dict) -> SupervisorConfig | None:
+def _supervisor_for(job: dict) -> SupervisorConfig:
+    """The fleet scheduler's knobs; no ``point_timeout`` leaves the
+    deadline and staleness bound off, but quarantine still applies."""
     timeout = job.get("point_timeout")
-    if timeout is None:
-        return None
-    if timeout <= 0:
+    if timeout is not None and timeout <= 0:
         raise SystemExit("--point-timeout must be positive")
     return SupervisorConfig(
         point_timeout_s=timeout,
@@ -160,7 +160,14 @@ def _run_chaos_job(
         inject_deadlock=bool(job.get("inject_deadlock")),
         resume=bool(job.get("resume")),
         traces=bool(job.get("traces", True)),
-        supervisor=_supervisor_for(job),
+        # The campaign manifest gains its supervisor section only with
+        # an explicit config; without --point-timeout it must stay
+        # byte-identical to a plain single-host run's.
+        supervisor=(
+            _supervisor_for(job)
+            if job.get("point_timeout") is not None
+            else None
+        ),
         fleet=server,
     )
     result = run_campaign(config, progress=progress)

@@ -2,11 +2,10 @@
 
 :class:`ServiceServer` owns every thread the service needs -- one
 acceptor plus one reader per connection -- and funnels everything they
-hear into a single ``queue.Queue``, so the scheduling brain
-(:class:`~repro.service.coordinator.FleetCoordinator`) stays
-single-threaded and can share its event loop shape (and its
-:class:`~repro.resilience.leases.LeaseTable`) with the single-host
-supervisor.
+hear into a single ``queue.Queue``, so the scheduler
+(:class:`~repro.resilience.supervisor.PointSupervisor`, polling the
+inbox through :class:`~repro.service.coordinator.FleetTransport`)
+stays single-threaded, exactly as it is over a local pool.
 
 A connection's first frame routes it:
 

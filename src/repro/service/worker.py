@@ -6,7 +6,7 @@ task, rebuild the picklable spec, run the same module-level runner a
 local worker would (``run_point_attempt`` for sweep points, the
 campaign's scenario runner for chaos), and ship the result back.  The
 simulator's in-band heartbeats are forwarded over the socket, stamped
-with the task's lease ``dispatch`` id so the coordinator can tell a
+with the task's lease ``dispatch`` id so the scheduler can tell a
 live worker from a zombie whose lease already expired.
 
 Failure handling is all on the reconnect path:

@@ -2,17 +2,17 @@
 
 A load sweep is embarrassingly parallel: every (algorithm, rate) point
 is an independent simulation whose seed derives only from its config,
-and PR 2's :class:`~repro.resilience.SweepJournal` already treats each
-point as an independently checkpointed unit of work.  This module adds
-the missing piece -- a :class:`ParallelSweepRunner` that treats the
-journal as a shared work queue:
+and :class:`~repro.resilience.SweepJournal` already treats each point
+as an independently checkpointed unit of work.  This module adds the
+missing piece -- a :class:`ParallelSweepRunner` that treats the journal
+as a shared work queue:
 
 * the **parent** claims the pending (algorithm, ``repr(rate)``) keys
   (points whose latest journal record is not a success), submits one
-  picklable :class:`PointSpec` *per attempt* to the pool, reschedules
-  failed attempts itself (retry backoff waits in the parent, so a
-  backing-off point never occupies a worker slot), and splices results
-  back through the journal's resume path as they complete;
+  picklable :class:`PointSpec` *per attempt* to the scheduler,
+  reschedules failed attempts itself (backoff waits in the parent, so
+  a backing-off point never occupies a worker slot), and splices
+  results back through the journal's resume path as they complete;
 * each **worker** reconstructs its resilience objects (fault injector,
   invariant checker, watchdog) from their config specs, runs the point
   with exactly the serial code path (:func:`repro.sim.sweep._run_point`
@@ -23,21 +23,17 @@ journal as a shared work queue:
   stays line-atomic and a crashed parallel sweep resumes with
   ``resume=True`` exactly like a crashed serial one.
 
-Two execution substrates share this orchestration:
-
-* the default :class:`~concurrent.futures.ProcessPoolExecutor` path,
-  where a dead worker still aborts the sweep (now with the in-flight
-  points journalled as ``worker-lost`` failures first, so ``--resume``
-  retries them);
-* the **supervised** path (pass ``supervisor=SupervisorConfig(...)``),
-  where a :class:`~repro.resilience.PointSupervisor` owns the worker
-  processes outright: workers heartbeat from inside the simulation
-  event loop, hung or dead workers are reaped at a wall-clock deadline
-  or heartbeat-staleness threshold and the pool replenished, crashed
-  points are retried and -- after ``quarantine_after`` crashes --
-  quarantined, and the sweep *degrades* (finishes every healthy point,
-  then raises :class:`SweepSupervisionError`) instead of hanging or
-  aborting.
+There is one dispatch path: every pooled sweep runs under the
+:class:`~repro.resilience.PointSupervisor` scheduler, over local spawn
+workers or (``fleet=...``) a remote fleet.  A dead worker costs only a
+retry of its own point, a point that keeps crashing workers is
+quarantined, and the sweep *degrades* (finishes and journals every
+healthy point, then raises :class:`SweepSupervisionError`) instead of
+hanging or aborting.  The default
+:class:`~repro.resilience.SupervisorConfig` sets no deadline and no
+staleness bound, so only a dead process is ever acted on; pass
+``supervisor=SupervisorConfig(point_timeout_s=...)`` to have wedged
+workers reaped as well.
 
 Determinism: a point's result depends only on its
 :class:`~repro.sim.config.SimulationConfig` (plus the attempt-indexed
@@ -49,19 +45,10 @@ order), which the latest-wins reader never observes.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import json
-import multiprocessing
 import os
 import signal
 import time
-import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    wait as futures_wait,
-)
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -70,18 +57,25 @@ from repro.obs.profiler import PhaseProfiler
 from repro.resilience.checkpoint import SweepJournal, rate_key
 from repro.resilience.faults import FaultConfig
 from repro.resilience.invariants import InvariantConfig
-from repro.resilience.supervisor import PointSupervisor, SupervisorConfig
+from repro.resilience.supervisor import (
+    MP_CONTEXT,
+    PointSupervisor,
+    SupervisorConfig,
+)
 from repro.resilience.watchdog import WatchdogConfig
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import BNFCurve, BNFPoint
+from repro.sim.sweep import (
+    SweepPointError,
+    _point_telemetry,
+    _run_point,
+    trace_filename,
+)
 
-#: the parent-side supervisor's own trace file inside a telemetry dir
-#: (worker-lost/point-timeout/quarantined events + counters).
+#: the scheduler's parent-side trace file inside a telemetry dir
+#: (worker-lost/point-timeout/quarantined events + counters; on a fleet
+#: also lease grants/expiries, worker connects, duplicate deliveries).
 SUPERVISOR_TRACE_NAME = "supervisor.jsonl"
-
-#: the fleet coordinator's trace file (lease grants/expiries, worker
-#: connects, duplicate deliveries) when a sweep runs over the service.
-SERVICE_TRACE_NAME = "service.jsonl"
 
 #: test-only chaos hooks, used by the test suite and the CI smoke jobs
 #: to fault a worker deterministically: wedge (spin without
@@ -112,7 +106,6 @@ class PointSpec:
     faults: FaultConfig | None
     invariants: InvariantConfig | None
     watchdog: WatchdogConfig | None
-    max_attempts: int
     retry_backoff_s: float
     #: arm phase profiling in the worker; the per-point attribution
     #: comes back serialized in :attr:`PointResult.profile`.
@@ -151,44 +144,47 @@ class PointResult:
         return self.point is not None
 
 
-class WorkerPointFailure(RuntimeError):
-    """A point failed inside a worker; str() is the worker's last error."""
-
-
-class SweepSupervisionError(RuntimeError):
-    """A supervised sweep finished degraded: some points never landed.
+class SweepSupervisionError(SweepPointError):
+    """A pooled sweep finished degraded: some points never landed.
 
     Raised *after* every healthy point completed and every outcome was
     journalled, so a ``--resume`` rerun retries exactly the points
     listed here.  ``failed`` maps (algorithm, rate_key) to the last
     in-task error of points that exhausted ``max_attempts``;
     ``quarantined`` maps keys of poison points that crashed their
-    worker ``quarantine_after`` times.
+    worker ``quarantine_after`` times.  ``algorithm`` / ``rate`` /
+    ``attempts`` describe the first such point in sweep order, so one
+    ``except SweepPointError`` handles serial and pooled failures.
     """
 
     def __init__(
         self,
+        algorithm: str,
+        rate: float,
+        attempts: int,
         failed: dict[tuple[str, str], str],
         quarantined: dict[tuple[str, str], str],
     ) -> None:
+        self.algorithm = algorithm
+        self.rate = rate
+        self.attempts = attempts
         self.failed = dict(failed)
         self.quarantined = dict(quarantined)
         parts = []
-        if self.failed:
-            keys = ", ".join(
-                f"{algorithm} rate={key}" for algorithm, key in sorted(self.failed)
-            )
-            parts.append(f"{len(self.failed)} point(s) failed: {keys}")
-        if self.quarantined:
-            keys = ", ".join(
-                f"{algorithm} rate={key}"
-                for algorithm, key in sorted(self.quarantined)
-            )
-            parts.append(f"{len(self.quarantined)} point(s) quarantined: {keys}")
-        super().__init__(
-            "supervised sweep degraded -- "
+        for verb, points in (
+            ("failed", self.failed), ("quarantined", self.quarantined)
+        ):
+            if points:
+                listed = ", ".join(
+                    f"{name} rate={key} ({points[name, key]})"
+                    for name, key in sorted(points)
+                )
+                parts.append(f"{len(points)} point(s) {verb}: {listed}")
+        RuntimeError.__init__(
+            self,
+            "pooled sweep degraded -- "
             + "; ".join(parts)
-            + " (all outcomes journalled; rerun with --resume to retry)"
+            + " (all outcomes journalled; rerun with --resume to retry)",
         )
 
 
@@ -232,18 +228,15 @@ def _maybe_test_fault(spec: PointSpec) -> None:
 def run_point_attempt(spec: PointSpec, heartbeat=None) -> PointResult:
     """Worker entry: run exactly one attempt of one sweep point.
 
-    Module-level (picklable by reference) and importing lazily, so a
-    spawn-context worker only pays the import once per process, not
-    per point.  The attempt index rides on the spec; retry scheduling
-    (and its backoff sleep) is the parent's job, so a failed attempt
-    returns immediately and frees its worker slot.
+    Module-level, so a spawn context pickles it by reference.  The
+    attempt index rides on the spec; retry scheduling (and its backoff
+    sleep) is the parent's job, so a failed attempt returns
+    immediately and frees its worker slot.
 
-    *heartbeat* (supervised pools) is threaded into the simulator's
-    heartbeat tick: the beat comes from inside the event loop, so a
-    wedged simulation goes silent and gets reaped.
+    *heartbeat* is threaded into the simulator's heartbeat tick: the
+    beat comes from inside the event loop, so a wedged simulation goes
+    silent and gets reaped.
     """
-    from repro.sim.sweep import _point_telemetry, _run_point
-
     _maybe_test_fault(spec)
     telemetry = _point_telemetry(
         spec.config.algorithm,
@@ -289,68 +282,6 @@ def run_point_attempt(spec: PointSpec, heartbeat=None) -> PointResult:
     )
 
 
-def run_point_spec(spec: PointSpec) -> PointResult:
-    """Run one sweep point with the full serial retry loop, in-process.
-
-    The pool itself schedules per-attempt (:func:`run_point_attempt`)
-    with parent-side backoff; this compatibility entry keeps the whole
-    attempt loop -- sleeps included -- inside one call for direct
-    users and tests.
-    """
-    failures: list[str] = []
-    for attempt in range(spec.attempt, spec.max_attempts):
-        if attempt and spec.retry_backoff_s > 0:
-            time.sleep(spec.retry_backoff_s * 2 ** (attempt - 1))
-        result = run_point_attempt(replace(spec, attempt=attempt))
-        if result.ok:
-            return replace(result, failures=tuple(failures))
-        failures.extend(result.failures)
-    return PointResult(
-        algorithm=spec.config.algorithm,
-        rate=spec.rate,
-        attempts=spec.max_attempts,
-        point=None,
-        resilience=None,
-        failures=tuple(failures),
-    )
-
-
-def _supervised_point(spec: PointSpec, heartbeat) -> PointResult:
-    """The :class:`~repro.resilience.PointSupervisor` task runner."""
-    return run_point_attempt(spec, heartbeat=heartbeat)
-
-
-def _rerun_quarantined_serially(spec: PointSpec) -> str:
-    """Re-run a quarantined point in-process to capture the traceback.
-
-    Only used with ``SupervisorConfig.rerun_quarantined``: a point
-    that crashes its *worker* gives the journal nothing but an
-    exitcode, while an in-process run surfaces the real Python
-    traceback -- at the cost of betting the parent that the crash was
-    an exception, not a process-killer.  The test fault hooks are
-    deliberately not consulted here.
-    """
-    from repro.sim.sweep import _point_telemetry, _run_point
-
-    telemetry = _point_telemetry(
-        spec.config.algorithm, spec.rate, None, spec.collect_counters
-    )
-    try:
-        _run_point(
-            spec.config,
-            spec.rate,
-            telemetry,
-            None,
-            spec.faults,
-            spec.invariants,
-            spec.watchdog,
-            spec.attempt,
-        )
-    except Exception:
-        return traceback.format_exc(limit=8).strip()
-    return "completed cleanly in-process"
-
-
 def _backoff_delay(retry_backoff_s: float, next_attempt: int) -> float:
     """Serial-identical exponential backoff before attempt *next_attempt*."""
     if next_attempt <= 0 or retry_backoff_s <= 0:
@@ -359,41 +290,32 @@ def _backoff_delay(retry_backoff_s: float, next_attempt: int) -> float:
 
 
 class ParallelSweepRunner:
-    """Fan a (multi-)algorithm load sweep out over a process pool.
+    """Fan a (multi-)algorithm load sweep out over the scheduler.
 
     The public entry points are :meth:`run` (several algorithms, the
     shape :func:`repro.sim.sweep.sweep_algorithms` needs) and
     :meth:`run_algorithm` (a single curve).  ``workers=1`` is valid
     but pointless -- the sweep functions only delegate here when
-    ``workers > 1``.
+    ``workers > 1`` or a fleet is given.
 
-    Pass a :class:`~repro.resilience.SupervisorConfig` as *supervisor*
-    to run the pool under a :class:`~repro.resilience.PointSupervisor`
-    (heartbeats, per-point deadlines, worker reaping, poison-point
-    quarantine) instead of a bare ``ProcessPoolExecutor``.
+    *supervisor* tunes the :class:`~repro.resilience.PointSupervisor`
+    every pooled sweep runs under (deadlines, heartbeat staleness,
+    quarantine); the default arms neither wall-clock bound.  *fleet* is
+    a live :class:`repro.service.ServiceServer` whose remote workers
+    replace the local pool.
     """
 
     def __init__(
         self,
         workers: int,
-        mp_context: str = "spawn",
         supervisor: SupervisorConfig | None = None,
         fleet=None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.workers = workers
-        #: spawn keeps workers free of inherited parent state (open
-        #: sinks, RNGs, the loaded journal), so per-point determinism
-        #: holds regardless of platform default start method.
-        self.mp_context = mp_context
-        #: a live :class:`repro.service.ServiceServer` to schedule over
-        #: remote fleet workers instead of a local pool.  Fleet runs
-        #: are always supervised -- leases need a policy.
         self.fleet = fleet
-        if fleet is not None and supervisor is None:
-            supervisor = SupervisorConfig()
-        self.supervisor = supervisor
+        self.supervisor = supervisor or SupervisorConfig()
 
     # -- public API ------------------------------------------------------
 
@@ -436,11 +358,6 @@ class ParallelSweepRunner:
         completed: dict[tuple[str, str], BNFPoint] = {}
         resumed_keys: set[tuple[str, str]] = set()
         pending: list[PointSpec] = []
-        heartbeat_cycles = (
-            self.supervisor.heartbeat_interval_cycles
-            if self.supervisor is not None
-            else 1_000.0
-        )
         for algorithm in algorithms:
             algo_config = config.with_algorithm(algorithm)
             for rate in rates:
@@ -466,13 +383,13 @@ class ParallelSweepRunner:
                     faults=faults,
                     invariants=invariants,
                     watchdog=watchdog,
-                    max_attempts=max_attempts,
                     retry_backoff_s=retry_backoff_s,
                     profile=profile_into is not None,
-                    heartbeat_interval_cycles=heartbeat_cycles,
+                    heartbeat_interval_cycles=(
+                        self.supervisor.heartbeat_interval_cycles
+                    ),
                 ))
-        failed: dict[tuple[str, str], str] = {}
-        quarantined: dict[tuple[str, str], str] = {}
+        degraded: SweepSupervisionError | None = None
         supervisor_summary: dict | None = None
         # The lock marks this parent as the journal's single writer;
         # a concurrent sweep over the same journal fails fast instead
@@ -482,18 +399,10 @@ class ParallelSweepRunner:
             lock.acquire()
         try:
             if pending:
-                if self.supervisor is not None:
-                    failed, quarantined, supervisor_summary = (
-                        self._drain_supervised(
-                            pending, completed, journal, progress,
-                            max_attempts, profile_into, telemetry_dir,
-                        )
-                    )
-                else:
-                    self._drain_pool(
-                        pending, completed, journal, progress, max_attempts,
-                        profile_into,
-                    )
+                degraded, supervisor_summary = self._drain(
+                    pending, completed, journal, progress, max_attempts,
+                    profile_into, telemetry_dir,
+                )
         finally:
             if lock is not None:
                 lock.release()
@@ -508,8 +417,8 @@ class ParallelSweepRunner:
                     profile=profile_into,
                     supervisor_summary=supervisor_summary,
                 )
-        if failed or quarantined:
-            raise SweepSupervisionError(failed, quarantined)
+        if degraded is not None:
+            raise degraded
         if resume and journal is not None:
             # A resumed sweep that reached this line replayed (or
             # re-ran) every point, so the retry history is dead weight:
@@ -535,169 +444,9 @@ class ParallelSweepRunner:
         curves = self.run(config, (config.algorithm,), rates, **kwargs)
         return curves[config.algorithm]
 
-    # -- shared result handling ------------------------------------------
+    # -- the one dispatch loop -------------------------------------------
 
-    def _complete_point(
-        self,
-        result: PointResult,
-        completed: dict[tuple[str, str], BNFPoint],
-        journal: SweepJournal | None,
-        progress: Callable[[str], None] | None,
-        profile_into: PhaseProfiler | None,
-    ) -> None:
-        if profile_into is not None and result.profile is not None:
-            profile_into.merge_record(result.profile)
-        if journal is not None:
-            journal.record_success(
-                result.algorithm,
-                result.rate,
-                result.point,
-                attempts=result.attempts,
-                resilience=result.resilience,
-            )
-        completed[(result.algorithm, rate_key(result.rate))] = result.point
-        if progress is not None:
-            progress(
-                f"{result.algorithm} rate={result.rate:.4g} -> "
-                f"thr={result.point.throughput:.3f} flits/router/ns, "
-                f"lat={result.point.latency_ns:.1f} ns"
-            )
-
-    def _journal_attempt_failure(
-        self,
-        result: PointResult,
-        journal: SweepJournal | None,
-        progress: Callable[[str], None] | None,
-        max_attempts: int,
-    ) -> None:
-        message = result.failures[-1]
-        if journal is not None:
-            journal.record_failure(
-                result.algorithm, result.rate, result.attempts, message
-            )
-        if progress is not None:
-            progress(
-                f"{result.algorithm} rate={result.rate:.4g} "
-                f"attempt {result.attempts}/{max_attempts} failed: "
-                f"{message}"
-            )
-
-    # -- executor-pool plumbing ------------------------------------------
-
-    def _drain_pool(
-        self,
-        pending: list[PointSpec],
-        completed: dict[tuple[str, str], BNFPoint],
-        journal: SweepJournal | None,
-        progress: Callable[[str], None] | None,
-        max_attempts: int,
-        profile_into: PhaseProfiler | None = None,
-    ) -> None:
-        """Run the pending specs; journal results in completion order.
-
-        Retries are rescheduled *here*, not inside the worker: a failed
-        attempt returns immediately, its backoff elapses on the
-        parent's delayed heap, and the worker slot serves other points
-        meanwhile.
-        """
-        from repro.sim.sweep import SweepPointError
-
-        context = multiprocessing.get_context(self.mp_context)
-        workers = min(self.workers, len(pending))
-        #: (ready_at, seq, spec) -- retries waiting out their backoff.
-        delayed: list[tuple[float, int, PointSpec]] = []
-        seq = itertools.count()
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        ) as pool:
-            futures = {
-                pool.submit(run_point_attempt, spec): spec for spec in pending
-            }
-            while futures or delayed:
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    _, _, spec = heapq.heappop(delayed)
-                    futures[pool.submit(run_point_attempt, spec)] = spec
-                if not futures:
-                    time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
-                    continue
-                timeout = (
-                    max(0.0, delayed[0][0] - time.monotonic())
-                    if delayed
-                    else None
-                )
-                done, _ = futures_wait(
-                    set(futures), timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                broken: list[tuple[PointSpec, BaseException]] = []
-                for future in done:
-                    spec = futures.pop(future)
-                    try:
-                        result: PointResult = future.result()
-                    except Exception as error:
-                        # Worker death: BrokenProcessPool (which also
-                        # failed every other pending future in this
-                        # batch) or a result that broke unpickling.
-                        # Journal the in-flight point(s) as worker-lost
-                        # failures *before* surfacing the error, so a
-                        # --resume rerun retries them.
-                        if journal is not None:
-                            journal.record_failure(
-                                spec.config.algorithm,
-                                spec.rate,
-                                spec.attempt + 1,
-                                f"{type(error).__name__}: {error}",
-                                reason="worker-lost",
-                            )
-                        broken.append((spec, error))
-                        continue
-                    if result.ok:
-                        self._complete_point(
-                            result, completed, journal, progress, profile_into
-                        )
-                        continue
-                    self._journal_attempt_failure(
-                        result, journal, progress, max_attempts
-                    )
-                    if result.attempts < max_attempts:
-                        retry = replace(spec, attempt=result.attempts)
-                        heapq.heappush(delayed, (
-                            time.monotonic() + _backoff_delay(
-                                spec.retry_backoff_s, result.attempts
-                            ),
-                            next(seq),
-                            retry,
-                        ))
-                        continue
-                    # Fail the sweep like the serial runner: everything
-                    # already journalled stays journalled, the rest is
-                    # abandoned (their futures are cancelled) and a
-                    # --resume rerun picks them up.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise SweepPointError(
-                        result.algorithm,
-                        result.rate,
-                        result.attempts,
-                        WorkerPointFailure(result.failures[-1]),
-                    )
-                if broken:
-                    spec, error = broken[0]
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise SweepPointError(
-                        spec.config.algorithm,
-                        spec.rate,
-                        spec.attempt + 1,
-                        WorkerPointFailure(
-                            f"worker process died before returning this "
-                            f"point ({type(error).__name__}: {error}); "
-                            f"use supervisor=SupervisorConfig(...) to "
-                            f"survive worker loss"
-                        ),
-                    )
-
-    # -- supervised plumbing ---------------------------------------------
-
-    def _drain_supervised(
+    def _drain(
         self,
         pending: list[PointSpec],
         completed: dict[tuple[str, str], BNFPoint],
@@ -706,38 +455,29 @@ class ParallelSweepRunner:
         max_attempts: int,
         profile_into: PhaseProfiler | None,
         telemetry_dir: Path | str | None,
-    ) -> tuple[dict, dict, dict]:
-        """Run the pending specs under a :class:`PointSupervisor`.
+    ) -> tuple["SweepSupervisionError | None", dict]:
+        """Run the pending specs under the scheduler.
 
-        Unlike the executor path, supervision *degrades*: a point that
-        exhausts its attempts or gets quarantined is recorded and the
-        rest of the sweep continues; the caller raises
-        :class:`SweepSupervisionError` at the end if anything is
-        missing.  Returns (failed, quarantined, supervisor summary).
+        The sweep *degrades*: a point that exhausts its attempts or is
+        quarantined is journalled and the rest continues.  Returns (the
+        error to raise once the manifest is written, if any; summary).
         """
-        assert self.supervisor is not None
-        specs: dict[tuple[str, str], PointSpec] = {
-            spec.key: spec for spec in pending
-        }
+        specs = {spec.key: spec for spec in pending}
         failed: dict[tuple[str, str], str] = {}
         quarantined: dict[tuple[str, str], str] = {}
+        #: tries a failed / crashes a quarantined point went through.
+        attempts: dict[tuple[str, str], int] = {}
         telemetry = None
         if telemetry_dir is not None:
             from repro.obs.sink import JsonlSink
             from repro.obs.telemetry import Telemetry
 
-            trace_name = (
-                SERVICE_TRACE_NAME
-                if self.fleet is not None
-                else SUPERVISOR_TRACE_NAME
-            )
-            path = Path(telemetry_dir) / trace_name
+            path = Path(telemetry_dir) / SUPERVISOR_TRACE_NAME
             path.parent.mkdir(parents=True, exist_ok=True)
             telemetry = Telemetry(sink=JsonlSink(path))
         if self.fleet is not None:
-            # Same policy, same event vocabulary, remote holders: the
-            # coordinator leases specs to connected fleet workers and
-            # this loop below cannot tell the difference.
+            # Same scheduler, remote holders: the loop below cannot
+            # tell the difference.
             from repro.service.coordinator import FleetCoordinator
 
             supervisor = FleetCoordinator(
@@ -750,89 +490,98 @@ class ParallelSweepRunner:
         else:
             supervisor = PointSupervisor(
                 workers=min(self.workers, len(pending)),
-                runner=_supervised_point,
+                runner=run_point_attempt,
                 config=self.supervisor,
-                mp_context=self.mp_context,
                 telemetry=telemetry,
                 resubmit_crashed=True,
             )
         try:
-            with supervisor:
-                for spec in pending:
-                    supervisor.submit(spec.key, spec)
-                while supervisor.outstanding:
-                    event = supervisor.next_event()
-                    key = event.task_id
-                    spec = specs[key]
-                    if event.kind == "result":
-                        result: PointResult = event.result
-                        if result.ok:
-                            self._complete_point(
-                                result, completed, journal, progress,
-                                profile_into,
-                            )
-                            continue
-                        self._journal_attempt_failure(
-                            result, journal, progress, max_attempts
+            for spec in pending:
+                supervisor.submit(spec.key, spec)
+            while supervisor.outstanding:
+                event = supervisor.next_event()
+                key = event.task_id
+                spec = specs[key]
+                name, rate = spec.config.algorithm, spec.rate
+                result: PointResult | None = event.result
+                if event.kind == "result" and result.ok:
+                    if profile_into is not None and result.profile is not None:
+                        profile_into.merge_record(result.profile)
+                    if journal is not None:
+                        journal.record_success(
+                            name,
+                            rate,
+                            result.point,
+                            attempts=result.attempts,
+                            resilience=result.resilience,
                         )
-                        if result.attempts < max_attempts:
-                            retry = replace(spec, attempt=result.attempts)
-                            specs[key] = retry
-                            supervisor.submit(
-                                key,
-                                retry,
-                                delay_s=_backoff_delay(
-                                    spec.retry_backoff_s, result.attempts
-                                ),
-                            )
-                        else:
-                            failed[key] = result.failures[-1]
-                    elif event.kind in ("worker-lost", "timeout"):
-                        # The supervisor already resubmitted (or will
-                        # quarantine); journal the crash so the retry
-                        # trail survives a parent crash too.
-                        if journal is not None:
-                            journal.record_failure(
-                                spec.config.algorithm,
-                                spec.rate,
-                                spec.attempt + 1,
-                                event.detail,
-                                reason=event.kind,
-                            )
-                        if progress is not None:
-                            progress(
-                                f"{spec.config.algorithm} "
-                                f"rate={spec.rate:.4g} {event.kind} "
-                                f"(crash {event.crashes}/"
-                                f"{self.supervisor.quarantine_after}): "
-                                f"{event.detail}"
-                            )
-                    elif event.kind == "quarantined":
-                        detail = event.detail
-                        if self.supervisor.rerun_quarantined:
-                            detail = (
-                                f"{detail}; serial re-run: "
-                                f"{_rerun_quarantined_serially(spec)}"
-                            )
-                        if journal is not None:
-                            journal.record_quarantined(
-                                spec.config.algorithm,
-                                spec.rate,
-                                crashes=event.crashes,
-                                error=detail,
-                            )
-                        quarantined[key] = detail
-                        if progress is not None:
-                            progress(
-                                f"{spec.config.algorithm} "
-                                f"rate={spec.rate:.4g} quarantined after "
-                                f"{event.crashes} supervised crash(es)"
-                            )
+                    completed[key] = result.point
+                    line = (
+                        f"-> thr={result.point.throughput:.3f} flits/router/ns, "
+                        f"lat={result.point.latency_ns:.1f} ns"
+                    )
+                elif event.kind == "result":
+                    message = result.failures[-1]
+                    if journal is not None:
+                        journal.record_failure(
+                            name, rate, result.attempts, message
+                        )
+                    if result.attempts < max_attempts:
+                        specs[key] = replace(spec, attempt=result.attempts)
+                        delay_s = _backoff_delay(
+                            spec.retry_backoff_s, result.attempts
+                        )
+                        supervisor.submit(key, specs[key], delay_s=delay_s)
+                    else:
+                        failed[key] = message
+                        attempts[key] = result.attempts
+                    line = (
+                        f"attempt {result.attempts}/{max_attempts} failed: "
+                        f"{message}"
+                    )
+                elif event.kind in ("worker-lost", "timeout"):
+                    # The scheduler already resubmitted (or will
+                    # quarantine); journal the crash so the retry trail
+                    # survives a parent crash too.
+                    if journal is not None:
+                        journal.record_failure(
+                            name,
+                            rate,
+                            spec.attempt + 1,
+                            event.detail,
+                            reason=event.kind,
+                        )
+                    line = (
+                        f"{event.kind} (crash {event.crashes}/"
+                        f"{self.supervisor.quarantine_after}): {event.detail}"
+                    )
+                else:  # quarantined
+                    if journal is not None:
+                        journal.record_quarantined(
+                            name, rate, crashes=event.crashes, error=event.detail
+                        )
+                    quarantined[key] = event.detail
+                    attempts[key] = event.crashes
+                    line = (
+                        f"quarantined after {event.crashes} supervised "
+                        f"crash(es)"
+                    )
+                if progress is not None:
+                    progress(f"{name} rate={rate:.4g} {line}")
             summary = supervisor.summary()
         finally:
+            supervisor.close()
             if telemetry is not None:
                 telemetry.finalize()
-        return failed, quarantined, summary
+        degraded = None
+        for spec in pending:  # sweep order: the first bad point leads
+            if spec.key in attempts:
+                degraded = SweepSupervisionError(
+                    spec.config.algorithm, spec.rate, attempts[spec.key],
+                    failed, quarantined,
+                )
+                break
+        return degraded, summary
 
     # -- the sweep manifest ----------------------------------------------
 
@@ -859,8 +608,6 @@ class ParallelSweepRunner:
         they carry ``"trace": null`` and ``"resumed": true`` instead of
         pointing at a file that may not exist in this telemetry dir.
         """
-        from repro.sim.sweep import trace_filename
-
         points = []
         for algorithm in algorithms:
             for rate in rates:
@@ -877,7 +624,7 @@ class ParallelSweepRunner:
         manifest = {
             "kind": "parallel-sweep-manifest",
             "workers": self.workers,
-            "mp_context": self.mp_context,
+            "mp_context": MP_CONTEXT,
             "wall_time_s": wall_time_s,
             "resumed_points": len(resumed_keys),
             "journal": str(journal.path) if journal is not None else None,
@@ -887,12 +634,7 @@ class ParallelSweepRunner:
             # Tuning knobs + live reap/quarantine totals, and where the
             # supervisor's own trace (events + counters) landed.
             manifest["supervisor"] = {
-                **supervisor_summary,
-                "trace": (
-                    SERVICE_TRACE_NAME
-                    if self.fleet is not None
-                    else SUPERVISOR_TRACE_NAME
-                ),
+                **supervisor_summary, "trace": SUPERVISOR_TRACE_NAME
             }
         if profile is not None:
             # The workers' merged phase attribution: where the pool's

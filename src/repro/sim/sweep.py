@@ -96,9 +96,9 @@ class SweepGuard:
     resume: bool = False
     max_attempts: int = 1
     retry_backoff_s: float = 0.0
-    #: run parallel sweeps under a PointSupervisor (heartbeats,
-    #: per-point deadlines, reaping, quarantine); serial sweeps ignore
-    #: it -- there is no worker process to supervise.
+    #: tuning for the scheduler every pooled sweep runs under
+    #: (per-point deadline, heartbeat staleness, quarantine); serial
+    #: sweeps ignore it -- there is no worker process to supervise.
     supervisor: SupervisorConfig | None = None
     #: a live :class:`repro.service.ServiceServer` -- sweep points are
     #: leased to the connected remote fleet instead of a local pool.
@@ -271,21 +271,23 @@ def sweep_algorithm(
             is not replayed verbatim.
         retry_backoff_s: wall-clock sleep before attempt *n* grows as
             ``retry_backoff_s * 2**(n-1)`` (0 disables sleeping).
-        workers: with ``workers > 1`` the points run in a spawn-context
-            process pool (see :mod:`repro.sim.parallel`) with bitwise
-            identical per-point results; 1 (the default) keeps the
-            serial in-process path.
-        supervisor: with ``workers > 1``, run the pool under a
-            :class:`~repro.resilience.PointSupervisor` -- workers
-            heartbeat from inside the event loop, hung or dead workers
-            are reaped at the configured deadline/staleness bound and
-            replaced, and points that crash their worker
-            ``quarantine_after`` times are quarantined instead of
-            retried forever.  Ignored by the serial path (there is no
+        workers: with ``workers > 1`` the points run on spawn-context
+            workers under the :class:`~repro.resilience.PointSupervisor`
+            scheduler (see :mod:`repro.sim.parallel`) with bitwise
+            identical per-point results: a dead worker is replaced and
+            its point retried, a point that fails every attempt or
+            keeps crashing workers is journalled, and the sweep raises
+            :class:`~repro.sim.parallel.SweepSupervisionError` (a
+            :class:`SweepPointError`) only after every healthy point
+            landed.  1 (the default) keeps the serial in-process path.
+        supervisor: the scheduler's tuning -- a per-point deadline and
+            heartbeat-staleness bound (both off by default) at which
+            hung workers are reaped, and the ``quarantine_after``
+            crash count.  Ignored by the serial path (there is no
             worker process to supervise).
         fleet: a live :class:`repro.service.ServiceServer`; points are
-            leased to its connected remote workers (always supervised)
-            regardless of *workers*.
+            leased to its connected remote workers regardless of
+            *workers*.
         profile_into: when set, every point runs with phase profiling
             enabled and its arbitration/traversal/delivery wall-time
             attribution is merged into this
@@ -433,7 +435,7 @@ def sweep_algorithms(
     """Run several algorithms over the same loads (one Figure 10 panel).
 
     With ``workers > 1`` every (algorithm, rate) point of the whole
-    panel is fanned out over one shared process pool (see
+    panel is fanned out over one shared worker pool (see
     :mod:`repro.sim.parallel`); with *fleet* set, over the service's
     connected remote workers.  Either way a slow algorithm's
     saturation tail overlaps the next algorithm's points instead of

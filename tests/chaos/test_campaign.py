@@ -282,3 +282,45 @@ class TestSupervisedCampaign:
         # campaign work, so resume skips it rather than re-running.
         assert resumed.resumed == len(first.scenarios)
         assert resumed.outcomes[0].status == "timeout"
+
+
+class TestPlainPoolWorkerDeath:
+    def test_dead_worker_costs_exactly_one_scenario_a_crash(
+        self, tmp_path, monkeypatch, serial_campaign
+    ):
+        """``workers=N`` with no SupervisorConfig: a worker that dies
+        takes only its own scenario down, with the static crash detail,
+        and the manifest keeps the plain (supervisor-free) shape.  The
+        pool is scripted in memory -- what a real death looks like to
+        the scheduler is pinned in tests/resilience/test_supervisor.py.
+        """
+        from repro.chaos import campaign
+        from repro.chaos.runner import run_scenario
+        from repro.resilience.supervisor import PointSupervisor
+        from tests.resilience.test_scheduler import ScriptedTransport
+
+        _, serial = serial_campaign
+        config = campaign_config(tmp_path, workers=2, traces=False)
+        script = {
+            scenario.index: [("done", run_scenario(scenario, None))]
+            for scenario in campaign_scenarios(config)
+        }
+        script[0] = [("left",)]
+
+        def scripted_pool(workers, runner, config, resubmit_crashed):
+            return PointSupervisor.over(
+                ScriptedTransport(script, holders=workers),
+                config,
+                resubmit_crashed=resubmit_crashed,
+            )
+
+        monkeypatch.setattr(campaign, "PointSupervisor", scripted_pool)
+        result = run_campaign(config)
+        assert result.outcomes[0].status == "crash"
+        assert result.outcomes[0].detail == campaign.CRASH_DETAIL
+        for index, outcome in serial.outcomes.items():
+            if index:
+                assert result.outcomes[index].digest() == outcome.digest()
+        assert [s.index for s, _, _ in result.crashed] == [0]
+        manifest = json.loads(result.manifest_path.read_text())
+        assert "supervisor" not in manifest

@@ -26,6 +26,41 @@ class TestParser:
             build_parser().parse_args(["fig99"])
 
 
+class TestSupervisorFlags:
+    @staticmethod
+    def _guard(*flags):
+        from repro.experiments.cli import _sweep_guard
+
+        return _sweep_guard(build_parser().parse_args(["fig10", *flags]))
+
+    def test_quarantine_after_applies_without_point_timeout(self):
+        """Every --workers > 1 sweep runs under the scheduler, so
+        --quarantine-after must not depend on --point-timeout."""
+        supervisor = self._guard(
+            "--workers", "2", "--quarantine-after", "5"
+        ).supervisor
+        assert supervisor.quarantine_after == 5
+        assert supervisor.point_timeout_s is None
+        assert supervisor.heartbeat_stale_s is None
+
+    def test_point_timeout_arms_deadline_and_staleness(self):
+        supervisor = self._guard(
+            "--workers", "2", "--point-timeout", "30"
+        ).supervisor
+        assert supervisor.point_timeout_s == 30.0
+        assert supervisor.heartbeat_stale_s == 30.0
+        assert supervisor.quarantine_after == 3
+
+    def test_serial_run_builds_no_guard(self):
+        assert self._guard() is None
+
+    def test_bad_values_rejected(self):
+        with pytest.raises(SystemExit, match="quarantine-after"):
+            self._guard("--workers", "2", "--quarantine-after", "0")
+        with pytest.raises(SystemExit, match="point-timeout"):
+            self._guard("--workers", "2", "--point-timeout", "0")
+
+
 class TestMain:
     def test_fig9_quiet(self, capsys):
         assert main(["fig9", "--trials", "25", "--quiet"]) == 0

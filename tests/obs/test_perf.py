@@ -260,10 +260,7 @@ class TestGate:
 
     @pytest.mark.parametrize(
         "module, metric",
-        [
-            ("bench_parallel_sweep", "supervision_overhead_fraction"),
-            ("bench_service", "coordinator_overhead_fraction"),
-        ],
+        [("bench_service", "coordinator_overhead_fraction")],
     )
     def test_rising_overhead_fraction_fails_the_gate(self, module, metric):
         """An overhead is a cost: the benches must record it as

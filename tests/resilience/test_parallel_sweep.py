@@ -16,6 +16,7 @@ from repro.resilience.checkpoint import SweepJournal
 from repro.resilience.faults import FaultConfig
 from repro.resilience.invariants import InvariantConfig
 from repro.resilience.watchdog import WatchdogConfig
+from repro.sim.parallel import FAULT_ONCE_FILE_ENV, KILL_POINT_ENV
 from repro.sim.sweep import SweepPointError, sweep_algorithm, sweep_algorithms
 
 RATES = (0.005, 0.02)
@@ -87,10 +88,10 @@ class TestJournalAsWorkQueue:
     def test_killed_parallel_sweep_resumes_cleanly(
         self, tiny_config, tmp_path
     ):
-        """A failing point aborts the pool; --resume finishes the grid."""
+        """Failing points degrade the pool; --resume finishes the grid."""
         journal_path = tmp_path / "sweep.jsonl"
         # First pass: an impossible age bound fails every attempt of
-        # every point it reaches -- the parallel analogue of a kill.
+        # every point -- each is journalled, then the sweep raises.
         with pytest.raises(SweepPointError):
             sweep_algorithms(
                 tiny_config,
@@ -102,7 +103,9 @@ class TestJournalAsWorkQueue:
                 journal=SweepJournal(journal_path),
                 workers=2,
             )
-        assert SweepJournal(journal_path).failures()
+        assert len(SweepJournal(journal_path).failures()) == (
+            len(ALGOS) * len(RATES)
+        )
         # Second pass, healthy and resumed: every point completes and
         # the compacted journal holds one success per key.
         curves = sweep_algorithms(
@@ -119,6 +122,63 @@ class TestJournalAsWorkQueue:
         assert not replayed.failures()
         # Compaction ran after the successful resume: one line per key.
         assert len(journal_records(journal_path)) == len(ALGOS) * len(RATES)
+
+
+class TestPlainPoolSurvivesWorkerLoss:
+    """``workers=N`` with no SupervisorConfig runs under the scheduler's
+    defaults: no deadline, no staleness bound, but a dead worker costs
+    only a retry of its own point."""
+
+    def test_sigkilled_worker_is_replaced_and_curves_match_serial(
+        self, tiny_config, tmp_path, monkeypatch
+    ):
+        journal_path = tmp_path / "sweep.jsonl"
+        monkeypatch.setenv(KILL_POINT_ENV, "PIM1:0.02")
+        monkeypatch.setenv(FAULT_ONCE_FILE_ENV, str(tmp_path / "killed-once"))
+        curves = sweep_algorithms(
+            tiny_config,
+            ALGOS,
+            RATES,
+            workers=2,
+            journal=SweepJournal(journal_path),
+        )
+        lost = [
+            r
+            for r in journal_records(journal_path)
+            if r.get("reason") == "worker-lost"
+        ]
+        assert len(lost) == 1
+        assert (lost[0]["algorithm"], lost[0]["rate_key"]) == ("PIM1", "0.02")
+        monkeypatch.delenv(KILL_POINT_ENV)
+        serial = sweep_algorithms(tiny_config, ALGOS, RATES)
+        for algorithm in ALGOS:
+            assert [p.as_dict() for p in curves[algorithm].points] == [
+                p.as_dict() for p in serial[algorithm].points
+            ]
+
+    def test_degraded_sweep_journals_every_healthy_point_then_raises(
+        self, tiny_config, tmp_path, monkeypatch
+    ):
+        """One poison point (kills every worker that touches it) must
+        not cost the sweep any other point: the rest of the grid lands
+        in the journal before the error surfaces."""
+        journal_path = tmp_path / "sweep.jsonl"
+        monkeypatch.setenv(KILL_POINT_ENV, "PIM1:0.02")  # every attempt
+        with pytest.raises(SweepPointError) as excinfo:
+            sweep_algorithms(
+                tiny_config,
+                ALGOS,
+                RATES,
+                workers=2,
+                journal=SweepJournal(journal_path),
+            )
+        error = excinfo.value
+        assert (error.algorithm, error.rate, error.attempts) == ("PIM1", 0.02, 3)
+        assert "worker process died" in str(error)
+        assert list(error.quarantined) == [("PIM1", "0.02")]
+        journal = SweepJournal(journal_path)
+        assert journal.completed_count() == len(ALGOS) * len(RATES) - 1
+        assert len(journal.quarantined()) == 1
 
 
 class TestGuardedParallel:

@@ -21,7 +21,7 @@ from repro.resilience.supervisor import SupervisorConfig
 from repro.sim.parallel import (
     FAULT_ONCE_FILE_ENV,
     KILL_POINT_ENV,
-    SERVICE_TRACE_NAME,
+    SUPERVISOR_TRACE_NAME,
     WEDGE_POINT_ENV,
 )
 from repro.sim.sweep import sweep_algorithms
@@ -138,9 +138,14 @@ class TestFleetSweeps:
             tiny_config, ("PIM1",), (0.005,),
             fleet=fleet.server, telemetry_dir=tmp_path,
         )
-        assert (tmp_path / SERVICE_TRACE_NAME).exists()
+        # One parent-side trace name whether holders are local or
+        # remote; the fleet's lease events are what mark the service.
+        from repro.obs.analysis import summarize_trace
+
+        summary = summarize_trace(tmp_path / SUPERVISOR_TRACE_NAME)
+        assert summary.resilience_counts()["service_leases"] == 1
         manifest = json.loads((tmp_path / "sweep_manifest.json").read_text())
-        assert manifest["supervisor"]["trace"] == SERVICE_TRACE_NAME
+        assert manifest["supervisor"]["trace"] == SUPERVISOR_TRACE_NAME
 
 
 class TestFleetCampaigns:

@@ -13,7 +13,11 @@ import pytest
 
 from repro.core.registry import TIMING_ALGORITHMS
 from repro.sim.config import NetworkConfig, SimulationConfig, TrafficConfig
-from repro.sim.parallel import ParallelSweepRunner, PointSpec, run_point_spec
+from repro.sim.parallel import (
+    ParallelSweepRunner,
+    PointSpec,
+    run_point_attempt,
+)
 from repro.sim.sweep import (
     SweepPointError,
     sweep_algorithm,
@@ -82,7 +86,7 @@ class TestPlumbing:
             )
 
     def test_point_spec_is_picklable_and_runs_in_process(self):
-        """run_point_spec is the worker entry; exercise it directly."""
+        """run_point_attempt is the worker entry; exercise it directly."""
         import pickle
 
         spec = PointSpec(
@@ -93,11 +97,10 @@ class TestPlumbing:
             faults=None,
             invariants=None,
             watchdog=None,
-            max_attempts=1,
             retry_backoff_s=0.0,
         )
         restored = pickle.loads(pickle.dumps(spec))
-        result = run_point_spec(restored)
+        result = run_point_attempt(restored)
         assert result.ok
         assert result.attempts == 1
         assert result.algorithm == spec.config.algorithm
@@ -119,7 +122,8 @@ class TestPlumbing:
 
 class TestFailurePropagation:
     def test_worker_failure_raises_sweep_point_error(self):
-        """A point that fails in a worker fails the sweep like serial."""
+        """A point that fails in a worker fails the sweep with the
+        serial runner's exception type, attempts and last error."""
         from repro.resilience.invariants import InvariantConfig
 
         # An impossible age bound: every buffered packet is instantly
