@@ -7,8 +7,8 @@ package makes them measurable:
 
 * :mod:`repro.obs.registry` -- ``Counter`` / ``Gauge`` / ``Histogram``
   with labeled series;
-* :mod:`repro.obs.events` -- typed trace records with a versioned
-  schema;
+* :mod:`repro.obs.events` -- the versioned trace schema: the fields
+  of every event record;
 * :mod:`repro.obs.sink` -- ``NullSink`` / ``MemorySink`` /
   ``JsonlSink`` trace outputs;
 * :mod:`repro.obs.manifest` -- the run manifest heading every trace;
@@ -38,15 +38,7 @@ from repro.obs.analysis import (
     diff_summaries,
     summarize_trace,
 )
-from repro.obs.events import (
-    OBS_SCHEMA_VERSION,
-    ConflictEvent,
-    DeliveryEvent,
-    GrantEvent,
-    InjectionEvent,
-    NominationEvent,
-    StarvationEvent,
-)
+from repro.obs.events import OBS_SCHEMA_VERSION, RECORD_FIELDS
 from repro.obs.manifest import RunManifest
 from repro.obs.perf import (
     AreaRecord,
@@ -71,30 +63,25 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 __all__ = [
     "NULL_TELEMETRY",
     "OBS_SCHEMA_VERSION",
+    "RECORD_FIELDS",
     "AreaRecord",
     "BenchMetric",
     "BenchRecord",
-    "ConflictEvent",
     "Counter",
-    "DeliveryEvent",
     "Gauge",
     "GateReport",
     "GateViolation",
-    "GrantEvent",
     "Histogram",
-    "InjectionEvent",
     "JsonlSink",
     "MemorySink",
     "MetricDelta",
     "MetricsRegistry",
-    "NominationEvent",
     "NullSink",
     "PerfRecorder",
     "PerfSession",
     "PhaseProfiler",
     "PhaseSummary",
     "RunManifest",
-    "StarvationEvent",
     "Telemetry",
     "TraceSink",
     "TraceSummary",

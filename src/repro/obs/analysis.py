@@ -28,6 +28,9 @@ class TraceSummary:
     profile: list[dict] = field(default_factory=list)
     event_counts: dict[str, int] = field(default_factory=dict)
     wall_time_s: float | None = None
+    #: the writer was killed mid-record: the torn final line was dropped
+    #: (see :func:`~repro.obs.sink.read_jsonl`).
+    truncated: bool = False
     #: structured stall snapshots from ``watchdog`` events (capped; the
     #: event count in :attr:`event_counts` is still exact).
     watchdog_diagnostics: list[dict] = field(default_factory=list)
@@ -211,6 +214,7 @@ class TraceSummary:
             },
             "mean_latency_cycles": self.mean_latency_cycles(),
             "wall_time_s": self.wall_time_s,
+            "truncated": self.truncated,
             "resilience": self.resilience_counts(),
             "utilization_by_output": by_output,
             "event_counts": dict(self.event_counts),
@@ -236,6 +240,8 @@ def summarize_trace(path: str | Path, strict_schema: bool = True) -> TraceSummar
             summary.profile = record.get("phases", [])
         elif kind == "run-end":
             summary.wall_time_s = record.get("wall_time_s")
+        elif kind == "truncated":
+            summary.truncated = True
         else:
             summary.event_counts[kind] = summary.event_counts.get(kind, 0) + 1
             if kind == "watchdog" and len(summary.watchdog_diagnostics) < 8:

@@ -42,6 +42,10 @@ from repro.obs.analysis import (
 
 def _render_summary(summary: TraceSummary) -> str:
     parts = [f"== trace: {summary.path} =="]
+    if summary.truncated:
+        parts.append(
+            "(truncated: torn final line dropped -- writer killed mid-record)"
+        )
     manifest = summary.manifest
     if manifest is not None:
         rows = [

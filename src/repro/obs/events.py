@@ -1,416 +1,76 @@
-"""Typed trace events and the trace schema version.
+"""The trace schema: its version and the fields of every event record.
 
 Every record in a trace (see :mod:`repro.obs.sink`) is one JSON object
-with a ``kind`` discriminator.  The event classes here are the typed
-in-process form; ``to_record()`` flattens one to its wire dict.  The
-schema is versioned so ``repro obs`` can refuse (or adapt to) traces
-written by a different layout -- bump :data:`OBS_SCHEMA_VERSION`
-whenever a record's fields change meaning.
+with a ``kind`` discriminator.  The :class:`~repro.obs.telemetry.Telemetry`
+hooks write these dicts directly; :data:`RECORD_FIELDS` is the written
+schema they are tested against (``tests/obs/test_wire_format.py``).
+Bump :data:`OBS_SCHEMA_VERSION` whenever a record's fields change
+meaning.
 
-Record kinds
-------------
-
-=========== =====================================================
-kind        written by
-=========== =====================================================
-manifest    trace header: config, seed, versions (one per trace)
-inject      a packet entered a local injection queue
-nominate    a read-port arbiter nominated a packet (events mode)
-grant       a packet won arbitration and left a router
-conflict    an arbitration left nominations unserved
-starve      anti-starvation draining engaged or released
-deliver     a packet sank at its destination
-link-fault  a link traversal lost/corrupted a flit (fault injection)
-grant-fault an arbiter grant was suppressed/mis-routed/stalled
-drop        a packet was dropped, with its reason (retries exhausted)
-invariant   a runtime invariant check failed
-watchdog    the progress watchdog fired; carries the stall snapshot
-watchdog-remediation  a watchdog recovery kick resolved (remediated
-            -- progress resumed -- or deadlocked -- kick failed)
-drain-warn  a post-run drain exhausted its budget with packets left
-worker-lost a supervised pool worker died mid-task (see
-            repro.resilience.supervisor); time is seconds since the
-            supervisor started, not simulated cycles
-point-timeout a supervised task was reaped at its wall-clock deadline
-            or heartbeat-staleness threshold
-quarantined a poison task was abandoned after repeated supervised
-            crashes
-counters    final metrics-registry snapshot (one per trace)
-profile     final phase-profiler summary (one per trace)
-run-end     trace footer: wall time, event count
-=========== =====================================================
+Four framing kinds are written outside the hooks and are not in the
+table: ``manifest`` (trace header, :class:`~repro.obs.manifest.RunManifest`),
+``counters`` (final metrics-registry snapshot), ``profile`` (final
+:class:`~repro.obs.profiler.PhaseProfiler` summary) and ``run-end``
+(footer: wall time plus whatever the run passed to ``finalize``).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import ClassVar
-
 #: bump when any record layout changes incompatibly.
 OBS_SCHEMA_VERSION = 1
 
-
-@dataclass(frozen=True, slots=True)
-class InjectionEvent:
-    """A packet entered a node's local injection queue."""
-
-    kind: ClassVar[str] = "inject"
-    time: float
-    node: int
-    packet: int
-    pclass: str
-    destination: int
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class NominationEvent:
-    """One read-port arbiter nominated a packet for outputs."""
-
-    kind: ClassVar[str] = "nominate"
-    time: float
-    node: int
-    row: int
-    packet: int
-    outputs: tuple[int, ...]
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        record["outputs"] = list(self.outputs)
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class GrantEvent:
-    """A packet won arbitration and is leaving through *output*."""
-
-    kind: ClassVar[str] = "grant"
-    time: float
-    node: int
-    row: int
-    packet: int
-    output: int
-    #: cycles the output port stays busy serving this packet
-    #: (pipeline tail + flit service); per-port utilization sums these.
-    busy_cycles: float
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class ConflictEvent:
-    """An arbitration pass left *count* live nominations unserved."""
-
-    kind: ClassVar[str] = "conflict"
-    time: float
-    node: int
-    algorithm: str
-    count: int
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class StarvationEvent:
-    """Anti-starvation draining engaged (or released) at a router."""
-
-    kind: ClassVar[str] = "starve"
-    time: float
-    node: int
-    old_count: int
-    engaged: bool
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class DeliveryEvent:
-    """A packet sank at its destination's local port."""
-
-    kind: ClassVar[str] = "deliver"
-    time: float
-    node: int
-    packet: int
-    pclass: str
-    latency_cycles: float
-    hops: int
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class LinkFaultEvent:
-    """A packet's link traversal faulted (injected drop/corruption).
-
-    ``attempt`` counts retransmissions already consumed; the link
-    retry protocol resends until its bound, then the packet drops
-    (see :class:`PacketDropEvent`).
-    """
-
-    kind: ClassVar[str] = "link-fault"
-    time: float
-    node: int
-    packet: int
-    fault: str
-    attempt: int
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class GrantFaultEvent:
-    """Injected grant faults at one router (suppress/misroute/stall)."""
-
-    kind: ClassVar[str] = "grant-fault"
-    time: float
-    node: int
-    fault: str
-    count: int
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class PacketDropEvent:
-    """A packet left the accounting as dropped, with its reason."""
-
-    kind: ClassVar[str] = "drop"
-    time: float
-    node: int
-    packet: int
-    pclass: str
-    reason: str
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class InvariantViolationEvent:
-    """A runtime invariant check failed (see repro.resilience)."""
-
-    kind: ClassVar[str] = "invariant"
-    time: float
-    name: str
-    detail: str
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class WatchdogEvent:
-    """The progress watchdog fired; carries the full stall snapshot."""
-
-    kind: ClassVar[str] = "watchdog"
-    time: float
-    diagnostic: dict
-
-    def to_record(self) -> dict:
-        return {"kind": self.kind, "time": self.time, "diagnostic": self.diagnostic}
-
-
-@dataclass(frozen=True, slots=True)
-class WatchdogRemediationEvent:
-    """A watchdog recovery kick resolved: the stall was a lost wake-up
-    (``remediated``) or a true protocol deadlock (``deadlocked``)."""
-
-    kind: ClassVar[str] = "watchdog-remediation"
-    time: float
-    outcome: str
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class DrainWarningEvent:
-    """A post-run drain ran out of budget with packets unaccounted."""
-
-    kind: ClassVar[str] = "drain-warn"
-    time: float
-    buffered: int
-    pending: int
-    in_transit: int
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class WorkerLostEvent:
-    """A supervised pool worker died while running a task.
-
-    Supervisor events carry wall-clock seconds since the supervisor
-    started (there is no simulated clock in the parent), the task's
-    string form, and the task's supervised crash count so far.
-    """
-
-    kind: ClassVar[str] = "worker-lost"
-    time: float
-    task: str
-    detail: str
-    crashes: int
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class PointTimeoutEvent:
-    """A supervised task was reaped at a deadline or staleness bound."""
-
-    kind: ClassVar[str] = "point-timeout"
-    time: float
-    task: str
-    detail: str
-    crashes: int
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class QuarantineEvent:
-    """A poison task was abandoned after repeated supervised crashes."""
-
-    kind: ClassVar[str] = "quarantined"
-    time: float
-    task: str
-    crashes: int
-    detail: str
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class LeaseGrantedEvent:
-    """The fleet coordinator leased a task to a remote worker.
-
-    Service events carry wall-clock seconds since the coordinator
-    started, the task's string form, the worker's name, and the
-    table-unique lease dispatch id (``reassigned`` marks re-grants
-    after a crash or expiry).
-    """
-
-    kind: ClassVar[str] = "lease-granted"
-    time: float
-    task: str
-    worker: str
-    dispatch: int
-    reassigned: bool
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class LeaseExpiredEvent:
-    """A lease blew its deadline or heartbeat bound; the worker is kicked."""
-
-    kind: ClassVar[str] = "lease-expired"
-    time: float
-    task: str
-    worker: str
-    detail: str
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class WorkerConnectEvent:
-    """A remote fleet worker joined (or rejoined) the coordinator."""
-
-    kind: ClassVar[str] = "worker-connect"
-    time: float
-    worker: str
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-@dataclass(frozen=True, slots=True)
-class DuplicateResultEvent:
-    """A stale delivery (expired/re-granted lease) was discarded."""
-
-    kind: ClassVar[str] = "duplicate-result"
-    time: float
-    task: str
-    worker: str
-
-    def to_record(self) -> dict:
-        record = asdict(self)
-        record["kind"] = self.kind
-        return record
-
-
-EVENT_TYPES = (
-    InjectionEvent,
-    NominationEvent,
-    GrantEvent,
-    ConflictEvent,
-    StarvationEvent,
-    DeliveryEvent,
-    LinkFaultEvent,
-    GrantFaultEvent,
-    PacketDropEvent,
-    InvariantViolationEvent,
-    WatchdogEvent,
-    WatchdogRemediationEvent,
-    DrainWarningEvent,
-    WorkerLostEvent,
-    PointTimeoutEvent,
-    QuarantineEvent,
-    LeaseGrantedEvent,
-    LeaseExpiredEvent,
-    WorkerConnectEvent,
-    DuplicateResultEvent,
-)
-
-#: kind string -> event class, for readers that want typed access.
-EVENT_KINDS: dict[str, type] = {cls.kind: cls for cls in EVENT_TYPES}
+#: kind -> the record's keys in wire order; ``"kind"`` follows them
+#: (``watchdog`` alone leads with it -- kept so traces stay
+#: byte-identical).  ``time`` is simulated core cycles, except for the
+#: supervisor and service kinds, whose parent process has no simulated
+#: clock: seconds since the supervisor / coordinator started.
+RECORD_FIELDS: dict[str, tuple[str, ...]] = {
+    # -- simulation (time = core cycles) ----------------------------------
+    # a packet entered a node's local injection queue
+    "inject": ("time", "node", "packet", "pclass", "destination"),
+    # a read-port arbiter nominated a packet for outputs (a list)
+    "nominate": ("time", "node", "row", "packet", "outputs"),
+    # a packet won arbitration and left through output, which stays busy
+    # busy_cycles (pipeline tail + flit service; utilization sums these)
+    "grant": ("time", "node", "row", "packet", "output", "busy_cycles"),
+    # an arbitration pass left count live nominations unserved
+    "conflict": ("time", "node", "algorithm", "count"),
+    # anti-starvation draining engaged (or released) at a router
+    "starve": ("time", "node", "old_count", "engaged"),
+    # a packet sank at its destination's local port
+    "deliver": ("time", "node", "packet", "pclass", "latency_cycles", "hops"),
+    # -- fault injection and runtime checks (time = core cycles) ----------
+    # a link traversal lost/corrupted a flit; attempt counts the
+    # retransmissions already consumed before the packet drops
+    "link-fault": ("time", "node", "packet", "fault", "attempt"),
+    # arbiter grants were suppressed/mis-routed/stalled at one router
+    "grant-fault": ("time", "node", "fault", "count"),
+    # a packet left the accounting as dropped, with its reason
+    "drop": ("time", "node", "packet", "pclass", "reason"),
+    # a runtime invariant check failed (see repro.resilience)
+    "invariant": ("time", "name", "detail"),
+    # the progress watchdog fired; diagnostic is the stall snapshot
+    "watchdog": ("time", "diagnostic"),
+    # a watchdog recovery kick resolved: remediated (lost wake-up) or
+    # deadlocked (kick failed)
+    "watchdog-remediation": ("time", "outcome"),
+    # a post-run drain exhausted its budget with packets unaccounted
+    "drain-warn": ("time", "buffered", "pending", "in_transit"),
+    # -- supervisor (time = seconds since the supervisor started) ---------
+    # a supervised worker died mid-task; crashes is the task's count so far
+    "worker-lost": ("time", "task", "detail", "crashes"),
+    # a supervised task was reaped at its deadline or staleness bound
+    "point-timeout": ("time", "task", "detail", "crashes"),
+    # a poison task was abandoned after repeated supervised crashes
+    "quarantined": ("time", "task", "crashes", "detail"),
+    # -- service (time = seconds since the coordinator started) -----------
+    # a task was leased to a remote worker under a table-unique dispatch
+    # id; reassigned marks re-grants after a crash or expiry
+    "lease-granted": ("time", "task", "worker", "dispatch", "reassigned"),
+    # a lease blew its deadline or heartbeat bound; the worker is kicked
+    "lease-expired": ("time", "task", "worker", "detail"),
+    # a remote fleet worker joined (or rejoined) the coordinator
+    "worker-connect": ("time", "worker"),
+    # a stale delivery (expired/re-granted lease) was discarded
+    "duplicate-result": ("time", "task", "worker"),
+}

@@ -1,7 +1,7 @@
 """Trace sinks: where telemetry records go.
 
-A sink consumes the wire-format dicts produced by
-:mod:`repro.obs.events` and the manifest/counters records written by
+A sink consumes the wire-format dicts (schema:
+:mod:`repro.obs.events`) and the manifest/counters records written by
 :class:`repro.obs.telemetry.Telemetry`.  Three implementations:
 
 * :class:`NullSink` -- swallows everything; ``active`` is False so
@@ -92,8 +92,7 @@ class JsonlSink(TraceSink):
         if self._file is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._file = self.path.open("w", encoding="utf-8")
-        self._file.write(json.dumps(record, separators=(",", ":")))
-        self._file.write("\n")
+        self._file.write(json.dumps(record, separators=(",", ":")) + "\n")
         self.records_written += 1
 
     def close(self) -> None:
@@ -104,15 +103,25 @@ class JsonlSink(TraceSink):
 
 
 def read_jsonl(path: str | Path):
-    """Yield records from a JSONL trace, streaming line by line."""
+    """Yield records from a JSONL trace, streaming line by line.
+
+    A final line that is not valid JSON **and** lacks its newline is
+    what a killed writer leaves behind (the same rule as
+    ``SweepJournal.load``): the records before it are yielded, then one
+    closing ``{"kind": "truncated"}`` in place of the ``run-end`` the
+    trace never got.  An invalid line anywhere else raises ``ValueError``.
+    """
     with Path(path).open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
+        for line_number, raw_line in enumerate(handle, start=1):
+            line = raw_line.strip()
             if not line:
                 continue
             try:
                 yield json.loads(line)
             except json.JSONDecodeError as error:
+                if not raw_line.endswith("\n"):  # only the last line can
+                    yield {"kind": "truncated"}
+                    return
                 raise ValueError(
                     f"{path}:{line_number}: not valid JSONL ({error})"
                 ) from error

@@ -14,7 +14,8 @@ Within an enabled Telemetry there are still two tiers:
 * **events** (per-packet trace records) only run when the sink is
   real (``sink.active``), because serializing every grant of a
   multi-million-event run is only worth it when someone asked for the
-  trace.
+  trace.  A hook builds its record once, as the wire dict the sink
+  serializes; :data:`repro.obs.events.RECORD_FIELDS` is the schema.
 
 The same Telemetry instance is shared by every router of a simulation,
 so counters are network-wide totals; per-node series carry the node as
@@ -26,28 +27,6 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from repro.obs.events import (
-    ConflictEvent,
-    DeliveryEvent,
-    DrainWarningEvent,
-    DuplicateResultEvent,
-    GrantEvent,
-    GrantFaultEvent,
-    InjectionEvent,
-    InvariantViolationEvent,
-    LeaseExpiredEvent,
-    LeaseGrantedEvent,
-    LinkFaultEvent,
-    NominationEvent,
-    PacketDropEvent,
-    PointTimeoutEvent,
-    QuarantineEvent,
-    StarvationEvent,
-    WatchdogEvent,
-    WatchdogRemediationEvent,
-    WorkerConnectEvent,
-    WorkerLostEvent,
-)
 from repro.obs.manifest import RunManifest
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.registry import MetricsRegistry, MetricSeries
@@ -267,7 +246,8 @@ class Telemetry:
     ) -> None:
         if self.events:
             self.sink.emit(
-                NominationEvent(now, node, row, packet, outputs).to_record()
+                {"time": now, "node": node, "row": row, "packet": packet,
+                 "outputs": list(outputs), "kind": "nominate"}
             )
 
     def on_dispatch(
@@ -291,12 +271,16 @@ class Telemetry:
         ports[1].inc()
         if self.events:
             self.sink.emit(
-                GrantEvent(now, node, row, packet, output, busy_cycles).to_record()
+                {"time": now, "node": node, "row": row, "packet": packet,
+                 "output": output, "busy_cycles": busy_cycles, "kind": "grant"}
             )
 
     def on_conflicts(self, now: float, node: int, algorithm: str, count: int) -> None:
         if self.events:
-            self.sink.emit(ConflictEvent(now, node, algorithm, count).to_record())
+            self.sink.emit(
+                {"time": now, "node": node, "algorithm": algorithm,
+                 "count": count, "kind": "conflict"}
+            )
 
     def on_speculation_drops(self, count: int) -> None:
         self._speculation_drops.inc(count)
@@ -308,7 +292,8 @@ class Telemetry:
             self._starvations.inc()
         if self.events:
             self.sink.emit(
-                StarvationEvent(now, node, old_count, engaged).to_record()
+                {"time": now, "node": node, "old_count": old_count,
+                 "engaged": engaged, "kind": "starve"}
             )
 
     # -- simulator-level hooks -------------------------------------------
@@ -319,7 +304,8 @@ class Telemetry:
         self._injections.inc()
         if self.events:
             self.sink.emit(
-                InjectionEvent(now, node, packet, pclass, destination).to_record()
+                {"time": now, "node": node, "packet": packet, "pclass": pclass,
+                 "destination": destination, "kind": "inject"}
             )
 
     def on_delivery(
@@ -335,9 +321,9 @@ class Telemetry:
         self._latency.observe(latency_cycles)
         if self.events:
             self.sink.emit(
-                DeliveryEvent(
-                    now, node, packet, pclass, latency_cycles, hops
-                ).to_record()
+                {"time": now, "node": node, "packet": packet, "pclass": pclass,
+                 "latency_cycles": latency_cycles, "hops": hops,
+                 "kind": "deliver"}
             )
 
     # -- resilience hooks --------------------------------------------------
@@ -349,7 +335,8 @@ class Telemetry:
         self._link_faults.labels(fault).inc()
         if self.events:
             self.sink.emit(
-                LinkFaultEvent(now, node, packet, fault, attempt).to_record()
+                {"time": now, "node": node, "packet": packet, "fault": fault,
+                 "attempt": attempt, "kind": "link-fault"}
             )
 
     def on_link_retry(self) -> None:
@@ -359,7 +346,10 @@ class Telemetry:
         """Injected grant faults at one router's arbitration pass."""
         self._grant_faults.labels(fault).inc(count)
         if self.events:
-            self.sink.emit(GrantFaultEvent(now, node, fault, count).to_record())
+            self.sink.emit(
+                {"time": now, "node": node, "fault": fault, "count": count,
+                 "kind": "grant-fault"}
+            )
 
     def on_drop(
         self, now: float, node: int, packet: int, pclass: str, reason: str
@@ -368,24 +358,31 @@ class Telemetry:
         self._drops.labels(reason).inc()
         if self.events:
             self.sink.emit(
-                PacketDropEvent(now, node, packet, pclass, reason).to_record()
+                {"time": now, "node": node, "packet": packet, "pclass": pclass,
+                 "reason": reason, "kind": "drop"}
             )
 
     def on_invariant_violation(self, now: float, name: str, detail: str) -> None:
         self._invariant_violations.labels(name).inc()
         if self.events:
-            self.sink.emit(InvariantViolationEvent(now, name, detail).to_record())
+            self.sink.emit(
+                {"time": now, "name": name, "detail": detail, "kind": "invariant"}
+            )
 
     def on_watchdog(self, now: float, diagnostic: dict) -> None:
         self._watchdog_fires.inc()
         if self.events:
-            self.sink.emit(WatchdogEvent(now, diagnostic).to_record())
+            self.sink.emit(
+                {"kind": "watchdog", "time": now, "diagnostic": diagnostic}
+            )
 
     def on_watchdog_remediation(self, now: float, outcome: str) -> None:
         """A recovery kick resolved: ``remediated`` or ``deadlocked``."""
         self._watchdog_remediations.labels(outcome).inc()
         if self.events:
-            self.sink.emit(WatchdogRemediationEvent(now, outcome).to_record())
+            self.sink.emit(
+                {"time": now, "outcome": outcome, "kind": "watchdog-remediation"}
+            )
 
     def on_drain_exhausted(
         self, now: float, buffered: int, pending: int, in_transit: int
@@ -393,7 +390,8 @@ class Telemetry:
         self._drain_warnings.inc()
         if self.events:
             self.sink.emit(
-                DrainWarningEvent(now, buffered, pending, in_transit).to_record()
+                {"time": now, "buffered": buffered, "pending": pending,
+                 "in_transit": in_transit, "kind": "drain-warn"}
             )
 
     # -- supervisor hooks (now = seconds since the supervisor started) ----
@@ -405,7 +403,8 @@ class Telemetry:
         self._worker_lost.inc()
         if self.events:
             self.sink.emit(
-                WorkerLostEvent(now, task, detail, crashes).to_record()
+                {"time": now, "task": task, "detail": detail,
+                 "crashes": crashes, "kind": "worker-lost"}
             )
 
     def on_point_timeout(
@@ -415,7 +414,8 @@ class Telemetry:
         self._point_timeouts.inc()
         if self.events:
             self.sink.emit(
-                PointTimeoutEvent(now, task, detail, crashes).to_record()
+                {"time": now, "task": task, "detail": detail,
+                 "crashes": crashes, "kind": "point-timeout"}
             )
 
     def on_quarantine(
@@ -425,7 +425,8 @@ class Telemetry:
         self._quarantined.inc()
         if self.events:
             self.sink.emit(
-                QuarantineEvent(now, task, crashes, detail).to_record()
+                {"time": now, "task": task, "crashes": crashes,
+                 "detail": detail, "kind": "quarantined"}
             )
 
     # -- service hooks (now = seconds since the coordinator started) ------
@@ -439,9 +440,9 @@ class Telemetry:
             self._service_reassignments.inc()
         if self.events:
             self.sink.emit(
-                LeaseGrantedEvent(
-                    now, task, worker, dispatch, reassigned
-                ).to_record()
+                {"time": now, "task": task, "worker": worker,
+                 "dispatch": dispatch, "reassigned": reassigned,
+                 "kind": "lease-granted"}
             )
 
     def on_lease_expired(
@@ -451,20 +452,26 @@ class Telemetry:
         self._service_lease_expiries.inc()
         if self.events:
             self.sink.emit(
-                LeaseExpiredEvent(now, task, worker, detail).to_record()
+                {"time": now, "task": task, "worker": worker, "detail": detail,
+                 "kind": "lease-expired"}
             )
 
     def on_worker_connect(self, now: float, worker: str) -> None:
         """A remote fleet worker joined (or rejoined)."""
         self._service_worker_connects.inc()
         if self.events:
-            self.sink.emit(WorkerConnectEvent(now, worker).to_record())
+            self.sink.emit(
+                {"time": now, "worker": worker, "kind": "worker-connect"}
+            )
 
     def on_duplicate_result(self, now: float, task: str, worker: str) -> None:
         """A stale fleet delivery was discarded, never journalled."""
         self._service_duplicate_results.inc()
         if self.events:
-            self.sink.emit(DuplicateResultEvent(now, task, worker).to_record())
+            self.sink.emit(
+                {"time": now, "task": task, "worker": worker,
+                 "kind": "duplicate-result"}
+            )
 
     # -- summaries --------------------------------------------------------
 
@@ -489,108 +496,20 @@ class Telemetry:
 
 
 class _NullTelemetry:
-    """The shared disabled singleton: every hook is a no-op.
+    """The shared disabled singleton: the flags sites read, no hooks.
 
-    Instrumented sites check ``.enabled`` and skip the call entirely,
-    but the no-op methods keep stray calls harmless (e.g. code written
-    against the facade without the guard).
+    Every instrumented site tests ``.enabled`` (or ``.events`` /
+    ``.profiling``) before it calls a hook, so this class has none: a
+    call that forgets the guard raises ``AttributeError`` in the tests
+    instead of silently paying a method call per event.
     """
 
     enabled = False
     events = False
     profiling = False
-    sink = NullSink()
-    manifest = None
-
-    def __init__(self) -> None:
-        self.profiler = PhaseProfiler(enabled=False)
 
     def __bool__(self) -> bool:
         return False
-
-    def open_run(self, config: Any, **extra: Any) -> None:
-        pass
-
-    def finalize(self, **footer: Any) -> None:
-        pass
-
-    def on_arbitration(self, *args: Any) -> None:
-        pass
-
-    def count_algo(self, *args: Any) -> None:
-        pass
-
-    def on_nomination(self, *args: Any) -> None:
-        pass
-
-    def on_dispatch(self, *args: Any) -> None:
-        pass
-
-    def on_conflicts(self, *args: Any) -> None:
-        pass
-
-    def on_speculation_drops(self, *args: Any) -> None:
-        pass
-
-    def on_starvation(self, *args: Any) -> None:
-        pass
-
-    def on_injection(self, *args: Any) -> None:
-        pass
-
-    def on_delivery(self, *args: Any) -> None:
-        pass
-
-    def on_link_fault(self, *args: Any) -> None:
-        pass
-
-    def on_link_retry(self, *args: Any) -> None:
-        pass
-
-    def on_grant_fault(self, *args: Any) -> None:
-        pass
-
-    def on_drop(self, *args: Any) -> None:
-        pass
-
-    def on_invariant_violation(self, *args: Any) -> None:
-        pass
-
-    def on_watchdog(self, *args: Any) -> None:
-        pass
-
-    def on_watchdog_remediation(self, *args: Any) -> None:
-        pass
-
-    def on_drain_exhausted(self, *args: Any) -> None:
-        pass
-
-    def on_worker_lost(self, *args: Any) -> None:
-        pass
-
-    def on_point_timeout(self, *args: Any) -> None:
-        pass
-
-    def on_quarantine(self, *args: Any) -> None:
-        pass
-
-    def on_lease_granted(self, *args: Any) -> None:
-        pass
-
-    def on_lease_expired(self, *args: Any) -> None:
-        pass
-
-    def on_worker_connect(self, *args: Any) -> None:
-        pass
-
-    def on_duplicate_result(self, *args: Any) -> None:
-        pass
-
-    def arbitration_summary(self) -> dict:
-        return {}
-
-    def port_busy_cycles(self) -> dict:
-        return {}
 
 
 #: the module-wide disabled telemetry; hot paths default to this.

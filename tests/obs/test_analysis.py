@@ -73,6 +73,17 @@ class TestSummarize:
         summary = summarize_trace(bad, strict_schema=False)
         assert summary.arbitration_counts()
 
+    def test_torn_final_line_is_reported_not_fatal(self, tmp_path, trace_path):
+        # a killed worker's trace: intact records, then one cut mid-write
+        lines = trace_path.read_text().splitlines(keepends=True)
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("".join(lines[:40]) + lines[40][:12])
+        summary = summarize_trace(torn)
+        assert summary.truncated and summary.as_dict()["truncated"]
+        assert sum(summary.event_counts.values()) == 39  # 40 minus manifest
+        assert "truncated" not in summary.event_counts
+        assert not summarize_trace(trace_path).truncated
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             summarize_trace(tmp_path / "nope.jsonl")
@@ -115,6 +126,22 @@ class TestCli:
     def test_missing_trace_returns_error(self, tmp_path, capsys):
         assert obs_main(["summarize", str(tmp_path / "gone.jsonl")]) == 1
         assert "repro obs" in capsys.readouterr().err
+
+    def test_summarize_survives_a_torn_tail_but_not_a_corrupt_middle(
+        self, tmp_path, capsys
+    ):
+        grant = (
+            '{"time":1.0,"node":0,"row":1,"packet":2,"output":3,'
+            '"busy_cycles":4.0,"kind":"grant"}\n'
+        )
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text(grant + '{"kind":"gra')
+        assert obs_main(["summarize", str(torn)]) == 0
+        assert "truncated: torn final line" in capsys.readouterr().out
+        corrupt = tmp_path / "corrupt.jsonl"
+        corrupt.write_text(grant + '{"kind":"gra\n' + grant)
+        assert obs_main(["summarize", str(corrupt)]) == 1
+        assert "corrupt.jsonl:2" in capsys.readouterr().err
 
     def test_output_flag_writes_file(self, trace_path, tmp_path, capsys):
         target = tmp_path / "report.txt"

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.core.pim import PIMArbiter
 from repro.core.spaa import SPAAArbiter
 from repro.core.types import Nomination
@@ -32,12 +34,15 @@ class TestNullTelemetry:
         assert NULL_TELEMETRY.events is False
         assert not NULL_TELEMETRY
 
-    def test_hooks_are_harmless(self):
-        NULL_TELEMETRY.on_arbitration("SPAA", 1, 1, 0)
-        NULL_TELEMETRY.on_injection(0.0, 0, 0, "request", 1)
-        NULL_TELEMETRY.finalize()
-        assert NULL_TELEMETRY.arbitration_summary() == {}
-        assert NULL_TELEMETRY.port_busy_cycles() == {}
+    def test_an_unguarded_hook_call_fails_loudly(self):
+        # the null telemetry has flags, not hooks: a site that forgets
+        # ``if tel.enabled:`` must fail here, not pay a call per event
+        public = {n for n in vars(type(NULL_TELEMETRY)) if not n.startswith("_")}
+        assert public == {"enabled", "events", "profiling"}
+        with pytest.raises(AttributeError):
+            NULL_TELEMETRY.on_injection(0.0, 0, 0, "request", 1)
+        with pytest.raises(AttributeError):
+            NULL_TELEMETRY.finalize()
 
 
 class TestTelemetryFacade:
