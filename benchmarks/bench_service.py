@@ -4,7 +4,7 @@ The service's pitch is that moving a sweep from a local process pool
 to a lease-based coordinator over TCP costs (almost) nothing when
 nothing goes wrong: the coordinator's bookkeeping (leases, dispatch
 ids, heartbeat relay) must stay under 5% wall time against the
-single-host ``ParallelSweepRunner`` at the same worker count, and a
+single-host pooled sweep at the same worker count, and a
 second worker must actually buy throughput.  Both benches also gate
 the acceptance criterion that matters on any machine: per-point stats
 bitwise identical to a serial sweep, no matter where the points ran.
@@ -207,7 +207,7 @@ def test_coordinator_overhead_under_five_percent(perf_record, bench_fleet):
     """Acceptance: at the same worker count, running a sweep through
     the TCP coordinator (leases, dispatch-id bookkeeping, base64
     payload framing, heartbeat relay) costs under 5% wall time against
-    the supervised single-host ``ParallelSweepRunner``.
+    the supervised single-host pooled sweep (``workers=N``).
 
     The pool pays its worker spawn each run while the fleet's workers
     persist -- deliberately so, because that is how each is deployed;

@@ -7,8 +7,8 @@ a killed campaign resumes where it stopped; ``workers > 1``, a
 :class:`~repro.resilience.SupervisorConfig` or a fleet hands the
 scenarios to the one :class:`~repro.resilience.PointSupervisor`
 scheduler (local spawn workers, or remote ones) with the parent as the
-single journal writer, mirroring
-:class:`~repro.sim.parallel.ParallelSweepRunner`.  Every failing
+single journal writer, mirroring the sweeps' pooled executor
+(:func:`repro.sim.parallel.run_pooled`).  Every failing
 scenario is captured as a self-contained replay bundle (and optionally
 shrunk to a minimal reproducer) the moment the campaign sees it.
 

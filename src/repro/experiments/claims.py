@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.timing import SPAA_TIMING, WFA_3CYCLE_TIMING
+from repro.experiments.figure10 import PRESETS
 from repro.experiments.report import format_table
 from repro.sim.config import (
     NetworkConfig,
@@ -33,12 +34,6 @@ from repro.sim.config import (
 from repro.sim.observers import ThroughputTimeline
 from repro.sim.sweep import sweep_algorithm, throughput_gain_at_latency
 from repro.sim.timing_model import NetworkSimulator
-
-PRESETS: dict[str, tuple[int, int]] = {
-    "paper": (15_000, 60_000),
-    "fast": (3_000, 9_000),
-    "smoke": (1_000, 2_000),
-}
 
 
 def _base_config(preset: str, seed: int) -> SimulationConfig:

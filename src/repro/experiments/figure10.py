@@ -69,7 +69,8 @@ PANELS: tuple[Panel, ...] = (
 )
 
 #: (warmup, measure) cycles per preset; "paper" matches the 75 000-cycle
-#: runs of section 4.3.
+#: runs of section 4.3.  Figure 11 and the in-text claims use the same
+#: table.
 PRESETS: dict[str, tuple[int, int]] = {
     "paper": (15_000, 60_000),
     "fast": (3_000, 9_000),
@@ -152,28 +153,48 @@ def run_panel(
     :class:`repro.sim.sweep.SweepGuard`) every point runs with fault
     injection / invariant checking / watchdog / checkpointing attached;
     the journal is scoped per panel.  With ``workers > 1`` the panel's
-    (algorithm, rate) points run in a process pool (see
-    :mod:`repro.sim.parallel`) with bitwise identical per-point stats.
-    With *profile_into* (a :class:`~repro.obs.profiler.PhaseProfiler`)
-    every point's arbitration/traversal/delivery wall-time attribution
-    is merged into it -- this is how the benchmark suite's perf records
-    learn where a panel's time went.
+    (algorithm, rate) points run on pooled workers (see
+    :func:`repro.sim.sweep.sweep_algorithms`) with bitwise identical
+    per-point stats.  With *profile_into* (a
+    :class:`~repro.obs.profiler.PhaseProfiler`) every point's
+    arbitration/traversal/delivery wall-time attribution is merged
+    into it -- this is how the benchmark suite's perf records learn
+    where a panel's time went.
     """
-    config = panel_config(panel, preset, seed)
-    if telemetry_dir is not None:
-        telemetry_dir = Path(telemetry_dir) / panel_slug(panel.name)
-    guard_kwargs = (
-        guard.scoped(panel_slug(panel.name)).sweep_kwargs() if guard else {}
+    return sweep_panel(
+        panel_slug(panel.name), panel_config(panel, preset, seed), algorithms,
+        panel.rates, progress, telemetry_dir, guard, workers, profile_into,
     )
+
+
+def sweep_panel(
+    slug: str,
+    config: SimulationConfig,
+    algorithms: tuple[str, ...],
+    rates: tuple[float, ...],
+    progress,
+    telemetry_dir,
+    guard: SweepGuard | None,
+    workers: int,
+    profile_into,
+) -> dict[str, BNFCurve]:
+    """Sweep one figure panel (Figure 10 or 11) under its own *slug*.
+
+    The slug names the panel's trace directory under *telemetry_dir*
+    and its journal under the guard's journal directory, so identical
+    (algorithm, rate) points of different panels never collide.
+    """
+    if telemetry_dir is not None:
+        telemetry_dir = Path(telemetry_dir) / slug
     return sweep_algorithms(
         config,
         algorithms,
-        panel.rates,
+        rates,
         progress,
         telemetry_dir=telemetry_dir,
         workers=workers,
         profile_into=profile_into,
-        **guard_kwargs,
+        **(guard.scoped(slug).sweep_kwargs() if guard else {}),
     )
 
 

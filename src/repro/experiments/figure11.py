@@ -15,8 +15,8 @@ Three panels, each sweeping PIM1, WFA-rotary and SPAA-rotary:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from repro.experiments.figure10 import PRESETS, sweep_panel
 from repro.experiments.report import bnf_plot, curves_table, format_table
 from repro.sim.config import (
     NetworkConfig,
@@ -25,19 +25,9 @@ from repro.sim.config import (
     saturation_buffer_plan,
 )
 from repro.sim.metrics import BNFCurve
-from repro.sim.sweep import (
-    SweepGuard,
-    sweep_algorithms,
-    throughput_gain_at_latency,
-)
+from repro.sim.sweep import SweepGuard, throughput_gain_at_latency
 
 SCALING_ALGORITHMS = ("PIM1", "WFA-rotary", "SPAA-rotary")
-
-PRESETS: dict[str, tuple[int, int]] = {
-    "paper": (15_000, 60_000),
-    "fast": (3_000, 9_000),
-    "smoke": (1_000, 2_000),
-}
 
 
 @dataclass(frozen=True)
@@ -125,27 +115,14 @@ def run_panel(
 ) -> dict[str, BNFCurve]:
     """Sweep one Figure 11 panel, optionally guarded (see SweepGuard).
 
-    ``workers > 1`` fans the panel's points out over a process pool
-    (see :mod:`repro.sim.parallel`); per-point results stay bitwise
-    identical to a serial run.  *profile_into* (a
-    :class:`~repro.obs.profiler.PhaseProfiler`) accumulates every
-    point's per-phase wall-time attribution.
+    ``workers > 1`` fans the panel's points out over pooled workers;
+    per-point results stay bitwise identical to a serial run.
+    *profile_into* (a :class:`~repro.obs.profiler.PhaseProfiler`)
+    accumulates every point's per-phase wall-time attribution.
     """
-    config = panel_config(panel, preset, seed)
-    if telemetry_dir is not None:
-        telemetry_dir = Path(telemetry_dir) / f"fig11{panel.key}"
-    guard_kwargs = (
-        guard.scoped(f"fig11{panel.key}").sweep_kwargs() if guard else {}
-    )
-    return sweep_algorithms(
-        config,
-        algorithms,
-        panel.rates,
-        progress,
-        telemetry_dir=telemetry_dir,
-        workers=workers,
-        profile_into=profile_into,
-        **guard_kwargs,
+    return sweep_panel(
+        f"fig11{panel.key}", panel_config(panel, preset, seed), algorithms,
+        panel.rates, progress, telemetry_dir, guard, workers, profile_into,
     )
 
 

@@ -33,6 +33,7 @@ per-trial matching validator around
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.core.types import Grant, Nomination, validate_matching
 
@@ -269,7 +270,13 @@ class InvariantChecker:
                     now, "nomination-index", f"node {router.node}: {drift}"
                 ))
             for port, buffer in router.buffers.items():
-                for channel in buffer.channels_with_waiting():
+                # Index order, not set order: VirtualChannel hashes come
+                # from strings, so a bare set walk would report (and,
+                # under fail_fast, stop at) violations in an order that
+                # varies with PYTHONHASHSEED from process to process.
+                for channel in sorted(
+                    buffer.channels_with_waiting(), key=attrgetter("index")
+                ):
                     for packet in buffer.packets(channel):
                         prior = seen.get(packet.uid)
                         if prior is not None:

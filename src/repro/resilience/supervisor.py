@@ -72,9 +72,6 @@ class SupervisorConfig:
         heartbeat_stale_s: drop a holder whose last heartbeat is older
             than this -- catches wedges long before a generous
             deadline would (``None`` = staleness not checked).
-        heartbeat_interval_cycles: how often (in simulated cycles) the
-            simulation's heartbeat tick fires; the sender additionally
-            throttles to wall time, so small values are safe.
         quarantine_after: crashes (worker-lost + timeout) of one task
             before it is quarantined instead of retried.
         poll_interval_s: the scheduler's liveness/deadline poll
@@ -85,7 +82,6 @@ class SupervisorConfig:
 
     point_timeout_s: float | None = None
     heartbeat_stale_s: float | None = None
-    heartbeat_interval_cycles: float = 1_000.0
     quarantine_after: int = 3
     poll_interval_s: float = 0.05
     reap_grace_s: float = 5.0
@@ -95,8 +91,6 @@ class SupervisorConfig:
             raise ValueError("point_timeout_s must be positive")
         if self.heartbeat_stale_s is not None and self.heartbeat_stale_s <= 0:
             raise ValueError("heartbeat_stale_s must be positive")
-        if self.heartbeat_interval_cycles <= 0:
-            raise ValueError("heartbeat_interval_cycles must be positive")
         if self.quarantine_after < 1:
             raise ValueError("quarantine_after must be at least 1")
         if self.poll_interval_s <= 0:
@@ -104,10 +98,14 @@ class SupervisorConfig:
 
     def as_dict(self) -> dict:
         """Manifest form (the tuning half of a supervisor section)."""
+        # Not a knob any more, but the key stays: manifests are compared
+        # byte for byte across versions.
+        from repro.sim.timing_model import HEARTBEAT_INTERVAL_CYCLES
+
         return {
             "point_timeout_s": self.point_timeout_s,
             "heartbeat_stale_s": self.heartbeat_stale_s,
-            "heartbeat_interval_cycles": self.heartbeat_interval_cycles,
+            "heartbeat_interval_cycles": HEARTBEAT_INTERVAL_CYCLES,
             "quarantine_after": self.quarantine_after,
         }
 

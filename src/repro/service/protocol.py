@@ -2,7 +2,7 @@
 
 Frames are one JSON object per ``\\n``-terminated line -- trivially
 debuggable with ``nc`` and immune to partial-read framing bugs.  Task
-payloads (the picklable :class:`~repro.sim.parallel.PointSpec` /
+payloads (the picklable :class:`~repro.sim.sweep.PointSpec` /
 scenario specs the single-host pools already ship between processes)
 ride *inside* a frame as base64-wrapped pickle, so a remote worker
 rebuilds exactly the object a local worker would have received and

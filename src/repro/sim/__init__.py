@@ -25,11 +25,6 @@ from repro.sim.observers import (
     PacketTracer,
     ThroughputTimeline,
 )
-from repro.sim.parallel import (
-    ParallelSweepRunner,
-    PointResult,
-    PointSpec,
-)
 from repro.sim.standalone import (
     StandaloneConfig,
     StandaloneRouterModel,
@@ -37,6 +32,8 @@ from repro.sim.standalone import (
     measure_matches,
 )
 from repro.sim.sweep import (
+    PointResult,
+    PointSpec,
     SweepGuard,
     SweepPointError,
     geometric_rates,
@@ -76,7 +73,6 @@ __all__ = [
     "NetworkConfig",
     "NetworkSimulator",
     "NetworkStats",
-    "ParallelSweepRunner",
     "PerfectShufflePattern",
     "PointResult",
     "PointSpec",

@@ -1,46 +1,31 @@
-"""Parallel sweep execution over the checkpoint journal.
+"""The pooled sweep executor: scheduler-owned workers over the journal.
 
-A load sweep is embarrassingly parallel: every (algorithm, rate) point
-is an independent simulation whose seed derives only from its config,
-and :class:`~repro.resilience.SweepJournal` already treats each point
-as an independently checkpointed unit of work.  This module adds the
-missing piece -- a :class:`ParallelSweepRunner` that treats the journal
-as a shared work queue:
+Every (algorithm, rate) point is an independent simulation whose seed
+derives only from its config.  :func:`repro.sim.sweep.sweep_algorithms`
+plans the pending points, holds the journal lock and owns the landing
+path; this module is only *who runs the attempts* when ``workers > 1``
+or a fleet is given:
 
-* the **parent** claims the pending (algorithm, ``repr(rate)``) keys
-  (points whose latest journal record is not a success), submits one
-  picklable :class:`PointSpec` *per attempt* to the scheduler,
-  reschedules failed attempts itself (backoff waits in the parent, so
-  a backing-off point never occupies a worker slot), and splices
-  results back through the journal's resume path as they complete;
-* each **worker** reconstructs its resilience objects (fault injector,
-  invariant checker, watchdog) from their config specs, runs the point
-  with exactly the serial code path (:func:`repro.sim.sweep._run_point`
-  -- same seeding, same retry re-seeding), and writes its own
-  per-point telemetry trace file, so no two processes ever share a
-  sink;
-* the parent is the journal's **single writer**, so the JSONL file
-  stays line-atomic and a crashed parallel sweep resumes with
-  ``resume=True`` exactly like a crashed serial one.
+* :func:`run_pooled` submits one picklable
+  :class:`~repro.sim.sweep.PointSpec` *per attempt* to the
+  :class:`~repro.resilience.PointSupervisor` scheduler -- over local
+  spawn workers or (``fleet=...``) a remote fleet -- reschedules failed
+  attempts itself (backoff waits in the parent, so a backing-off point
+  never occupies a worker slot) and hands every result to the sweep's
+  :class:`~repro.sim.sweep.Landing` as it completes;
+* each **worker** runs :func:`run_point_attempt`, i.e. the serial
+  executor's :func:`~repro.sim.sweep.run_attempt`, and writes its own
+  per-point trace file, so no two processes ever share a sink;
+* the parent stays the journal's **single writer**, so a crashed
+  pooled sweep resumes with ``resume=True`` like a crashed serial one.
 
-There is one dispatch path: every pooled sweep runs under the
-:class:`~repro.resilience.PointSupervisor` scheduler, over local spawn
-workers or (``fleet=...``) a remote fleet.  A dead worker costs only a
-retry of its own point, a point that keeps crashing workers is
-quarantined, and the sweep *degrades* (finishes and journals every
-healthy point, then raises :class:`SweepSupervisionError`) instead of
-hanging or aborting.  The default
-:class:`~repro.resilience.SupervisorConfig` sets no deadline and no
-staleness bound, so only a dead process is ever acted on; pass
-``supervisor=SupervisorConfig(point_timeout_s=...)`` to have wedged
-workers reaped as well.
-
-Determinism: a point's result depends only on its
-:class:`~repro.sim.config.SimulationConfig` (plus the attempt-indexed
-seed bumps), never on scheduling or supervision, so ``workers=N``
-produces bitwise identical per-point stats to ``workers=1``.  Only the
-journal's line *order* differs (completion order instead of sweep
-order), which the latest-wins reader never observes.
+A dead worker costs only a retry of its own point, a point that keeps
+crashing workers is quarantined, and the sweep *degrades* (lands every
+healthy point, writes ``sweep_manifest.json``, then raises
+:class:`SweepSupervisionError`) instead of hanging or aborting.  A
+point's result depends only on its spec, never on scheduling, so only
+the journal's line *order* (completion order, not sweep order) differs
+from a serial run -- which the latest-wins reader never observes.
 """
 
 from __future__ import annotations
@@ -49,26 +34,25 @@ import json
 import os
 import signal
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.obs.profiler import PhaseProfiler
-from repro.resilience.checkpoint import SweepJournal, rate_key
-from repro.resilience.faults import FaultConfig
-from repro.resilience.invariants import InvariantConfig
+from repro.obs.sink import JsonlSink
+from repro.obs.telemetry import Telemetry
+from repro.resilience.checkpoint import rate_key
 from repro.resilience.supervisor import (
     MP_CONTEXT,
     PointSupervisor,
     SupervisorConfig,
 )
-from repro.resilience.watchdog import WatchdogConfig
-from repro.sim.config import SimulationConfig
-from repro.sim.metrics import BNFCurve, BNFPoint
 from repro.sim.sweep import (
+    Landing,
+    PointResult,
+    PointSpec,
     SweepPointError,
-    _point_telemetry,
-    _run_point,
+    backoff_delay,
+    run_attempt,
     trace_filename,
 )
 
@@ -83,65 +67,12 @@ SUPERVISOR_TRACE_NAME = "supervisor.jsonl"
 #: Values are ``"*"``, ``"<algorithm>"`` or ``"<algorithm>:<rate_key>"``.
 #: With REPRO_TEST_FAULT_ONCE_FILE set, the first matching worker
 #: claims the file (O_EXCL) and faults; later attempts run normally --
-#: that is how CI proves a reaped point completes on retry.
+#: that is how CI proves a reaped point completes on retry.  Only
+#: :func:`run_point_attempt` (the worker entry) reads them: the serial
+#: executor runs in the parent, which a kill hook would take down.
 WEDGE_POINT_ENV = "REPRO_TEST_WEDGE_POINT"
 KILL_POINT_ENV = "REPRO_TEST_KILL_POINT"
 FAULT_ONCE_FILE_ENV = "REPRO_TEST_FAULT_ONCE_FILE"
-
-
-@dataclass(frozen=True)
-class PointSpec:
-    """One attempt of one sweep point, picklable across a spawn boundary.
-
-    Resilience settings travel as their *config* dataclasses; the
-    worker builds the live injector/checker/watchdog itself, because
-    those carry RNG state and open-ended references that must not leak
-    between points (and would not survive pickling meaningfully).
-    """
-
-    config: SimulationConfig
-    rate: float
-    telemetry_dir: str | None
-    collect_counters: bool
-    faults: FaultConfig | None
-    invariants: InvariantConfig | None
-    watchdog: WatchdogConfig | None
-    retry_backoff_s: float
-    #: arm phase profiling in the worker; the per-point attribution
-    #: comes back serialized in :attr:`PointResult.profile`.
-    profile: bool = False
-    #: which attempt this spec runs (0-based); the parent bumps it when
-    #: rescheduling a failed point, and :func:`repro.sim.sweep._run_point`
-    #: derives the attempt's seed bumps from it exactly like serial.
-    attempt: int = 0
-    #: cadence of the in-loop heartbeat tick under supervision.
-    heartbeat_interval_cycles: float = 1_000.0
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.config.algorithm, rate_key(self.rate))
-
-
-@dataclass(frozen=True)
-class PointResult:
-    """What a worker sends back: a point, or the trail of failures."""
-
-    algorithm: str
-    rate: float
-    attempts: int
-    point: BNFPoint | None
-    resilience: dict | None
-    #: one pre-formatted ``"TypeName: message"`` per failed attempt, in
-    #: attempt order, so the parent can journal each failure exactly as
-    #: the serial runner would have.
-    failures: tuple[str, ...] = ()
-    #: the worker's serialized ``profile`` record (phase wall-time
-    #: attribution) when the spec asked for profiling, else ``None``.
-    profile: dict | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.point is not None
 
 
 class SweepSupervisionError(SweepPointError):
@@ -212,7 +143,14 @@ def _claim_once_file() -> bool:
     return True
 
 
-def _maybe_test_fault(spec: PointSpec) -> None:
+# -- the worker entry -------------------------------------------------------
+
+
+def run_point_attempt(spec: PointSpec, heartbeat=None) -> PointResult:
+    """Worker entry: the test fault hooks, then the shared attempt.
+
+    Module-level, so a spawn context pickles it by reference.
+    """
     wedge = os.environ.get(WEDGE_POINT_ENV)
     if wedge and _test_fault_matches(wedge, spec) and _claim_once_file():
         while True:  # no heartbeats: the supervisor must reap us
@@ -220,426 +158,214 @@ def _maybe_test_fault(spec: PointSpec) -> None:
     kill = os.environ.get(KILL_POINT_ENV)
     if kill and _test_fault_matches(kill, spec) and _claim_once_file():
         os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
+    return run_attempt(spec, heartbeat)
 
 
-# -- worker entries --------------------------------------------------------
+# -- the pooled executor ----------------------------------------------------
 
 
-def run_point_attempt(spec: PointSpec, heartbeat=None) -> PointResult:
-    """Worker entry: run exactly one attempt of one sweep point.
+def run_pooled(
+    pending: list[PointSpec],
+    landing: Landing,
+    algorithms: Sequence[str],
+    rates: Sequence[float],
+    telemetry_dir: Path | str | None,
+    workers: int,
+    supervisor: SupervisorConfig | None,
+    fleet,
+) -> None:
+    """Run *pending* on scheduler-owned workers; land every outcome.
 
-    Module-level, so a spawn context pickles it by reference.  The
-    attempt index rides on the spec; retry scheduling (and its backoff
-    sleep) is the parent's job, so a failed attempt returns
-    immediately and frees its worker slot.
-
-    *heartbeat* is threaded into the simulator's heartbeat tick: the
-    beat comes from inside the event loop, so a wedged simulation goes
-    silent and gets reaped.
+    The sweep manifest is written even when the sweep fails (in a
+    ``finally``), so an aborted run still documents what it did; a
+    degraded sweep raises :class:`SweepSupervisionError` after that.
     """
-    _maybe_test_fault(spec)
-    telemetry = _point_telemetry(
-        spec.config.algorithm,
-        spec.rate,
-        spec.telemetry_dir,
-        spec.collect_counters,
-        profile=spec.profile,
-    )
+    started = time.perf_counter()
+    resumed_keys = set(landing.completed)
+    degraded = summary = None
     try:
-        point, resilience = _run_point(
-            spec.config,
-            spec.rate,
-            telemetry,
-            None,
-            spec.faults,
-            spec.invariants,
-            spec.watchdog,
-            spec.attempt,
-            heartbeat=heartbeat,
-            heartbeat_interval_cycles=spec.heartbeat_interval_cycles,
-        )
-    except Exception as error:
-        return PointResult(
-            algorithm=spec.config.algorithm,
-            rate=spec.rate,
-            attempts=spec.attempt + 1,
-            point=None,
-            resilience=None,
-            failures=(f"{type(error).__name__}: {error}",),
-        )
-    return PointResult(
-        algorithm=spec.config.algorithm,
-        rate=spec.rate,
-        attempts=spec.attempt + 1,
-        point=point,
-        resilience=resilience,
-        failures=(),
-        profile=(
-            telemetry.profiler.to_record()
-            if spec.profile and telemetry is not None
-            else None
-        ),
-    )
-
-
-def _backoff_delay(retry_backoff_s: float, next_attempt: int) -> float:
-    """Serial-identical exponential backoff before attempt *next_attempt*."""
-    if next_attempt <= 0 or retry_backoff_s <= 0:
-        return 0.0
-    return retry_backoff_s * 2 ** (next_attempt - 1)
-
-
-class ParallelSweepRunner:
-    """Fan a (multi-)algorithm load sweep out over the scheduler.
-
-    The public entry points are :meth:`run` (several algorithms, the
-    shape :func:`repro.sim.sweep.sweep_algorithms` needs) and
-    :meth:`run_algorithm` (a single curve).  ``workers=1`` is valid
-    but pointless -- the sweep functions only delegate here when
-    ``workers > 1`` or a fleet is given.
-
-    *supervisor* tunes the :class:`~repro.resilience.PointSupervisor`
-    every pooled sweep runs under (deadlines, heartbeat staleness,
-    quarantine); the default arms neither wall-clock bound.  *fleet* is
-    a live :class:`repro.service.ServiceServer` whose remote workers
-    replace the local pool.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        supervisor: SupervisorConfig | None = None,
-        fleet=None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.workers = workers
-        self.fleet = fleet
-        self.supervisor = supervisor or SupervisorConfig()
-
-    # -- public API ------------------------------------------------------
-
-    def run(
-        self,
-        config: SimulationConfig,
-        algorithms: Sequence[str],
-        rates: Sequence[float],
-        progress: Callable[[str], None] | None = None,
-        telemetry_dir: Path | str | None = None,
-        collect_counters: bool = False,
-        faults: FaultConfig | None = None,
-        invariants: InvariantConfig | None = None,
-        watchdog: WatchdogConfig | None = None,
-        journal: SweepJournal | None = None,
-        resume: bool = False,
-        max_attempts: int = 1,
-        retry_backoff_s: float = 0.0,
-        profile_into: PhaseProfiler | None = None,
-    ) -> dict[str, BNFCurve]:
-        """Sweep every (algorithm, rate) pair through the pool.
-
-        All algorithms share one pool, so a slow algorithm's tail
-        overlaps the next algorithm's points instead of serializing
-        behind it.  Returns curves with points in ``rates`` order --
-        identical to the serial :func:`sweep_algorithms`.
-
-        With *profile_into* set, every worker runs its point with phase
-        profiling armed and ships the serialized attribution back in
-        its :class:`PointResult`; the parent merges the records into
-        *profile_into* and into the sweep manifest, so "where did the
-        pool's wall time go" survives the process boundary.
-
-        The sweep manifest is written even when the sweep fails (in a
-        ``finally``), so an aborted run still documents what it did.
-        """
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        started = time.perf_counter()
-        completed: dict[tuple[str, str], BNFPoint] = {}
-        resumed_keys: set[tuple[str, str]] = set()
-        pending: list[PointSpec] = []
-        for algorithm in algorithms:
-            algo_config = config.with_algorithm(algorithm)
-            for rate in rates:
-                if resume and journal is not None:
-                    cached = journal.completed_point(algorithm, rate)
-                    if cached is not None:
-                        key = (algorithm, rate_key(rate))
-                        completed[key] = cached
-                        resumed_keys.add(key)
-                        if progress is not None:
-                            progress(
-                                f"{algorithm} rate={rate:.4g} -> resumed "
-                                f"from journal"
-                            )
-                        continue
-                pending.append(PointSpec(
-                    config=algo_config,
-                    rate=rate,
-                    telemetry_dir=(
-                        str(telemetry_dir) if telemetry_dir is not None else None
-                    ),
-                    collect_counters=collect_counters,
-                    faults=faults,
-                    invariants=invariants,
-                    watchdog=watchdog,
-                    retry_backoff_s=retry_backoff_s,
-                    profile=profile_into is not None,
-                    heartbeat_interval_cycles=(
-                        self.supervisor.heartbeat_interval_cycles
-                    ),
-                ))
-        degraded: SweepSupervisionError | None = None
-        supervisor_summary: dict | None = None
-        # The lock marks this parent as the journal's single writer;
-        # a concurrent sweep over the same journal fails fast instead
-        # of interleaving lines.
-        lock = journal.lock() if journal is not None else None
-        if lock is not None:
-            lock.acquire()
-        try:
-            if pending:
-                degraded, supervisor_summary = self._drain(
-                    pending, completed, journal, progress, max_attempts,
-                    profile_into, telemetry_dir,
-                )
-        finally:
-            if lock is not None:
-                lock.release()
-            if telemetry_dir is not None:
-                self._write_sweep_manifest(
-                    Path(telemetry_dir),
-                    algorithms,
-                    rates,
-                    journal,
-                    time.perf_counter() - started,
-                    resumed_keys=resumed_keys,
-                    profile=profile_into,
-                    supervisor_summary=supervisor_summary,
-                )
-        if degraded is not None:
-            raise degraded
-        if resume and journal is not None:
-            # A resumed sweep that reached this line replayed (or
-            # re-ran) every point, so the retry history is dead weight:
-            # rewrite the journal latest-wins.
-            journal.compact()
-        return {
-            algorithm: BNFCurve(
-                label=algorithm,
-                points=[
-                    completed[(algorithm, rate_key(rate))] for rate in rates
-                ],
+        if pending:
+            degraded, summary = _drain(
+                pending, landing, telemetry_dir,
+                workers, supervisor or SupervisorConfig(), fleet,
             )
-            for algorithm in algorithms
-        }
-
-    def run_algorithm(
-        self,
-        config: SimulationConfig,
-        rates: Sequence[float],
-        **kwargs,
-    ) -> BNFCurve:
-        """Single-curve form (what ``sweep_algorithm(workers=N)`` uses)."""
-        curves = self.run(config, (config.algorithm,), rates, **kwargs)
-        return curves[config.algorithm]
-
-    # -- the one dispatch loop -------------------------------------------
-
-    def _drain(
-        self,
-        pending: list[PointSpec],
-        completed: dict[tuple[str, str], BNFPoint],
-        journal: SweepJournal | None,
-        progress: Callable[[str], None] | None,
-        max_attempts: int,
-        profile_into: PhaseProfiler | None,
-        telemetry_dir: Path | str | None,
-    ) -> tuple["SweepSupervisionError | None", dict]:
-        """Run the pending specs under the scheduler.
-
-        The sweep *degrades*: a point that exhausts its attempts or is
-        quarantined is journalled and the rest continues.  Returns (the
-        error to raise once the manifest is written, if any; summary).
-        """
-        specs = {spec.key: spec for spec in pending}
-        failed: dict[tuple[str, str], str] = {}
-        quarantined: dict[tuple[str, str], str] = {}
-        #: tries a failed / crashes a quarantined point went through.
-        attempts: dict[tuple[str, str], int] = {}
-        telemetry = None
+    finally:
         if telemetry_dir is not None:
-            from repro.obs.sink import JsonlSink
-            from repro.obs.telemetry import Telemetry
-
-            path = Path(telemetry_dir) / SUPERVISOR_TRACE_NAME
-            path.parent.mkdir(parents=True, exist_ok=True)
-            telemetry = Telemetry(sink=JsonlSink(path))
-        if self.fleet is not None:
-            # Same scheduler, remote holders: the loop below cannot
-            # tell the difference.
-            from repro.service.coordinator import FleetCoordinator
-
-            supervisor = FleetCoordinator(
-                self.fleet,
-                config=self.supervisor,
-                telemetry=telemetry,
-                resubmit_crashed=True,
-                task_kind="sweep-point",
+            _write_sweep_manifest(
+                Path(telemetry_dir), algorithms, rates, landing, workers,
+                time.perf_counter() - started, resumed_keys, summary,
             )
-        else:
-            supervisor = PointSupervisor(
-                workers=min(self.workers, len(pending)),
-                runner=run_point_attempt,
-                config=self.supervisor,
-                telemetry=telemetry,
-                resubmit_crashed=True,
-            )
-        try:
-            for spec in pending:
-                supervisor.submit(spec.key, spec)
-            while supervisor.outstanding:
-                event = supervisor.next_event()
-                key = event.task_id
-                spec = specs[key]
-                name, rate = spec.config.algorithm, spec.rate
-                result: PointResult | None = event.result
-                if event.kind == "result" and result.ok:
-                    if profile_into is not None and result.profile is not None:
-                        profile_into.merge_record(result.profile)
-                    if journal is not None:
-                        journal.record_success(
-                            name,
-                            rate,
-                            result.point,
-                            attempts=result.attempts,
-                            resilience=result.resilience,
-                        )
-                    completed[key] = result.point
-                    line = (
-                        f"-> thr={result.point.throughput:.3f} flits/router/ns, "
-                        f"lat={result.point.latency_ns:.1f} ns"
+    if degraded is not None:
+        raise degraded
+
+
+def _drain(
+    pending: list[PointSpec],
+    landing: Landing,
+    telemetry_dir: Path | str | None,
+    workers: int,
+    config: SupervisorConfig,
+    fleet,
+) -> tuple["SweepSupervisionError | None", dict]:
+    """Run the pending specs under the scheduler.
+
+    The sweep *degrades*: a point that exhausts its attempts or is
+    quarantined is journalled and the rest continues.  Returns (the
+    error to raise once the manifest is written, if any; summary).
+    """
+    specs = {spec.key: spec for spec in pending}
+    journal = landing.journal
+    failed: dict[tuple[str, str], str] = {}
+    quarantined: dict[tuple[str, str], str] = {}
+    #: tries a failed / crashes a quarantined point went through.
+    attempts: dict[tuple[str, str], int] = {}
+    telemetry = None
+    if telemetry_dir is not None:
+        path = Path(telemetry_dir) / SUPERVISOR_TRACE_NAME
+        path.parent.mkdir(parents=True, exist_ok=True)
+        telemetry = Telemetry(sink=JsonlSink(path))
+    if fleet is not None:
+        # Same scheduler, remote holders: the loop below cannot tell
+        # the difference.
+        from repro.service.coordinator import FleetCoordinator
+
+        supervisor = FleetCoordinator(
+            fleet,
+            config=config,
+            telemetry=telemetry,
+            resubmit_crashed=True,
+            task_kind="sweep-point",
+        )
+    else:
+        supervisor = PointSupervisor(
+            workers=min(workers, len(pending)),
+            runner=run_point_attempt,
+            config=config,
+            telemetry=telemetry,
+            resubmit_crashed=True,
+        )
+    try:
+        for spec in pending:
+            supervisor.submit(spec.key, spec)
+        while supervisor.outstanding:
+            event = supervisor.next_event()
+            key = event.task_id
+            spec = specs[key]
+            name, rate = spec.config.algorithm, spec.rate
+            if event.kind == "result":
+                result: PointResult = event.result
+                landing.land(result)
+                if result.ok:
+                    continue
+                if result.attempts < landing.max_attempts:
+                    specs[key] = replace(spec, attempt=result.attempts)
+                    delay_s = backoff_delay(spec.retry_backoff_s, result.attempts)
+                    supervisor.submit(key, specs[key], delay_s=delay_s)
+                else:
+                    failed[key] = result.error
+                    attempts[key] = result.attempts
+            elif event.kind in ("worker-lost", "timeout"):
+                # The scheduler already resubmitted (or will
+                # quarantine); journal the crash so the retry trail
+                # survives a parent crash too.
+                if journal is not None:
+                    journal.record_failure(
+                        name,
+                        rate,
+                        spec.attempt + 1,
+                        event.detail,
+                        reason=event.kind,
                     )
-                elif event.kind == "result":
-                    message = result.failures[-1]
-                    if journal is not None:
-                        journal.record_failure(
-                            name, rate, result.attempts, message
-                        )
-                    if result.attempts < max_attempts:
-                        specs[key] = replace(spec, attempt=result.attempts)
-                        delay_s = _backoff_delay(
-                            spec.retry_backoff_s, result.attempts
-                        )
-                        supervisor.submit(key, specs[key], delay_s=delay_s)
-                    else:
-                        failed[key] = message
-                        attempts[key] = result.attempts
-                    line = (
-                        f"attempt {result.attempts}/{max_attempts} failed: "
-                        f"{message}"
-                    )
-                elif event.kind in ("worker-lost", "timeout"):
-                    # The scheduler already resubmitted (or will
-                    # quarantine); journal the crash so the retry trail
-                    # survives a parent crash too.
-                    if journal is not None:
-                        journal.record_failure(
-                            name,
-                            rate,
-                            spec.attempt + 1,
-                            event.detail,
-                            reason=event.kind,
-                        )
-                    line = (
-                        f"{event.kind} (crash {event.crashes}/"
-                        f"{self.supervisor.quarantine_after}): {event.detail}"
-                    )
-                else:  # quarantined
-                    if journal is not None:
-                        journal.record_quarantined(
-                            name, rate, crashes=event.crashes, error=event.detail
-                        )
-                    quarantined[key] = event.detail
-                    attempts[key] = event.crashes
-                    line = (
-                        f"quarantined after {event.crashes} supervised "
-                        f"crash(es)"
-                    )
-                if progress is not None:
-                    progress(f"{name} rate={rate:.4g} {line}")
-            summary = supervisor.summary()
-        finally:
-            supervisor.close()
-            if telemetry is not None:
-                telemetry.finalize()
-        degraded = None
-        for spec in pending:  # sweep order: the first bad point leads
-            if spec.key in attempts:
-                degraded = SweepSupervisionError(
-                    spec.config.algorithm, spec.rate, attempts[spec.key],
-                    failed, quarantined,
+                landing.say(
+                    name, rate,
+                    f"{event.kind} (crash {event.crashes}/"
+                    f"{config.quarantine_after}): {event.detail}",
                 )
-                break
-        return degraded, summary
+            else:  # quarantined
+                if journal is not None:
+                    journal.record_quarantined(
+                        name, rate, crashes=event.crashes, error=event.detail
+                    )
+                quarantined[key] = event.detail
+                attempts[key] = event.crashes
+                landing.say(
+                    name, rate,
+                    f"quarantined after {event.crashes} supervised crash(es)",
+                )
+        summary = supervisor.summary()
+    finally:
+        supervisor.close()
+        if telemetry is not None:
+            telemetry.finalize()
+    degraded = None
+    for spec in pending:  # sweep order: the first bad point leads
+        if spec.key in attempts:
+            degraded = SweepSupervisionError(
+                spec.config.algorithm, spec.rate, attempts[spec.key],
+                failed, quarantined,
+            )
+            break
+    return degraded, summary
 
-    # -- the sweep manifest ----------------------------------------------
 
-    def _write_sweep_manifest(
-        self,
-        telemetry_dir: Path,
-        algorithms: Sequence[str],
-        rates: Sequence[float],
-        journal: SweepJournal | None,
-        wall_time_s: float,
-        resumed_keys: set[tuple[str, str]],
-        profile: PhaseProfiler | None = None,
-        supervisor_summary: dict | None = None,
-    ) -> None:
-        """Merge the per-worker traces into one sweep-level manifest.
+# -- the sweep manifest -----------------------------------------------------
 
-        Workers each write their own per-point trace file (no sink is
-        ever shared across processes); this parent-side manifest is the
-        piece that ties them back together -- one JSON document mapping
-        every (algorithm, rate) to its trace file, alongside the pool
-        shape and wall time, so ``repro obs`` users and notebooks can
-        enumerate a parallel sweep's traces without globbing.  Points
-        resumed from the journal produced no trace in *this* run, so
-        they carry ``"trace": null`` and ``"resumed": true`` instead of
-        pointing at a file that may not exist in this telemetry dir.
-        """
-        points = []
-        for algorithm in algorithms:
-            for rate in rates:
-                resumed = (algorithm, rate_key(rate)) in resumed_keys
-                points.append({
-                    "algorithm": algorithm,
-                    "rate": rate,
-                    "rate_key": rate_key(rate),
-                    "trace": (
-                        None if resumed else trace_filename(algorithm, rate)
-                    ),
-                    "resumed": resumed,
-                })
-        manifest = {
-            "kind": "parallel-sweep-manifest",
-            "workers": self.workers,
-            "mp_context": MP_CONTEXT,
-            "wall_time_s": wall_time_s,
-            "resumed_points": len(resumed_keys),
-            "journal": str(journal.path) if journal is not None else None,
-            "points": points,
+
+def _write_sweep_manifest(
+    telemetry_dir: Path,
+    algorithms: Sequence[str],
+    rates: Sequence[float],
+    landing: Landing,
+    workers: int,
+    wall_time_s: float,
+    resumed_keys: set[tuple[str, str]],
+    supervisor_summary: dict | None,
+) -> None:
+    """Merge the per-worker traces into one sweep-level manifest.
+
+    Workers each write their own per-point trace file (no sink is
+    ever shared across processes); this parent-side manifest is the
+    piece that ties them back together -- one JSON document mapping
+    every (algorithm, rate) to its trace file, alongside the pool
+    shape and wall time, so ``repro obs`` users and notebooks can
+    enumerate a pooled sweep's traces without globbing.  Points
+    resumed from the journal produced no trace in *this* run, so
+    they carry ``"trace": null`` and ``"resumed": true`` instead of
+    pointing at a file that may not exist in this telemetry dir.
+    """
+    points = []
+    for algorithm in algorithms:
+        for rate in rates:
+            resumed = (algorithm, rate_key(rate)) in resumed_keys
+            points.append({
+                "algorithm": algorithm,
+                "rate": rate,
+                "rate_key": rate_key(rate),
+                "trace": (
+                    None if resumed else trace_filename(algorithm, rate)
+                ),
+                "resumed": resumed,
+            })
+    journal = landing.journal
+    manifest = {
+        "kind": "parallel-sweep-manifest",
+        "workers": workers,
+        "mp_context": MP_CONTEXT,
+        "wall_time_s": wall_time_s,
+        "resumed_points": len(resumed_keys),
+        "journal": str(journal.path) if journal is not None else None,
+        "points": points,
+    }
+    if supervisor_summary is not None:
+        # Tuning knobs + live reap/quarantine totals, and where the
+        # supervisor's own trace (events + counters) landed.
+        manifest["supervisor"] = {
+            **supervisor_summary, "trace": SUPERVISOR_TRACE_NAME
         }
-        if supervisor_summary is not None:
-            # Tuning knobs + live reap/quarantine totals, and where the
-            # supervisor's own trace (events + counters) landed.
-            manifest["supervisor"] = {
-                **supervisor_summary, "trace": SUPERVISOR_TRACE_NAME
-            }
-        if profile is not None:
-            # The workers' merged phase attribution: where the pool's
-            # aggregate wall time went (arbitration/traversal/delivery).
-            manifest["profile"] = profile.to_record()["phases"]
-        telemetry_dir.mkdir(parents=True, exist_ok=True)
-        path = telemetry_dir / "sweep_manifest.json"
-        path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    if landing.profile_into is not None:
+        # The workers' merged phase attribution: where the pool's
+        # aggregate wall time went (arbitration/traversal/delivery).
+        manifest["profile"] = landing.profile_into.to_record()["phases"]
+    telemetry_dir.mkdir(parents=True, exist_ok=True)
+    path = telemetry_dir / "sweep_manifest.json"
+    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")

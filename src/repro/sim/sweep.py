@@ -1,28 +1,35 @@
 """Load sweeps: produce Burton-Normal-Form curves from the timing model.
 
-Sweeps can run *guarded*: pass a fault schedule
-(:class:`~repro.resilience.FaultConfig`), an invariant cadence
-(:class:`~repro.resilience.InvariantConfig`) and/or a watchdog
-(:class:`~repro.resilience.WatchdogConfig`) and every point runs with
-the resilience layer attached; pass a
-:class:`~repro.resilience.SweepJournal` and every finished point is
-checkpointed, failed points are retried with fresh seeds (and optional
-wall-clock backoff), and a re-run with ``resume=True`` skips the
-points already journalled -- a crashed hours-long paper-preset sweep
-restarts where it stopped instead of from zero.
+:func:`sweep_algorithms` is the one sweep driver, and its docstring the
+one place every sweep option (guards, journal, resume, retries,
+workers) is described.  It plans the pending (algorithm, rate) points
+as :class:`PointSpec`, lets an *executor* decide who runs each
+attempt, and lands every :class:`PointResult` through one
+:class:`Landing` -- journal record, profile merge, progress line,
+curve point -- so a serial sweep and a pooled one differ only in the
+executor:
+
+* the **serial executor** (:func:`_run_serial`) calls
+  :func:`run_attempt` in this process, point by point in sweep order.
+  It is the byte-identity reference every pooled/supervised/fleet test
+  compares against, so it stays a plain loop;
+* the **pooled executor** (:func:`repro.sim.parallel.run_pooled`)
+  feeds the same specs to scheduler-owned workers that call the same
+  :func:`run_attempt`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.sink import JsonlSink
 from repro.obs.telemetry import Telemetry
-from repro.resilience.checkpoint import SweepJournal
+from repro.resilience.checkpoint import SweepJournal, rate_key
 from repro.resilience.faults import FaultConfig, FaultInjector
 from repro.resilience.invariants import InvariantChecker, InvariantConfig
 from repro.resilience.supervisor import SupervisorConfig
@@ -61,32 +68,17 @@ def parse_trace_filename(name: str) -> tuple[str, float]:
     return algorithm, rate
 
 
-def _point_telemetry(
-    algorithm: str,
-    rate: float,
-    telemetry_dir: Path | str | None,
-    collect_counters: bool,
-    profile: bool = False,
-) -> Telemetry | None:
-    if telemetry_dir is not None:
-        path = Path(telemetry_dir) / trace_filename(algorithm, rate)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return Telemetry(sink=JsonlSink(path), profile=profile)
-    if collect_counters or profile:
-        return Telemetry(profile=profile)
-    return None
-
-
 @dataclass(frozen=True)
 class SweepGuard:
     """One bundle of resilience settings for a (multi-)sweep.
 
     The figure runners (:mod:`repro.experiments.figure10` / ``figure11``)
     and the CLI thread this single object down to
-    :func:`sweep_algorithm` instead of seven loose keyword arguments.
-    ``journal_path`` may be a directory; :meth:`scoped` then derives a
-    per-panel journal file so identical (algorithm, rate) points in
-    different panels never collide.
+    :func:`sweep_algorithms` instead of loose keyword arguments; every
+    field but ``journal_path`` is that function's option of the same
+    name.  ``journal_path`` may be a directory; :meth:`scoped` then
+    derives a per-panel journal file so identical (algorithm, rate)
+    points in different panels never collide.
     """
 
     faults: FaultConfig | None = None
@@ -96,12 +88,7 @@ class SweepGuard:
     resume: bool = False
     max_attempts: int = 1
     retry_backoff_s: float = 0.0
-    #: tuning for the scheduler every pooled sweep runs under
-    #: (per-point deadline, heartbeat staleness, quarantine); serial
-    #: sweeps ignore it -- there is no worker process to supervise.
     supervisor: SupervisorConfig | None = None
-    #: a live :class:`repro.service.ServiceServer` -- sweep points are
-    #: leased to the connected remote fleet instead of a local pool.
     fleet: object | None = None
 
     def scoped(self, name: str) -> "SweepGuard":
@@ -114,50 +101,99 @@ class SweepGuard:
         )
 
     def sweep_kwargs(self) -> dict:
-        """The keyword arguments :func:`sweep_algorithm` expects."""
-        return {
-            "faults": self.faults,
-            "invariants": self.invariants,
-            "watchdog": self.watchdog,
-            "journal": (
-                SweepJournal(self.journal_path)
-                if self.journal_path is not None
-                else None
-            ),
-            "resume": self.resume,
-            "max_attempts": self.max_attempts,
-            "retry_backoff_s": self.retry_backoff_s,
-            "supervisor": self.supervisor,
-            "fleet": self.fleet,
-        }
+        """The keyword arguments :func:`sweep_algorithms` expects."""
+        kwargs = {item.name: getattr(self, item.name) for item in fields(self)}
+        path = kwargs.pop("journal_path")
+        kwargs["journal"] = SweepJournal(path) if path is not None else None
+        return kwargs
 
 
 class SweepPointError(RuntimeError):
-    """A sweep point kept failing after its retry budget ran out."""
+    """A sweep point kept failing after its retry budget ran out.
+
+    *error* is the last attempt's ``"TypeName: message"`` text.
+    """
 
     def __init__(
-        self, algorithm: str, rate: float, attempts: int, cause: BaseException
+        self, algorithm: str, rate: float, attempts: int, error: str
     ) -> None:
         self.algorithm = algorithm
         self.rate = rate
         self.attempts = attempts
         super().__init__(
-            f"{algorithm} rate={rate!r} failed {attempts} attempt(s): "
-            f"{type(cause).__name__}: {cause}"
+            f"{algorithm} rate={rate!r} failed {attempts} attempt(s): {error}"
         )
 
 
+@dataclass(frozen=True)
+class PointSpec:
+    """One attempt of one sweep point, picklable across a spawn boundary.
+
+    Resilience settings travel as their *config* dataclasses; the
+    attempt builds the live injector/checker/watchdog itself, because
+    those carry RNG state and open-ended references that must not leak
+    between points (and would not survive pickling meaningfully).
+    """
+
+    config: SimulationConfig
+    rate: float
+    telemetry_dir: Path | str | None
+    collect_counters: bool
+    faults: FaultConfig | None
+    invariants: InvariantConfig | None
+    watchdog: WatchdogConfig | None
+    retry_backoff_s: float
+    #: arm phase profiling for the attempt; the per-point attribution
+    #: comes back serialized in :attr:`PointResult.profile`.
+    profile: bool = False
+    #: which attempt this spec runs (0-based); the executor bumps it
+    #: when rescheduling a failed point, and :func:`_run_point` derives
+    #: the attempt's seed bumps from it.
+    attempt: int = 0
+
+    @property
+    def key(self) -> tuple[str, str]:
+        return (self.config.algorithm, rate_key(self.rate))
+
+
+@dataclass(frozen=True)
+class PointResult:
+    """What one attempt hands back: a point, or why there is none."""
+
+    algorithm: str
+    rate: float
+    attempts: int
+    point: BNFPoint | None
+    resilience: dict | None
+    #: pre-formatted ``"TypeName: message"`` of a failed attempt, the
+    #: exact text the journal and the progress line carry.
+    error: str | None = None
+    #: the attempt's serialized ``profile`` record (phase wall-time
+    #: attribution) when the spec asked for profiling, else ``None``.
+    profile: dict | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.point is not None
+
+
+def _point_telemetry(spec: PointSpec) -> Telemetry | None:
+    if spec.telemetry_dir is not None:
+        path = Path(spec.telemetry_dir) / trace_filename(
+            spec.config.algorithm, spec.rate
+        )
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return Telemetry(sink=JsonlSink(path), profile=spec.profile)
+    if spec.collect_counters or spec.profile:
+        return Telemetry(profile=spec.profile)
+    return None
+
+
 def _run_point(
-    config: SimulationConfig,
-    rate: float,
+    spec: PointSpec,
     telemetry: Telemetry | None,
     observer_factory,
-    faults: FaultConfig | None,
-    invariants: InvariantConfig | None,
-    watchdog: WatchdogConfig | None,
-    attempt: int,
-    heartbeat: Callable[[], None] | None = None,
-    heartbeat_interval_cycles: float = 1_000.0,
+    heartbeat: Callable[[], None] | None,
 ) -> tuple[BNFPoint, dict | None]:
     """One guarded point; returns (point, resilience summary or None).
 
@@ -167,6 +203,7 @@ def _run_point(
     (supervised workers) is called from inside the event loop on a
     cycle cadence; it never influences the simulation itself.
     """
+    config, rate, attempt, faults = spec.config, spec.rate, spec.attempt, spec.faults
     point_config = config.with_rate(rate)
     if attempt:
         point_config = replace(
@@ -177,8 +214,10 @@ def _run_point(
         if faults is not None
         else None
     )
-    checker = InvariantChecker(invariants) if invariants is not None else None
-    dog = ProgressWatchdog(watchdog) if watchdog is not None else None
+    checker = (
+        InvariantChecker(spec.invariants) if spec.invariants is not None else None
+    )
+    dog = ProgressWatchdog(spec.watchdog) if spec.watchdog is not None else None
     simulator = NetworkSimulator(
         point_config,
         telemetry=telemetry,
@@ -186,7 +225,6 @@ def _run_point(
         invariants=checker,
         watchdog=dog,
         heartbeat=heartbeat,
-        heartbeat_interval_cycles=heartbeat_interval_cycles,
     )
     if observer_factory is not None:
         for observer in observer_factory(config.algorithm, rate):
@@ -219,198 +257,110 @@ def _run_point(
     return point, resilience
 
 
-def sweep_algorithm(
-    config: SimulationConfig,
-    rates: Sequence[float],
-    progress: Callable[[str], None] | None = None,
-    telemetry_dir: Path | str | None = None,
-    collect_counters: bool = False,
-    observer_factory: Callable[[str, float], Sequence] | None = None,
-    faults: FaultConfig | None = None,
-    invariants: InvariantConfig | None = None,
-    watchdog: WatchdogConfig | None = None,
-    journal: SweepJournal | None = None,
-    resume: bool = False,
-    max_attempts: int = 1,
-    retry_backoff_s: float = 0.0,
-    workers: int = 1,
-    supervisor: SupervisorConfig | None = None,
-    fleet=None,
-    profile_into: PhaseProfiler | None = None,
-) -> BNFCurve:
-    """Run one algorithm over a set of offered loads.
+def run_attempt(
+    spec: PointSpec, heartbeat=None, observer_factory=None
+) -> PointResult:
+    """Run exactly one attempt of one sweep point, in this process.
 
-    Args:
-        config: base configuration; the rate is filled in per point.
-        rates: offered loads to sweep.
-        progress: optional per-point status callback.
-        telemetry_dir: when set, each point writes a JSONL telemetry
-            trace (``<algorithm>_rate<rate>.jsonl``) into this
-            directory, readable with ``repro obs summarize``, and the
-            returned points carry their arbiter counters.
-        collect_counters: attach sink-less telemetry so every
-            :class:`~repro.sim.metrics.BNFPoint` carries its
-            per-algorithm nomination/grant/conflict counters without
-            writing trace files.  Implied by *telemetry_dir*.
-        observer_factory: called as ``factory(algorithm, rate)`` before
-            each point; the returned observers (see
-            :mod:`repro.sim.observers`) are attached to that point's
-            simulator.
-        faults: inject this fault schedule into every point (re-seeded
-            per retry attempt).
-        invariants: run periodic invariant sweeps in every point; any
-            violation fails the point (and triggers a retry).
-        watchdog: attach a progress watchdog to every point.
-        journal: checkpoint every finished point (and every failure)
-            to this :class:`~repro.resilience.SweepJournal`.
-        resume: with a journal, skip points whose latest record is a
-            success and splice the journalled
-            :class:`~repro.sim.metrics.BNFPoint` into the curve.
-        max_attempts: tries per point before giving up; retries bump
-            the simulation and fault seeds so a deterministic failure
-            is not replayed verbatim.
-        retry_backoff_s: wall-clock sleep before attempt *n* grows as
-            ``retry_backoff_s * 2**(n-1)`` (0 disables sleeping).
-        workers: with ``workers > 1`` the points run on spawn-context
-            workers under the :class:`~repro.resilience.PointSupervisor`
-            scheduler (see :mod:`repro.sim.parallel`) with bitwise
-            identical per-point results: a dead worker is replaced and
-            its point retried, a point that fails every attempt or
-            keeps crashing workers is journalled, and the sweep raises
-            :class:`~repro.sim.parallel.SweepSupervisionError` (a
-            :class:`SweepPointError`) only after every healthy point
-            landed.  1 (the default) keeps the serial in-process path.
-        supervisor: the scheduler's tuning -- a per-point deadline and
-            heartbeat-staleness bound (both off by default) at which
-            hung workers are reaped, and the ``quarantine_after``
-            crash count.  Ignored by the serial path (there is no
-            worker process to supervise).
-        fleet: a live :class:`repro.service.ServiceServer`; points are
-            leased to its connected remote workers regardless of
-            *workers*.
-        profile_into: when set, every point runs with phase profiling
-            enabled and its arbitration/traversal/delivery wall-time
-            attribution is merged into this
-            :class:`~repro.obs.profiler.PhaseProfiler` -- serial points
-            by direct merge, pooled points via the serialized profile
-            record the worker ships back.  Points resumed from a
-            journal contribute nothing (they did not run).
+    Both executors call this -- the serial loop directly, a pooled
+    worker through :func:`repro.sim.parallel.run_point_attempt` -- so a
+    point's result never depends on who ran it.  Retry scheduling (and
+    its backoff sleep) is the executor's job: a failed attempt returns
+    immediately.  *heartbeat* is threaded into the simulator's
+    heartbeat tick (the beat comes from inside the event loop, so a
+    wedged simulation goes silent and gets reaped).
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
-    if workers > 1 or fleet is not None:
-        if observer_factory is not None:
-            raise ValueError(
-                "observer_factory is not supported with workers > 1 "
-                "(observers cannot cross the process boundary); attach "
-                "telemetry instead or run serially"
-            )
-        from repro.sim.parallel import ParallelSweepRunner
-
-        return ParallelSweepRunner(
-            workers=workers, supervisor=supervisor, fleet=fleet
-        ).run_algorithm(
-            config,
-            rates,
-            progress=progress,
-            telemetry_dir=telemetry_dir,
-            collect_counters=collect_counters,
-            faults=faults,
-            invariants=invariants,
-            watchdog=watchdog,
-            journal=journal,
-            resume=resume,
-            max_attempts=max_attempts,
-            retry_backoff_s=retry_backoff_s,
-            profile_into=profile_into,
-        )
-    curve = BNFCurve(label=config.algorithm)
-    # Mark this process as the journal's single writer for the whole
-    # sweep; a concurrent run over the same journal fails fast instead
-    # of interleaving checkpoint lines.
-    lock = journal.lock() if journal is not None else None
-    if lock is not None:
-        lock.acquire()
+    algorithm = spec.config.algorithm
+    telemetry = _point_telemetry(spec)
     try:
-        for rate in rates:
-            if resume and journal is not None:
-                cached = journal.completed_point(config.algorithm, rate)
-                if cached is not None:
-                    curve.add(cached)
-                    if progress is not None:
-                        progress(
-                            f"{config.algorithm} rate={rate:.4g} -> resumed "
-                            f"from journal"
-                        )
-                    continue
-            point = None
-            resilience = None
-            attempts = 0
-            for attempt in range(max_attempts):
-                attempts = attempt + 1
-                if attempt and retry_backoff_s > 0:
-                    time.sleep(retry_backoff_s * 2 ** (attempt - 1))
-                telemetry = _point_telemetry(
-                    config.algorithm,
-                    rate,
-                    telemetry_dir,
-                    collect_counters,
-                    profile=profile_into is not None,
+        point, resilience = _run_point(spec, telemetry, observer_factory, heartbeat)
+    except Exception as error:
+        return PointResult(
+            algorithm, spec.rate, spec.attempt + 1, None, None,
+            error=f"{type(error).__name__}: {error}",
+        )
+    return PointResult(
+        algorithm, spec.rate, spec.attempt + 1, point, resilience,
+        profile=telemetry.profiler.to_record() if spec.profile else None,
+    )
+
+
+def backoff_delay(retry_backoff_s: float, next_attempt: int) -> float:
+    """Exponential wall-clock backoff before (0-based) *next_attempt*."""
+    if next_attempt <= 0 or retry_backoff_s <= 0:
+        return 0.0
+    return retry_backoff_s * 2 ** (next_attempt - 1)
+
+
+@dataclass
+class Landing:
+    """Where every attempt's outcome lands, whoever ran the attempt.
+
+    One per sweep: it journals attempts, merges profiles, emits the
+    progress lines and collects the points the curves are assembled
+    from (``completed``, keyed like :attr:`PointSpec.key`).
+    """
+
+    journal: SweepJournal | None
+    progress: Callable[[str], None] | None
+    max_attempts: int
+    profile_into: PhaseProfiler | None
+    completed: dict[tuple[str, str], BNFPoint] = field(default_factory=dict)
+
+    def say(self, algorithm: str, rate: float, line: str) -> None:
+        if self.progress is not None:
+            self.progress(f"{algorithm} rate={rate:.4g} {line}")
+
+    def land(self, result: PointResult) -> None:
+        """Journal one finished attempt and, on success, keep its point."""
+        name, rate = result.algorithm, result.rate
+        if not result.ok:
+            if self.journal is not None:
+                self.journal.record_failure(
+                    name, rate, result.attempts, result.error
                 )
-                try:
-                    point, resilience = _run_point(
-                        config,
-                        rate,
-                        telemetry,
-                        observer_factory,
-                        faults,
-                        invariants,
-                        watchdog,
-                        attempt,
-                    )
-                    break
-                except Exception as error:
-                    if journal is not None:
-                        journal.record_failure(
-                            config.algorithm, rate, attempts, error
-                        )
-                    if progress is not None:
-                        progress(
-                            f"{config.algorithm} rate={rate:.4g} attempt "
-                            f"{attempts}/{max_attempts} failed: "
-                            f"{type(error).__name__}: {error}"
-                        )
-                    if attempts >= max_attempts:
-                        raise SweepPointError(
-                            config.algorithm, rate, attempts, error
-                        ) from error
-            assert point is not None
-            if profile_into is not None and telemetry is not None:
-                profile_into.merge(telemetry.profiler)
-            if journal is not None:
-                journal.record_success(
-                    config.algorithm,
-                    rate,
-                    point,
-                    attempts=attempts,
-                    resilience=resilience,
+            self.say(
+                name, rate,
+                f"attempt {result.attempts}/{self.max_attempts} failed: "
+                f"{result.error}",
+            )
+            return
+        if self.profile_into is not None and result.profile is not None:
+            self.profile_into.merge_record(result.profile)
+        if self.journal is not None:
+            self.journal.record_success(
+                name,
+                rate,
+                result.point,
+                attempts=result.attempts,
+                resilience=result.resilience,
+            )
+        self.completed[name, rate_key(rate)] = result.point
+        self.say(
+            name, rate,
+            f"-> thr={result.point.throughput:.3f} flits/router/ns, "
+            f"lat={result.point.latency_ns:.1f} ns",
+        )
+
+
+def _run_serial(pending: list[PointSpec], landing: Landing, observer_factory) -> None:
+    """The serial executor: every point in sweep order, in this process.
+
+    The byte-identity reference for the pooled executor.  It stops at
+    the first point that exhausts its attempts.
+    """
+    for spec in pending:
+        while True:
+            result = run_attempt(spec, observer_factory=observer_factory)
+            landing.land(result)
+            if result.ok:
+                break
+            if result.attempts >= landing.max_attempts:
+                raise SweepPointError(
+                    result.algorithm, result.rate, result.attempts, result.error
                 )
-            curve.add(point)
-            if progress is not None:
-                progress(
-                    f"{config.algorithm} rate={rate:.4g} -> "
-                    f"thr={point.throughput:.3f} flits/router/ns, "
-                    f"lat={point.latency_ns:.1f} ns"
-                )
-        if resume and journal is not None:
-            # The sweep finished with every point journalled as a
-            # success; retry history is now dead weight, so rewrite
-            # latest-wins.
-            journal.compact()
-    finally:
-        if lock is not None:
-            lock.release()
-    return curve
+            spec = replace(spec, attempt=result.attempts)
+            time.sleep(backoff_delay(spec.retry_backoff_s, spec.attempt))
 
 
 def sweep_algorithms(
@@ -431,55 +381,143 @@ def sweep_algorithms(
     supervisor: SupervisorConfig | None = None,
     fleet=None,
     profile_into: PhaseProfiler | None = None,
+    observer_factory: Callable[[str, float], Sequence] | None = None,
 ) -> dict[str, BNFCurve]:
     """Run several algorithms over the same loads (one Figure 10 panel).
 
-    With ``workers > 1`` every (algorithm, rate) point of the whole
-    panel is fanned out over one shared worker pool (see
-    :mod:`repro.sim.parallel`); with *fleet* set, over the service's
-    connected remote workers.  Either way a slow algorithm's
-    saturation tail overlaps the next algorithm's points instead of
-    serializing.
-    """
-    if workers > 1 or fleet is not None:
-        from repro.sim.parallel import ParallelSweepRunner
+    The one sweep driver (see the module docstring): one resume scan,
+    one journal lock, one executor, one :class:`Landing`; the curves'
+    points come back in *rates* order.
 
-        return ParallelSweepRunner(
-            workers=workers, supervisor=supervisor, fleet=fleet
-        ).run(
-            config,
-            algorithms,
-            rates,
-            progress=progress,
-            telemetry_dir=telemetry_dir,
-            collect_counters=collect_counters,
-            faults=faults,
-            invariants=invariants,
-            watchdog=watchdog,
-            journal=journal,
-            resume=resume,
-            max_attempts=max_attempts,
-            retry_backoff_s=retry_backoff_s,
-            profile_into=profile_into,
+    Args:
+        config: base configuration; algorithm and rate are filled in
+            per point.
+        algorithms: the curves to produce.
+        rates: offered loads to sweep.
+        progress: optional per-point status callback.
+        telemetry_dir: when set, each point writes a JSONL telemetry
+            trace (``<algorithm>_rate<rate>.jsonl``) into this
+            directory, readable with ``repro obs summarize``, and the
+            returned points carry their arbiter counters.
+        collect_counters: attach sink-less telemetry so every
+            :class:`~repro.sim.metrics.BNFPoint` carries its
+            per-algorithm nomination/grant/conflict counters without
+            writing trace files.  Implied by *telemetry_dir*.
+        faults: inject this fault schedule into every point (re-seeded
+            per retry attempt).
+        invariants: run periodic invariant sweeps in every point; any
+            violation fails the point (and triggers a retry).
+        watchdog: attach a progress watchdog to every point.
+        journal: checkpoint every finished point (and every failure)
+            to this :class:`~repro.resilience.SweepJournal`.  The
+            sweep holds the journal's lock, so a concurrent run over
+            the same journal fails fast instead of interleaving lines.
+        resume: with a journal, skip points whose latest record is a
+            success and splice the journalled
+            :class:`~repro.sim.metrics.BNFPoint` into the curve; a
+            resumed sweep that finishes compacts the journal (the
+            retry history is dead weight by then).
+        max_attempts: tries per point before giving up; retries bump
+            the simulation and fault seeds so a deterministic failure
+            is not replayed verbatim.
+        retry_backoff_s: wall-clock wait before attempt *n* grows as
+            ``retry_backoff_s * 2**(n-1)`` (0 disables waiting).
+        workers: 1 (the default) runs every point in this process, in
+            sweep order, and raises :class:`SweepPointError` at the
+            first point that exhausts *max_attempts*.  With
+            ``workers > 1`` all points of all algorithms share one set
+            of spawn-context workers under the
+            :class:`~repro.resilience.PointSupervisor` scheduler, with
+            bitwise identical per-point results: a dead worker is
+            replaced and its point retried, a point that fails every
+            attempt or keeps crashing workers is journalled, and the
+            sweep raises
+            :class:`~repro.sim.parallel.SweepSupervisionError` (a
+            :class:`SweepPointError`) only after every healthy point
+            landed.
+        supervisor: the scheduler's tuning -- a per-point deadline and
+            heartbeat-staleness bound (both off by default) at which
+            hung workers are reaped, and the ``quarantine_after``
+            crash count.  Ignored by the serial executor (there is no
+            worker process to supervise).
+        fleet: a live :class:`repro.service.ServiceServer`; points are
+            leased to its connected remote workers regardless of
+            *workers*.
+        profile_into: when set, every point runs with phase profiling
+            enabled and its arbitration/traversal/delivery wall-time
+            attribution is merged into this
+            :class:`~repro.obs.profiler.PhaseProfiler` (and, pooled,
+            into the sweep manifest).  Points resumed from a journal
+            contribute nothing (they did not run).
+        observer_factory: called as ``factory(algorithm, rate)`` before
+            each point; the returned observers (see
+            :mod:`repro.sim.observers`) are attached to that point's
+            simulator.  Serial executor only: observers cannot cross
+            the process boundary.
+    """
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    pooled = workers > 1 or fleet is not None
+    if pooled and observer_factory is not None:
+        raise ValueError(
+            "observer_factory is not supported with workers > 1 "
+            "(observers cannot cross the process boundary); attach "
+            "telemetry instead or run serially"
         )
+    resume = resume and journal is not None
+    landing = Landing(journal, progress, max_attempts, profile_into)
+    pending: list[PointSpec] = []
+    for algorithm in algorithms:
+        algo_config = config.with_algorithm(algorithm)
+        for rate in rates:
+            cached = journal.completed_point(algorithm, rate) if resume else None
+            if cached is not None:
+                landing.completed[algorithm, rate_key(rate)] = cached
+                landing.say(algorithm, rate, "-> resumed from journal")
+                continue
+            pending.append(PointSpec(
+                config=algo_config,
+                rate=rate,
+                telemetry_dir=telemetry_dir,
+                collect_counters=collect_counters,
+                faults=faults,
+                invariants=invariants,
+                watchdog=watchdog,
+                retry_backoff_s=retry_backoff_s,
+                profile=profile_into is not None,
+            ))
+    with journal.lock() if journal is not None else nullcontext():
+        if pooled:
+            from repro.sim.parallel import run_pooled
+
+            run_pooled(
+                pending, landing, algorithms, rates, telemetry_dir,
+                workers, supervisor, fleet,
+            )
+        else:
+            _run_serial(pending, landing, observer_factory)
+        if resume:
+            journal.compact()
     return {
-        algorithm: sweep_algorithm(
-            config.with_algorithm(algorithm),
-            rates,
-            progress,
-            telemetry_dir=telemetry_dir,
-            collect_counters=collect_counters,
-            faults=faults,
-            invariants=invariants,
-            watchdog=watchdog,
-            journal=journal,
-            resume=resume,
-            max_attempts=max_attempts,
-            retry_backoff_s=retry_backoff_s,
-            profile_into=profile_into,
+        algorithm: BNFCurve(
+            label=algorithm,
+            points=[landing.completed[algorithm, rate_key(rate)] for rate in rates],
         )
         for algorithm in algorithms
     }
+
+
+def sweep_algorithm(
+    config: SimulationConfig, rates: Sequence[float], **options
+) -> BNFCurve:
+    """Sweep ``config.algorithm`` alone: one curve.
+
+    *options* are :func:`sweep_algorithms`' keyword arguments.
+    """
+    curves = sweep_algorithms(config, (config.algorithm,), rates, **options)
+    return curves[config.algorithm]
 
 
 def sweep_standalone(

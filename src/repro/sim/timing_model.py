@@ -57,6 +57,11 @@ from repro.sim.engine import EventQueue
 from repro.sim.metrics import BNFPoint, NetworkStats
 from repro.sim.traffic import PoissonInjector, make_pattern
 
+#: simulated cycles between in-loop heartbeat ticks of a supervised
+#: run; the sender throttles to wall time on top, so this only bounds
+#: how fine-grained "the event loop is alive" can be.
+HEARTBEAT_INTERVAL_CYCLES = 1_000.0
+
 
 class NetworkSimulator:
     """One timing-model run: build with a config, call :meth:`run`.
@@ -84,14 +89,12 @@ class NetworkSimulator:
         watchdog: WatchdogConfig | ProgressWatchdog | None = None,
         finalize_at_drain: bool = False,
         heartbeat=None,
-        heartbeat_interval_cycles: float = 1_000.0,
     ) -> None:
         self.config = config
         #: optional liveness callable (see repro.resilience.supervisor):
         #: driven from inside the event loop via a periodic tick, so a
         #: wedged loop stops beating -- which is the whole point.
         self.heartbeat = heartbeat
-        self._heartbeat_interval = float(heartbeat_interval_cycles)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         if faults is not None and not isinstance(faults, FaultInjector):
             faults = FaultInjector(faults)
@@ -276,7 +279,7 @@ class NetworkSimulator:
         if self.heartbeat is not None:
             self.heartbeat()  # "simulation entered its event loop"
             self.queue.schedule_after(
-                self._heartbeat_interval, self._heartbeat_tick
+                HEARTBEAT_INTERVAL_CYCLES, self._heartbeat_tick
             )
         self.queue.run_until(self._window_end)
         if self.invariants is not None:
@@ -651,7 +654,7 @@ class NetworkSimulator:
         self.heartbeat()
         if self.queue.now < self._window_end or self._outstanding_work():
             self.queue.schedule_after(
-                self._heartbeat_interval, self._heartbeat_tick
+                HEARTBEAT_INTERVAL_CYCLES, self._heartbeat_tick
             )
 
     # -- delivery & statistics ------------------------------------------------------

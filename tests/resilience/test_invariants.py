@@ -1,5 +1,10 @@
 """Runtime invariant checking: clean runs stay clean, broken state trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.types import Grant, Nomination, SourceKind
@@ -99,6 +104,47 @@ class TestViolationDetection:
         with pytest.raises(InvariantViolationError) as excinfo:
             checker.raise_if_violated()
         assert "packet-conservation" in str(excinfo.value)
+
+
+#: an overloaded 4x4 run whose closing full walk finds dozens of over-age
+#: packets spread over several channels of the same buffers.
+_FULL_WALK_SCRIPT = """
+from repro.resilience import InvariantChecker, InvariantConfig
+from repro.sim import NetworkConfig, SimulationConfig, TrafficConfig
+from repro.sim.timing_model import NetworkSimulator
+config = SimulationConfig(
+    network=NetworkConfig(width=4, height=4),
+    traffic=TrafficConfig(injection_rate=0.05),
+    warmup_cycles=200, measure_cycles=800, seed=11,
+)
+checker = InvariantChecker(
+    InvariantConfig(check_interval_cycles=1e9, max_wait_cycles=50.0)
+)
+NetworkSimulator(config, invariants=checker).run()
+for violation in checker.violations:
+    print(violation.time, violation.name, violation.detail)
+"""
+
+
+class TestHashSeedIndependence:
+    def test_full_walk_reports_in_the_same_order_under_any_hash_seed(self):
+        """Spawned sweep workers each get a random PYTHONHASHSEED; the
+        violations (and so, under fail_fast, the *first* one) must not
+        depend on it."""
+        reports = []
+        for hash_seed in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"),
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", _FULL_WALK_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            reports.append(done.stdout.splitlines())
+        assert len(reports[0]) > 20
+        assert reports[0] == reports[1]
 
 
 class TestInFlightTracker:

@@ -1,4 +1,4 @@
-"""Parallel sweep runner: parity with serial, plumbing, failure modes.
+"""Pooled sweep executor: parity with serial, plumbing, failure modes.
 
 The heavyweight guarantee -- ``workers=N`` produces bitwise identical
 per-point stats to ``workers=1`` for every timing algorithm -- lives
@@ -8,17 +8,17 @@ so the resilience CI slice exercises them.
 """
 
 import json
+import re
 
 import pytest
 
 from repro.core.registry import TIMING_ALGORITHMS
 from repro.sim.config import NetworkConfig, SimulationConfig, TrafficConfig
-from repro.sim.parallel import (
-    ParallelSweepRunner,
-    PointSpec,
-    run_point_attempt,
-)
+from repro.resilience.checkpoint import SweepJournal
+from repro.resilience.invariants import InvariantConfig
+from repro.sim.parallel import KILL_POINT_ENV, run_point_attempt
 from repro.sim.sweep import (
+    PointSpec,
     SweepPointError,
     sweep_algorithm,
     sweep_algorithms,
@@ -74,7 +74,19 @@ class TestParity:
 class TestPlumbing:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers"):
-            ParallelSweepRunner(workers=0)
+            sweep_algorithms(tiny_config(), ("PIM1",), RATES, workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            sweep_algorithm(tiny_config(), RATES, workers=0)
+
+    def test_serial_sweep_ignores_worker_fault_hooks(self, monkeypatch):
+        """The kill hook belongs to the worker entry: a serial sweep
+        runs in this very process and must never read it."""
+        expected = sweep_algorithm(tiny_config(), RATES)
+        monkeypatch.setenv(KILL_POINT_ENV, "*")
+        curve = sweep_algorithm(tiny_config(), RATES, workers=1)
+        assert [p.as_dict() for p in curve.points] == [
+            p.as_dict() for p in expected.points
+        ]
 
     def test_observer_factory_rejected_in_parallel(self):
         with pytest.raises(ValueError, match="observer_factory"):
@@ -124,8 +136,6 @@ class TestFailurePropagation:
     def test_worker_failure_raises_sweep_point_error(self):
         """A point that fails in a worker fails the sweep with the
         serial runner's exception type, attempts and last error."""
-        from repro.resilience.invariants import InvariantConfig
-
         # An impossible age bound: every buffered packet is instantly
         # "too old", so every attempt fails inside the worker.
         invariants = InvariantConfig(
@@ -141,3 +151,38 @@ class TestFailurePropagation:
             )
         assert excinfo.value.attempts == 2
         assert "invariant" in str(excinfo.value)
+
+    def test_serial_and_pooled_journal_the_same_failures(self, tmp_path):
+        """One landing path: the same always-failing point leaves the
+        same (status, attempt, error) records whoever ran the attempts.
+
+        Packet uids come from a per-process counter, so the violation
+        texts agree only up to the uid.
+        """
+        invariants = InvariantConfig(
+            check_interval_cycles=100.0, max_wait_cycles=1e-9
+        )
+        records = {}
+        for workers in (1, 2):
+            journal = SweepJournal(tmp_path / f"workers{workers}.jsonl")
+            with pytest.raises(SweepPointError):
+                sweep_algorithm(
+                    tiny_config(),
+                    (0.02,),
+                    invariants=invariants,
+                    journal=journal,
+                    max_attempts=2,
+                    workers=workers,
+                )
+            records[workers] = sorted(
+                (
+                    record["status"],
+                    record["attempt"],
+                    re.sub(r"packet #\d+", "packet #N", record["error"]),
+                )
+                for record in map(
+                    json.loads, journal.path.read_text().splitlines()
+                )
+            )
+        assert len(records[1]) == 2
+        assert records[1] == records[2]
