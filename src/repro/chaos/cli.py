@@ -35,28 +35,14 @@ from repro.chaos.scenario import (
     active_fault_dimensions,
 )
 from repro.chaos.shrink import shrink_scenario, write_minimal
-from repro.resilience.supervisor import SupervisorConfig
+from repro.experiments.cli import progress_printer, supervisor_from_flags
 
 
 def _space(preset: str) -> ScenarioSpace:
     return ScenarioSpace.smoke() if preset == "smoke" else ScenarioSpace()
 
 
-def _progress(args: argparse.Namespace):
-    if args.quiet:
-        return None
-    return lambda message: print(message, file=sys.stderr, flush=True)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    supervisor = None
-    if args.point_timeout is not None:
-        if args.point_timeout <= 0:
-            raise SystemExit("--point-timeout must be positive")
-        supervisor = SupervisorConfig(
-            point_timeout_s=args.point_timeout,
-            heartbeat_stale_s=args.point_timeout,
-        )
     config = CampaignConfig(
         output_dir=args.output_dir,
         seed=args.seed,
@@ -68,9 +54,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         resume=args.resume,
         shrink_failures=args.shrink,
         traces=not args.no_traces,
-        supervisor=supervisor,
+        # The manifest gains its supervisor section only with an explicit
+        # config: without --point-timeout it stays byte-identical to a
+        # plain run's, local or fleet.
+        supervisor=(
+            supervisor_from_flags(args.point_timeout)
+            if args.point_timeout is not None
+            else None
+        ),
+        fleet=args.fleet,
     )
-    result = run_campaign(config, progress=_progress(args))
+    result = run_campaign(config, progress=progress_printer(args))
     totals = ", ".join(
         f"{status}={count}" for status, count in result.status_totals().items()
     )
@@ -103,7 +97,7 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
     record = load_bundle(bundle_path)
     scenario = ChaosScenario.from_dict(record["scenario"])
     target = record["outcome"]["status"]
-    progress = _progress(args)
+    progress = progress_printer(args)
     if progress is not None:
         progress(f"shrinking {scenario.scenario_id} (target: {target})")
     minimal, steps = shrink_scenario(
@@ -284,8 +278,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return service_main(["serve", "chaos", *args.rest])
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, fleet=None) -> int:
+    """Run one chaos command line.  *fleet* is how ``serve`` runs a
+    ``run`` line it was handed: the live ``ServiceServer`` whose remote
+    workers take the scenarios (:mod:`repro.service.jobs`)."""
     args = build_parser().parse_args(argv)
+    args.fleet = fleet
     if getattr(args, "workers", 1) < 1:
         raise SystemExit("--workers must be at least 1")
     return args.func(args)

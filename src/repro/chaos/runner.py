@@ -171,6 +171,8 @@ def _run_timing(
     )
     telemetry = _telemetry(trace_path)
     try:
+        # Building the simulator is guarded too: a scenario the model
+        # cannot even construct is a crash outcome, not an exception.
         simulator = NetworkSimulator(
             config,
             telemetry=telemetry,
@@ -179,12 +181,11 @@ def _run_timing(
             watchdog=dog,
             heartbeat=heartbeat,
         )
-        try:
-            point = simulator.bnf_point()
-            drained = simulator.drain(scenario.drain_budget)
-            checker.check_network(simulator, full=True)
-        except Exception as error:
-            return _crash_outcome(scenario, error)
+        point = simulator.bnf_point()
+        drained = simulator.drain(scenario.drain_budget)
+        checker.check_network(simulator, full=True)
+    except Exception as error:
+        return _crash_outcome(scenario, error)
     finally:
         if telemetry is not None:
             telemetry.sink.close()

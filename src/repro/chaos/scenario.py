@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields, replace
 from repro.core.registry import STANDALONE_ALGORITHMS, TIMING_ALGORITHMS
 from repro.resilience.faults import FaultConfig
 from repro.sim.config import DESTINATION_PATTERNS
+from repro.sim.traffic import pattern_fits
 
 SCENARIO_KINDS = ("timing", "standalone")
 
@@ -315,7 +316,13 @@ def generate_scenarios(
                     kind="timing",
                     algorithm=rng.choice(space.timing_algorithms),
                     seed=rng.randrange(1 << 30),
-                    pattern=rng.choice(space.patterns),
+                    # Only patterns that exist on the drawn torus:
+                    # 3x3 has no bit-reversal or perfect-shuffle.
+                    pattern=rng.choice([
+                        pattern
+                        for pattern in space.patterns
+                        if pattern_fits(pattern, width * height)
+                    ]),
                     injection_rate=round(rng.uniform(low, high), 6),
                     width=width,
                     height=height,

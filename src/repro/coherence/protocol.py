@@ -21,6 +21,7 @@ keeps the coherence logic unit-testable with a stub host.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Protocol
 
@@ -76,6 +77,11 @@ class CoherenceEngine:
         self._rng = rng
         self.mshrs = [MSHRFile(mshr_limit) for _ in range(num_nodes)]
         self._live: dict[int, Transaction] = {}
+        # Ids are numbered per engine, i.e. per run: what a run writes
+        # (traces, "packet #N" diagnostics, which packets a sampling
+        # observer picks) must not depend on what its process ran before.
+        self._tids = itertools.count()
+        self._uids = itertools.count()
         #: transactions abandoned because a carrying packet was dropped
         #: (fault injection); their MSHRs are released so the node can
         #: keep issuing misses.
@@ -103,7 +109,7 @@ class CoherenceEngine:
             kind = TransactionKind.THREE_HOP
             owner = self._pick_owner(requester, home)
         transaction = Transaction(
-            tid=Transaction.next_tid(),
+            tid=next(self._tids),
             kind=kind,
             requester=requester,
             home=home,
@@ -119,6 +125,7 @@ class CoherenceEngine:
                 destination=home,
                 transaction=transaction.tid,
                 injected_at=self._host.now,
+                uid=next(self._uids),
                 sink_outputs=(int(OutputPort.IO),),
             )
             self._host.enqueue_local(requester, InputPort.IO, request)
@@ -129,6 +136,7 @@ class CoherenceEngine:
             destination=home,
             transaction=transaction.tid,
             injected_at=self._host.now,
+            uid=next(self._uids),
             # A request sinks at the home's memory controller port.
             sink_outputs=(int(OutputPort.L0) + transaction.mc_index,),
         )
@@ -184,6 +192,7 @@ class CoherenceEngine:
             destination=transaction.owner,
             transaction=transaction.tid,
             injected_at=self._host.now,
+            uid=next(self._uids),
             sink_outputs=None,  # delivered to the owner's cache: L0 or L1
         )
         mc_port = InputPort.MC0 if transaction.mc_index == 0 else InputPort.MC1
@@ -210,6 +219,7 @@ class CoherenceEngine:
             destination=transaction.requester,
             transaction=transaction.tid,
             injected_at=self._host.now,
+            uid=next(self._uids),
             sink_outputs=None,  # either local port reaches the cache
         )
         self._host.enqueue_local(source, mc_port, response)
@@ -228,6 +238,7 @@ class CoherenceEngine:
             destination=transaction.requester,
             transaction=transaction.tid,
             injected_at=self._host.now,
+            uid=next(self._uids),
             sink_outputs=(int(OutputPort.IO),),
         )
         self._host.enqueue_local(transaction.home, InputPort.IO, data)

@@ -10,7 +10,6 @@ which may cross many routers.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 
@@ -33,7 +32,8 @@ class Transaction:
     """One outstanding cache miss and its packet trail.
 
     Attributes:
-        tid: unique transaction id.
+        tid: transaction id, unique within its run (numbered by the
+            :class:`~repro.coherence.protocol.CoherenceEngine`).
         kind: two- or three-hop flow.
         requester: node that missed.
         home: node owning the directory/memory for the line.
@@ -55,15 +55,9 @@ class Transaction:
     forward_delivered_at: float | None = None
     completed_at: float | None = None
 
-    _tids = itertools.count()
-
     @property
     def complete(self) -> bool:
         return self.completed_at is not None
-
-    @staticmethod
-    def next_tid() -> int:
-        return next(Transaction._tids)
 
 
 @dataclass

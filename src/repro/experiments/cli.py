@@ -8,6 +8,7 @@ Usage::
     repro-experiments all --preset fast
     repro-experiments obs summarize results/traces/**/*.jsonl
     repro-experiments chaos run --seed 7 --count 20 --output-dir chaos-out
+    repro-experiments serve fig10 --preset paper --invariants --port 7421
     repro-experiments serve chaos --output-dir out --port 7421
     repro-experiments work --connect cohost:7421
 
@@ -17,7 +18,12 @@ that ``--telemetry-dir`` produces; ``chaos`` delegates to
 :mod:`repro.chaos.cli` for randomized fault campaigns with
 deterministic replay bundles (see docs/chaos.md); ``serve`` / ``work``
 / ``submit`` / ``status`` delegate to :mod:`repro.service.cli`, the
-distributed sweep/chaos service (see docs/service.md).
+distributed sweep/chaos service (see docs/service.md).  ``serve`` and
+``submit`` take a ``fig10``/``fig11`` line of this very command line
+(or ``chaos`` + the flags of ``chaos run``) as their job and run it
+through :func:`main` with the fleet as executor: every flag below
+means there what it means here, except ``--workers``, which a fleet
+ignores.
 """
 
 from __future__ import annotations
@@ -37,28 +43,26 @@ from repro.resilience import (
 from repro.sim.sweep import SweepGuard
 
 
-def _supervisor_config(args: argparse.Namespace) -> SupervisorConfig | None:
-    """Build the scheduler's knobs from the CLI flags.
+def supervisor_from_flags(
+    point_timeout: float | None, quarantine_after: int = 3
+) -> SupervisorConfig:
+    """The scheduler's knobs from ``--point-timeout``/``--quarantine-after``,
+    for this front door and the chaos sub-CLI.
 
-    Every ``--workers > 1`` sweep runs under the scheduler, so the
-    config exists whenever a pool does (``--quarantine-after`` alone
-    must take effect).  ``--point-timeout`` arms both the hard
-    per-point deadline and the heartbeat-staleness bound at the same
-    value: a wedged point stops beating long before a healthy one
-    would exhaust the deadline, and one number is all the CLI needs to
-    expose.  Without it both stay off and only a dead worker is acted
-    on.
+    ``--point-timeout`` arms both the hard per-point deadline and the
+    heartbeat-staleness bound at the same value: a wedged point stops
+    beating long before a healthy one would exhaust the deadline, and
+    one number is all the CLI needs to expose.  Without it both stay
+    off and only a dead worker is acted on.
     """
-    if args.point_timeout is not None and args.point_timeout <= 0:
+    if point_timeout is not None and point_timeout <= 0:
         raise SystemExit("--point-timeout must be positive")
-    if args.quarantine_after < 1:
+    if quarantine_after < 1:
         raise SystemExit("--quarantine-after must be at least 1")
-    if args.workers == 1 and args.point_timeout is None:
-        return None
     return SupervisorConfig(
-        point_timeout_s=args.point_timeout,
-        heartbeat_stale_s=args.point_timeout,
-        quarantine_after=args.quarantine_after,
+        point_timeout_s=point_timeout,
+        heartbeat_stale_s=point_timeout,
+        quarantine_after=quarantine_after,
     )
 
 
@@ -74,6 +78,7 @@ def _sweep_guard(args: argparse.Namespace) -> SweepGuard | None:
         or args.max_attempts > 1
         or args.point_timeout is not None
         or args.workers > 1
+        or args.fleet is not None
     )
     if not wanted:
         return None
@@ -99,7 +104,13 @@ def _sweep_guard(args: argparse.Namespace) -> SweepGuard | None:
         journal_path=args.journal_dir,
         resume=args.resume,
         max_attempts=args.max_attempts,
-        supervisor=_supervisor_config(args),
+        # Always built: every pooled sweep (--workers > 1, or a fleet)
+        # runs under the scheduler, so --quarantine-after alone must take
+        # effect; the serial executor ignores it.
+        supervisor=supervisor_from_flags(
+            args.point_timeout, args.quarantine_after
+        ),
+        fleet=args.fleet,
     )
 
 
@@ -142,7 +153,7 @@ def _run_fig10(args: argparse.Namespace) -> str:
     result = figure10.run_figure10(
         preset=args.preset,
         panels=panels,
-        progress=_progress(args),
+        progress=progress_printer(args),
         telemetry_dir=args.telemetry_dir,
         guard=_sweep_guard(args),
         workers=args.workers,
@@ -159,7 +170,7 @@ def _run_fig11(args: argparse.Namespace) -> str:
     result = figure11.run_figure11(
         preset=args.preset,
         panels=panels,
-        progress=_progress(args),
+        progress=progress_printer(args),
         telemetry_dir=args.telemetry_dir,
         guard=_sweep_guard(args),
         workers=args.workers,
@@ -184,7 +195,9 @@ _EXPERIMENTS = {
 }
 
 
-def _progress(args: argparse.Namespace):
+def progress_printer(args: argparse.Namespace):
+    """The sweep/campaign ``progress`` callback (stderr lines), or
+    ``None`` under ``--quiet``; shared with the chaos sub-CLI."""
     if args.quiet:
         return None
     return lambda message: print(message, file=sys.stderr, flush=True)
@@ -314,28 +327,32 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="with --workers > 1, also reap any worker whose point "
-             "exceeds SECONDS of wall clock or whose in-loop heartbeat "
-             "goes stale for SECONDS, journal the reap, and retry the "
-             "point on a fresh worker; without it only a dead worker "
-             "is replaced (see docs/resilience.md)",
+        help="with --workers > 1 or on a fleet, also reap any worker "
+             "whose point exceeds SECONDS of wall clock or whose in-loop "
+             "heartbeat goes stale for SECONDS, journal the reap, and "
+             "retry the point on a fresh worker; without it only a dead "
+             "worker is replaced (see docs/resilience.md)",
     )
     resilience.add_argument(
         "--quarantine-after",
         type=int,
         default=3,
         metavar="K",
-        help="with --workers > 1, quarantine a point after K crashes "
-             "(worker deaths or reaps) instead of retrying it forever "
-             "(default 3)",
+        help="with --workers > 1 or on a fleet, quarantine a point after "
+             "K crashes (worker deaths or reaps) instead of retrying it "
+             "forever (default 3)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress lines"
     )
+    parser.set_defaults(fleet=None)  # not a flag: see main()
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, fleet=None) -> int:
+    """Run one command line.  *fleet* is how ``serve`` runs a fig10/fig11
+    line it was handed: the live ``ServiceServer`` whose remote workers
+    take the sweep points (:mod:`repro.service.jobs`)."""
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "obs":
@@ -356,6 +373,7 @@ def main(argv: list[str] | None = None) -> int:
 
         return service_main(argv)
     args = build_parser().parse_args(argv)
+    args.fleet = fleet
     if args.workers < 1:
         raise SystemExit("--workers must be at least 1")
     names = sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Iterator
 
 from repro.network.topology import Direction
 
@@ -87,8 +86,11 @@ class Packet:
         transaction: int | None = None,
         injected_at: float = 0.0,
         sink_outputs: tuple[int, ...] | None = None,
+        uid: int | None = None,
     ) -> None:
-        self.uid = next(Packet._uids)
+        #: unique within a run: the coherence engine numbers its packets
+        #: from 0; only a hand-built packet draws from the class counter.
+        self.uid = next(Packet._uids) if uid is None else uid
         self.pclass = pclass
         self.source = source
         self.destination = destination
@@ -115,8 +117,3 @@ class Packet:
             f"<Packet #{self.uid} {self.pclass.label} "
             f"{self.source}->{self.destination}>"
         )
-
-
-def packet_uid_stream() -> Iterator[int]:
-    """The shared uid counter (exposed for tests)."""
-    return Packet._uids

@@ -12,11 +12,17 @@ Usage::
     repro-experiments submit chaos --connect cohost:7421 --output-dir out
     repro-experiments status --connect cohost:7421
 
+A job is the local command line: ``serve`` and ``submit`` parse only
+``--host/--port/--wait-workers/--quiet`` and ``--connect``, wherever
+they sit; the rest (``fig10 ...``, ``fig11 ...`` or ``chaos <the flags
+of "chaos run">``) goes to :mod:`repro.service.jobs` unread.
+
 ``serve`` with a job runs it and then broadcasts ``shutdown`` so the
 fleet exits cleanly; ``serve`` without one idles, draining submitted
-jobs in arrival order until interrupted.  A SIGKILLed coordinator
-restarts with ``--resume``: the journal already holds every completed
-point, so only the remainder is re-leased.
+jobs in arrival order until interrupted (a job that fails is reported
+and the coordinator stays up).  A SIGKILLed coordinator restarts with
+``--resume``: the journal already holds every completed point, so only
+the remainder is re-leased.
 """
 
 from __future__ import annotations
@@ -24,9 +30,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+import time
+import traceback
 
-from repro.service.jobs import JOB_KINDS, job_from_args, run_job
+from repro.service.jobs import check_job, run_job
 from repro.service.protocol import connect
 from repro.service.server import ServiceServer
 from repro.service.worker import WorkerConfig, run_worker
@@ -44,21 +51,24 @@ def _parse_endpoint(text: str) -> tuple[str, int]:
         raise SystemExit(f"bad --connect port in {text!r}") from error
 
 
-def _progress(args: argparse.Namespace):
-    if getattr(args, "quiet", False):
-        return None
-    return lambda message: print(message, file=sys.stderr, flush=True)
-
-
-def _wait_for_workers(server: ServiceServer, count: int) -> None:
-    import time
-
-    while len(server.workers) < count:
-        time.sleep(0.05)
+def _ask(endpoint: str, frame: dict) -> dict | None:
+    """One frame to the coordinator at *endpoint*, its one reply back."""
+    channel = connect(*_parse_endpoint(endpoint))
+    try:
+        channel.send(frame)
+        return channel.recv()
+    finally:
+        channel.close()
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    # Progress lines are the job's: its own --quiet silences them.
+    quiet = ["--quiet"] if args.quiet else []
+    if args.job:
+        check_job(args.job)
     with ServiceServer(args.host, args.port) as server:
+        if not args.job:  # idle: take submitted jobs from the first moment
+            server.set_job_check(check_job)
         state = {"state": "idle"}
         server.set_status_provider(
             lambda: {
@@ -73,21 +83,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
         try:
-            if args.wait_workers:
-                _wait_for_workers(server, args.wait_workers)
-            if args.job is not None:
-                job = job_from_args(args)
-                state["state"] = f"running {job['kind']}"
-                return run_job(server, job, progress=_progress(args))
+            while len(server.workers) < args.wait_workers:
+                time.sleep(0.05)
+            if args.job:
+                state["state"] = f"running {args.job[0]}"
+                return run_job(server, args.job + quiet)
             while True:  # idle: drain submitted jobs until interrupted
-                frame = server.jobs.get()
-                job = frame.get("job") or {}
-                state["state"] = f"running {job.get('kind')}"
-                code = run_job(server, job, progress=_progress(args))
+                job = server.jobs.get()["job"]
+                state["state"] = f"running {job[0]}"
+                # A job that dies must not take the coordinator and its
+                # fleet with it: report, then back to idle.
+                try:
+                    code = run_job(server, job + quiet)
+                except SystemExit as error:  # the job's own usage errors
+                    code = error.code
+                except Exception:  # noqa: BLE001
+                    traceback.print_exc()
+                    code = 1
                 state["state"] = "idle"
-                if code != 0:
+                if code:
                     print(
-                        f"submitted {job.get('kind')} job exited {code}",
+                        f"submitted {job[0]} job failed: {code}",
                         file=sys.stderr,
                         flush=True,
                     )
@@ -111,29 +127,18 @@ def _cmd_work(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    host, port = _parse_endpoint(args.connect)
-    job = job_from_args(args)
-    channel = connect(host, port)
-    try:
-        channel.send({"type": "submit", "job": job})
-        reply = channel.recv()
-    finally:
-        channel.close()
-    if reply is None or reply.get("type") != "ok":
-        print("coordinator rejected the submission", file=sys.stderr)
+    check_job(args.job)
+    reply = _ask(args.connect, {"type": "submit", "job": args.job}) or {}
+    if reply.get("type") != "ok":
+        detail = reply.get("detail", "no reply")
+        print(f"coordinator refused the job: {detail}", file=sys.stderr)
         return 1
-    print(f"submitted {job['kind']} to session {reply.get('session')}")
+    print(f"submitted {args.job[0]} to session {reply.get('session')}")
     return 0
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    host, port = _parse_endpoint(args.connect)
-    channel = connect(host, port)
-    try:
-        channel.send({"type": "status"})
-        reply = channel.recv()
-    finally:
-        channel.close()
+    reply = _ask(args.connect, {"type": "status"})
     if reply is None:
         print("no status reply", file=sys.stderr)
         return 1
@@ -147,76 +152,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_job_flags(parser: argparse.ArgumentParser) -> None:
-    """The job-describing flags ``serve`` and ``submit`` share."""
-    parser.add_argument(
-        "job",
-        nargs="?" if parser.prog.endswith("serve") else None,
-        choices=JOB_KINDS,
-        help="what to run over the fleet (fig10, fig11 or chaos)",
-    )
-    parser.add_argument(
-        "--preset",
-        default="fast",
-        help="figure preset (paper/fast/smoke) or chaos sizing (fast/smoke)",
-    )
-    parser.add_argument(
-        "--panel", default=None, help="restrict fig10/fig11 to one panel"
-    )
-    parser.add_argument(
-        "--telemetry-dir", type=Path, default=None,
-        help="fig10/fig11: per-point JSONL traces + sweep manifests here",
-    )
-    parser.add_argument(
-        "--journal-dir", type=Path, default=None,
-        help="fig10/fig11: per-panel sweep journals under this directory",
-    )
-    parser.add_argument(
-        "--output", type=Path, default=None,
-        help="fig10/fig11: also write the figure report here",
-    )
-    parser.add_argument(
-        "--max-attempts", type=int, default=1,
-        help="fig10/fig11: in-task tries per point (default 1)",
-    )
-    parser.add_argument(
-        "--output-dir", type=Path, default=None,
-        help="chaos: campaign directory (journal, traces/, bundles/)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="chaos: campaign seed")
-    parser.add_argument(
-        "--count", type=int, default=20, help="chaos: scenarios to generate"
-    )
-    parser.add_argument(
-        "--inject-deadlock", action="store_true",
-        help="chaos: append the guaranteed-deadlock scenario",
-    )
-    parser.add_argument(
-        "--no-standalone", action="store_true",
-        help="chaos: timing-model scenarios only",
-    )
-    parser.add_argument(
-        "--no-traces", action="store_true",
-        help="chaos: skip per-scenario telemetry traces",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="skip work already completed in the journal",
-    )
-    parser.add_argument(
-        "--point-timeout", type=float, default=None, metavar="SECONDS",
-        help="lease deadline & heartbeat-staleness bound per point; a "
-             "worker past either is kicked and the point re-leased",
-    )
-    parser.add_argument(
-        "--quarantine-after", type=int, default=3, metavar="K",
-        help="quarantine a point after K lost/kicked workers (default 3)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress progress lines"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -227,8 +162,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Whatever these two verbs do not claim is the job, so a job flag
+    # must never be eaten as the abbreviation of one of theirs.
+    takes_job = dict(
+        allow_abbrev=False,
+        description="JOB is the local command line, unchanged: 'fig10 ...', "
+                    "'fig11 ...' or 'chaos <the flags of chaos run>'.  Every "
+                    "word that is not one of the options below belongs to "
+                    "it, wherever it sits.",
+    )
     serve_p = sub.add_parser(
-        "serve", help="run the coordinator (one-shot job, or idle + submit)"
+        "serve",
+        help="run the coordinator (one-shot JOB, or idle + submit)",
+        **takes_job,
     )
     serve_p.add_argument(
         "--host", default="127.0.0.1",
@@ -243,14 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--wait-workers", type=int, default=0, metavar="N",
         help="wait until N workers have joined before starting the job",
     )
-    _add_job_flags(serve_p)
+    serve_p.add_argument(
+        "--quiet", action="store_true",
+        help="suppress the progress lines of every job this coordinator runs",
+    )
     serve_p.set_defaults(func=_cmd_serve)
 
     work_p = sub.add_parser("work", help="join a coordinator as a fleet worker")
-    work_p.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="the coordinator to join",
-    )
     work_p.add_argument(
         "--name", default=None, help="worker name shown in status/traces"
     )
@@ -266,29 +211,31 @@ def build_parser() -> argparse.ArgumentParser:
     work_p.set_defaults(func=_cmd_work)
 
     submit_p = sub.add_parser(
-        "submit", help="hand a job to an idle (serve, no job) coordinator"
+        "submit",
+        help="hand JOB to an idle (serve, no job) coordinator",
+        **takes_job,
     )
-    submit_p.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="the coordinator to submit to",
-    )
-    _add_job_flags(submit_p)
     submit_p.set_defaults(func=_cmd_submit)
 
     status_p = sub.add_parser("status", help="query a coordinator's status")
     status_p.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="the coordinator to query",
-    )
-    status_p.add_argument(
         "--json", action="store_true", help="print the raw status frame"
     )
     status_p.set_defaults(func=_cmd_status)
+    for client_p in (work_p, submit_p, status_p):
+        client_p.add_argument(
+            "--connect", required=True, metavar="HOST:PORT",
+            help="the coordinator's address",
+        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, job = parser.parse_known_args(argv)
+    args.job = job  # whatever serve/submit did not claim
+    if job and args.command not in ("serve", "submit"):
+        parser.error(f"unrecognized arguments: {' '.join(job)}")
     return args.func(args)
 
 

@@ -14,8 +14,10 @@ A connection's first frame routes it:
   ``("message", conn, frame)`` / ``("leave", conn)`` items;
 * ``status`` -- a one-shot client; answered from the status provider
   and closed without touching the inbox;
-* ``submit`` -- a one-shot client handing in a job; the decoded frame
-  is pushed onto :attr:`jobs` and acknowledged.
+* ``submit`` -- a one-shot client handing in a job; the job check
+  decides before the answer: an accepted frame is pushed onto
+  :attr:`jobs` and acknowledged with ``ok``, a refused one is answered
+  with an ``error`` frame and goes nowhere.
 
 The server restarts cleanly after a coordinator SIGKILL because it
 holds no durable state at all -- the journal is the only truth, and
@@ -66,9 +68,10 @@ class ServiceServer:
         self.session = secrets.token_hex(8)
         #: ("join", wc) / ("message", wc, frame) / ("leave", wc)
         self.inbox: "queue.Queue[tuple]" = queue.Queue()
-        #: decoded ``submit`` frames awaiting the serve loop.
+        #: accepted ``submit`` frames awaiting the serve loop.
         self.jobs: "queue.Queue[dict]" = queue.Queue()
         self._status_provider: Callable[[], dict] = lambda: {}
+        self._job_check: Callable[[Any], None] = self._no_jobs
         self._workers: list[WorkerConnection] = []
         self._lock = threading.Lock()
         self._closed = False
@@ -110,6 +113,16 @@ class ServiceServer:
     def set_status_provider(self, provider: Callable[[], dict]) -> None:
         """Install the callable answering one-shot ``status`` queries."""
         self._status_provider = provider
+
+    def set_job_check(self, check: Callable[[Any], None]) -> None:
+        """Install the callable deciding ``submit`` frames: it is handed
+        the frame's job and raises (or exits, as a parser does) to
+        refuse it.  Whoever installs one drains :attr:`jobs`."""
+        self._job_check = check
+
+    @staticmethod
+    def _no_jobs(job: Any) -> None:
+        raise SystemExit("this coordinator does not take submitted jobs")
 
     @property
     def workers(self) -> list[WorkerConnection]:
@@ -162,8 +175,7 @@ class ServiceServer:
         elif kind == "status":
             self._answer(channel, self._safe_status())
         elif kind == "submit":
-            self.jobs.put(frame)
-            self._answer(channel, {"type": "ok", "session": self.session})
+            self._answer(channel, self._take_job(frame))
         else:
             channel.close()
 
@@ -173,6 +185,14 @@ class ServiceServer:
         except OSError:
             pass
         channel.close()
+
+    def _take_job(self, frame: dict) -> dict:
+        try:
+            self._job_check(frame.get("job"))
+        except (Exception, SystemExit) as error:  # noqa: BLE001 - refused
+            return {"type": "error", "detail": str(error)}
+        self.jobs.put(frame)
+        return {"type": "ok", "session": self.session}
 
     def _safe_status(self) -> dict:
         try:

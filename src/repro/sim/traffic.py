@@ -50,12 +50,11 @@ class _BitPermutationPattern(DestinationPattern):
     """Shared machinery for the fixed bit-permutation patterns."""
 
     def __init__(self, num_nodes: int) -> None:
-        bits = num_nodes.bit_length() - 1
-        if num_nodes < 2 or (1 << bits) != num_nodes:
+        if not pattern_fits(self.name, num_nodes):
             raise ValueError(
                 f"{self.name} needs a power-of-two node count, got {num_nodes}"
             )
-        self._bits = bits
+        self._bits = num_nodes.bit_length() - 1
         self._num_nodes = num_nodes
 
     def destination(self, source: int) -> int:
@@ -101,6 +100,14 @@ def make_pattern(
     if name == "perfect-shuffle":
         return PerfectShufflePattern(topology.num_nodes)
     raise ValueError(f"unknown destination pattern {name!r}")
+
+
+def pattern_fits(name: str, num_nodes: int) -> bool:
+    """Whether :func:`make_pattern` can build *name* on *num_nodes* nodes
+    (the bit-permutation patterns need a power-of-two count)."""
+    return num_nodes >= 2 and (
+        name == "uniform" or num_nodes & (num_nodes - 1) == 0
+    )
 
 
 class PoissonInjector:

@@ -79,6 +79,16 @@ class TestTimingRuns:
         assert res["drained_clean"] is False
 
 
+    def test_unbuildable_scenario_is_a_crash_outcome_not_an_exception(self):
+        """run_scenario never raises: perfect-shuffle needs a
+        power-of-two node count, so the simulator cannot be built."""
+        outcome = run_scenario(
+            tiny_timing_scenario(pattern="perfect-shuffle", width=3, height=3)
+        )
+        assert outcome.status == "crash"
+        assert "power-of-two" in outcome.detail
+
+
 class TestStandaloneRuns:
     def test_clean_standalone_scenario_is_ok(self):
         scenario = ChaosScenario(

@@ -45,6 +45,30 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_scenarios(7, 0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_default_space_draws_only_buildable_patterns(self, seed):
+        """The permutation patterns need a power-of-two node count, so a
+        3x3 scenario must never draw one (a third of the default space
+        used to be unbuildable)."""
+        import random
+
+        from repro.network.topology import Torus2D
+        from repro.sim.traffic import make_pattern
+
+        scenarios = generate_scenarios(
+            seed, 200, ScenarioSpace(), include_standalone=False
+        )
+        assert {(s.width, s.height) for s in scenarios} == {(2, 2), (3, 3)}
+        assert {s.pattern for s in scenarios if s.width == 2} == set(
+            ScenarioSpace().patterns
+        )
+        for scenario in scenarios:
+            make_pattern(
+                scenario.pattern,
+                Torus2D(scenario.width, scenario.height),
+                random.Random(0),
+            )  # raises ValueError on a pattern the torus cannot host
+
     def test_random_stalls_are_always_finite(self):
         """Permanent stalls are reserved for the injected probe."""
         for scenario in generate_scenarios(7, 50):

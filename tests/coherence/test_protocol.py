@@ -6,7 +6,7 @@ import pytest
 
 from repro.coherence.mshr import MSHRFile
 from repro.coherence.protocol import CoherenceEngine
-from repro.coherence.transactions import Transaction, TransactionKind
+from repro.coherence.transactions import TransactionKind
 from repro.network.packets import Packet, PacketClass
 from repro.router.ports import InputPort, OutputPort
 
@@ -190,4 +190,18 @@ class TestEngineBookkeeping:
         assert engine.outstanding_transactions == 1
 
     def test_transaction_ids_unique(self):
-        assert Transaction.next_tid() != Transaction.next_tid()
+        engine = make_engine(StubHost())
+        first = engine.try_start_transaction(0, 1)
+        second = engine.try_start_transaction(1, 0)
+        assert first.tid != second.tid
+
+    def test_ids_are_numbered_per_engine(self):
+        """Ids restart with every engine (= every run), so what a run
+        writes never depends on what its process simulated before."""
+        def ids():
+            host = StubHost()
+            engine = make_engine(host)
+            tids = [engine.try_start_transaction(0, 1).tid for _ in range(3)]
+            return tids, [packet.uid for _, _, packet in host.injected]
+
+        assert ids() == ids() == ([0, 1, 2], [0, 1, 2])

@@ -43,6 +43,18 @@ class TestSupervisorFlags:
         assert supervisor.point_timeout_s is None
         assert supervisor.heartbeat_stale_s is None
 
+    def test_a_fleet_is_a_pool_with_no_workers_flag(self):
+        """``serve fig10 --quarantine-after 5``: the guard exists, carries
+        the fleet and the knob, and needs no --point-timeout."""
+        from repro.experiments.cli import _sweep_guard
+
+        args = build_parser().parse_args(["fig10", "--quarantine-after", "5"])
+        args.fleet = fleet = object()
+        guard = _sweep_guard(args)
+        assert guard.fleet is fleet
+        assert guard.supervisor.quarantine_after == 5
+        assert guard.supervisor.point_timeout_s is None
+
     def test_point_timeout_arms_deadline_and_staleness(self):
         supervisor = self._guard(
             "--workers", "2", "--point-timeout", "30"

@@ -174,6 +174,29 @@ class TestIntegration:
         observed_sim.attach_observer(ThroughputTimeline(100.0))
         assert observed_sim.bnf_point() == plain
 
+    def test_sampled_packets_do_not_depend_on_earlier_runs(self):
+        """Packet ids are numbered per run: back-to-back runs of one
+        config sample the same packets (they did not while the uid
+        counter was process-global)."""
+        config = SimulationConfig(
+            network=NetworkConfig(width=2, height=2),
+            traffic=TrafficConfig(injection_rate=0.01),
+            warmup_cycles=200,
+            measure_cycles=1_000,
+            seed=3,
+        )
+
+        def sampled():
+            sim = NetworkSimulator(config)
+            tracer = PacketTracer(sample_every=7)
+            sim.attach_observer(tracer)
+            sim.run()
+            return tracer.traces
+
+        first, second = sampled(), sampled()
+        assert first and min(first) == 0
+        assert first == second
+
     def test_observers_through_a_real_sweep(self):
         """All three observers ride a sweep via observer_factory."""
         from repro.sim.sweep import sweep_algorithm
