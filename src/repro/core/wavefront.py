@@ -109,22 +109,26 @@ class WavefrontArbiter(Arbiter):
         # Wrapped wave fronts: diagonal d contains the cells whose
         # (row - start_row) mod R == (d - (col - start_col)) mod R, so
         # each diagonal touches every column at most once and distinct
-        # rows.  Sweeping d = 0 .. R-1 visits every cell exactly once,
-        # starting with the diagonal through the priority cell.
+        # rows.  Sweeping d = 0 .. R-1, and each diagonal by column
+        # offset, visits every cell exactly once, starting with the
+        # diagonal through the priority cell; only requested cells can
+        # be granted, so only they are visited, in the sweep's order.
         rows, cols = self._num_rows, self._num_outputs
-        for diagonal in range(rows):
-            for col_offset in range(cols):
-                col = (start_col + col_offset) % cols
-                row = (start_row + diagonal - col_offset) % rows
-                if row in granted_rows or col in granted_cols:
-                    continue
-                nom = cells.get((row, col))
-                if nom is None or nom.packet in granted_packets:
-                    continue
-                grants.append(Grant(row=row, packet=nom.packet, output=col))
-                granted_rows.add(row)
-                granted_cols.add(col)
-                granted_packets.add(nom.packet)
+        front = []
+        for row, col in cells:
+            col_offset = (col - start_col) % cols
+            front.append(((row - start_row + col_offset) % rows, col_offset, row, col))
+        front.sort()
+        for _, _, row, col in front:
+            if row in granted_rows or col in granted_cols:
+                continue
+            nom = cells[(row, col)]
+            if nom.packet in granted_packets:
+                continue
+            grants.append(Grant(row=row, packet=nom.packet, output=col))
+            granted_rows.add(row)
+            granted_cols.add(col)
+            granted_packets.add(nom.packet)
 
         self._advance_pointer()
         tel = self.telemetry

@@ -32,20 +32,11 @@ class PacketClass(enum.Enum):
     def __init__(self, label: str, flits: int) -> None:
         self.label = label
         self.flits = flits
-
-    @property
-    def is_io(self) -> bool:
-        return self in (PacketClass.WRITE_IO, PacketClass.READ_IO)
-
-    @property
-    def has_escape_channels(self) -> bool:
-        """All classes except SPECIAL get adaptive + VC0 + VC1."""
-        return self is not PacketClass.SPECIAL
-
-    @property
-    def adaptive_allowed(self) -> bool:
-        """I/O packets only ride the deadlock-free channels (ordering)."""
-        return not self.is_io and self is not PacketClass.SPECIAL
+        self.is_io = label in ("write_io", "read_io")
+        #: all classes except SPECIAL get adaptive + VC0 + VC1
+        self.has_escape_channels = label != "special"
+        #: I/O packets only ride the deadlock-free channels (ordering)
+        self.adaptive_allowed = not self.is_io and self.has_escape_channels
 
 
 FLIT_BITS = 39

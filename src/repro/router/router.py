@@ -76,6 +76,13 @@ _DEFAULT_SINKS = (int(OutputPort.L0), int(OutputPort.L1))
 #: never-selected channels rank oldest, in channel order: they start on
 #: distinct stamps below the first real one (the LRS clock starts at 1).
 _UNSELECTED_STAMPS = tuple(range(-NUM_CHANNELS, 0))
+#: one input port's rows, as a mask shifted down to its first row
+_PORT_ROWS = (1 << READ_PORTS_PER_INPUT) - 1
+#: the arbiters' ``free_outputs`` for every free-output mask
+_FREE_OUTPUT_SETS = tuple(
+    frozenset(out for out in range(NUM_OUTPUT_PORTS) if mask >> out & 1)
+    for mask in range(1 << NUM_OUTPUT_PORTS)
+)
 
 
 def _sinks(packet: Packet) -> tuple[int, ...]:
@@ -190,6 +197,8 @@ class Router:
         ]
         #: per input port, the union of its heads' output masks
         self._wanted = [0] * NUM_INPUT_PORTS
+        #: the union of those: outputs any buffered head could leave by
+        self._wanted_any = 0
         #: packets in all eight buffers
         self._buffered = 0
         for port, buffer in self.buffers.items():
@@ -254,7 +263,12 @@ class Router:
         wanted = 0
         for _, outputs in heads.values():
             wanted |= outputs
-        self._wanted[port] = wanted
+        if wanted != self._wanted[port]:
+            self._wanted[port] = wanted
+            wanted_any = 0
+            for of_port in self._wanted:
+                wanted_any |= of_port
+            self._wanted_any = wanted_any
 
     def head_index_drift(self) -> list[str]:
         """Where the nomination index disagrees with the buffers.
@@ -265,6 +279,7 @@ class Router:
         """
         drift = []
         buffered = 0
+        wanted_any = 0
         for port, buffer in self.buffers.items():
             buffered += buffer.occupancy()
             heads = {}
@@ -274,6 +289,7 @@ class Router:
                 outputs = self._productive_outputs(int(port), head)
                 heads[channel.index] = (head, outputs)
                 wanted |= outputs
+            wanted_any |= wanted
             if heads != self._heads[port]:
                 drift.append(
                     f"{port.name}: indexed heads {self._heads[port]} "
@@ -284,6 +300,11 @@ class Router:
                     f"{port.name}: indexed outputs {self._wanted[port]:#b} "
                     f"but heads want {wanted:#b}"
                 )
+        if wanted_any != self._wanted_any:
+            drift.append(
+                f"indexed outputs of all ports {self._wanted_any:#b} "
+                f"but heads want {wanted_any:#b}"
+            )
         if buffered != self._buffered:
             drift.append(
                 f"counted {self._buffered} packets but buffers hold {buffered}"
@@ -291,6 +312,19 @@ class Router:
         return drift
 
     # -- nomination (the LA stage) -------------------------------------
+
+    def _free_mask(self, time: float) -> int:
+        """The outputs whose busy window has ended by *time*, as a mask."""
+        b0, b1, b2, b3, b4, b5, b6 = self.output_busy_until
+        return (
+            (1 if b0 <= time else 0)
+            | (2 if b1 <= time else 0)
+            | (4 if b2 <= time else 0)
+            | (8 if b3 <= time else 0)
+            | (16 if b4 <= time else 0)
+            | (32 if b5 <= time else 0)
+            | (64 if b6 <= time else 0)
+        )
 
     def nominate(
         self,
@@ -300,12 +334,11 @@ class Router:
         nominations_per_port: int = READ_PORTS_PER_INPUT,
     ) -> Launch | None:
         """Build one arbitration launch; None when nothing is ready."""
-        free = 0
-        bit = 1
-        for busy_until in self.output_busy_until:
-            if busy_until <= resolve_time:
-                free |= bit
-            bit <<= 1
+        if not self._buffered:
+            return None
+        free = self._free_mask(resolve_time)
+        if not self._wanted_any & free:
+            return None
         nominations: list[Nomination] = []
         plans: dict[tuple[int, int, int], HopPlan] = {}
         row_outputs = self._row_outputs
@@ -315,6 +348,8 @@ class Router:
                 continue
             port_nominations = 0
             first_row = port * READ_PORTS_PER_INPUT
+            if self._rows_in_flight >> first_row & _PORT_ROWS == _PORT_ROWS:
+                continue  # both read ports are waiting for their resolve
             for row in range(first_row, first_row + READ_PORTS_PER_INPUT):
                 if port_nominations >= nominations_per_port:
                     break
@@ -421,14 +456,15 @@ class Router:
             ]
         _, adaptive, escape = self._routes[packet.destination]
         pclass = packet.pclass
+        downstream = self.downstream
         if pclass.adaptive_allowed:
             target = adaptive_channel(pclass)
-            hops = [
-                (int(direction), target)
-                for direction in adaptive
-                if ready >> direction & 1
-                and self._downstream_buffer(direction).can_reserve(target)
-            ]
+            hops = []
+            for direction in adaptive:
+                if ready >> direction & 1:
+                    neighbor, in_port = downstream[direction]
+                    if neighbor.buffers[in_port].can_reserve(target):
+                        hops.append((int(direction), target))
             if hops:
                 return hops
         # Blocked adaptively (or I/O-class): try the escape network.
@@ -437,7 +473,8 @@ class Router:
         target = escape_channel(
             pclass, escape_vc_after_hop(self.topology, packet, self.node, escape)
         )
-        if self._downstream_buffer(escape).can_reserve(target):
+        neighbor, in_port = downstream[escape]
+        if neighbor.buffers[in_port].can_reserve(target):
             return [(int(escape), target)]
         return []
 
@@ -451,12 +488,20 @@ class Router:
         """Run the arbitration algorithm and apply its grants."""
         live: list[Nomination] = []
         speculation_drops = 0
+        free = self._free_mask(now)  # grants are applied after the loop
+        plans = launch.plans
         for nom in launch.nominations:
-            outputs = tuple(
-                out
-                for out in nom.outputs
-                if self._still_ready(launch.plans[(nom.row, nom.packet, out)], now)
-            )
+            outputs = nom.outputs
+            if len(outputs) > 1:
+                outputs = tuple(
+                    out
+                    for out in outputs
+                    if self._still_ready(plans[(nom.row, nom.packet, out)], free)
+                )
+            elif not self._still_ready(
+                plans[(nom.row, nom.packet, outputs[0])], free
+            ):
+                outputs = ()
             self._rows_in_flight &= ~(1 << nom.row)
             if outputs:
                 if outputs != nom.outputs:
@@ -482,12 +527,7 @@ class Router:
             return []
 
         live = self.antistarvation.classify(live, now)
-        free_outputs = frozenset(
-            out
-            for out in range(NUM_OUTPUT_PORTS)
-            if self.output_busy_until[out] <= now
-        )
-        grants = self.arbiter.arbitrate(live, free_outputs)
+        grants = self.arbiter.arbitrate(live, _FREE_OUTPUT_SETS[free])
         if self.grant_filter is not None:
             grants = self.grant_filter(self, launch, live, grants, now)
         granted = {nom_key for nom_key in ((g.row, g.packet) for g in grants)}
@@ -510,10 +550,11 @@ class Router:
         """Public readiness probe (used by the fault injector's
         mis-routing, which must not redirect onto a busy output or a
         full downstream buffer)."""
-        return self._still_ready(plan, now)
+        return self._still_ready(plan, self._free_mask(now))
 
-    def _still_ready(self, plan: HopPlan, now: float) -> bool:
-        if self.output_busy_until[int(plan.output)] > now:
+    def _still_ready(self, plan: HopPlan, free: int) -> bool:
+        """*free* is the mask of outputs free at the time of asking."""
+        if not free >> plan.output & 1:
             return False
         if plan.target_channel is None:
             return True

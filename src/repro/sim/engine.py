@@ -13,6 +13,8 @@ import heapq
 import math
 from typing import Callable
 
+_INF = math.inf
+
 
 class EventQueue:
     """Time-ordered callback queue with FIFO tie-breaking."""
@@ -24,21 +26,21 @@ class EventQueue:
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run *callback* when the clock reaches *time*."""
-        if not math.isfinite(time):
-            # NaN would silently corrupt the heap ordering (every
-            # comparison is False) and inf would wedge run_until_idle;
-            # both are always latent arithmetic bugs upstream.
-            raise ValueError(f"event time must be finite, got {time!r}")
-        if time < self.now:
+        if not self.now <= time < _INF:
+            if not math.isfinite(time):
+                # NaN would silently corrupt the heap ordering (every
+                # comparison is False) and inf would wedge run_until_idle;
+                # both are always latent arithmetic bugs upstream.
+                raise ValueError(f"event time must be finite, got {time!r}")
             raise ValueError(f"cannot schedule at {time} before now={self.now}")
         heapq.heappush(self._heap, (time, self._sequence, callback))
         self._sequence += 1
 
     def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
         """Run *callback* after *delay* cycles."""
-        if not math.isfinite(delay):
-            raise ValueError(f"delay must be finite, got {delay!r}")
-        if delay < 0:
+        if not 0 <= delay < _INF:
+            if not math.isfinite(delay):
+                raise ValueError(f"delay must be finite, got {delay!r}")
             raise ValueError("delay cannot be negative")
         self.schedule_at(self.now + delay, callback)
 

@@ -154,6 +154,10 @@ class NetworkSimulator:
         ]
         for router in self.routers:
             router.output_tail_cycles = float(self.timing.tail_cycles)
+        #: the launch-attempt event of each router, by node
+        self._launch_attempts = [
+            partial(self._try_launch, router) for router in self.routers
+        ]
         self._wire_topology()
 
         self._link_faults_active = faults is not None and faults.affects_links
@@ -409,15 +413,16 @@ class NetworkSimulator:
     # -- arbitration launches ---------------------------------------------------
 
     def _request_launch(self, router: Router, delay: float = 0.0) -> None:
-        time = max(
-            self.queue.now + delay,
-            router.last_launch_time + self.timing.initiation_interval,
-        )
+        now = self.queue.now
+        time = now + delay
+        window_end = router.last_launch_time + self.timing.initiation_interval
+        if window_end > time:
+            time = window_end
         scheduled = router.launch_scheduled_at
-        if scheduled is not None and self.queue.now <= scheduled <= time:
+        if scheduled is not None and now <= scheduled <= time:
             return  # an attempt at least as early is already queued
         router.launch_scheduled_at = time
-        self.queue.schedule_at(time, partial(self._try_launch, router))
+        self.queue.schedule_at(time, self._launch_attempts[router.node])
 
     def _try_launch(self, router: Router) -> None:
         now = self.queue.now
@@ -444,10 +449,12 @@ class NetworkSimulator:
             # _request_launch dedup when an earlier, doomed attempt is
             # already queued).  Re-arm at the next output-free time.
             if router.total_buffered():
-                next_free = min(
-                    (t for t in router.output_busy_until if t > now),
-                    default=None,
-                )
+                next_free = None
+                for busy_until in router.output_busy_until:
+                    if busy_until > now and (
+                        next_free is None or busy_until < next_free
+                    ):
+                        next_free = busy_until
                 if next_free is not None:
                     self._request_launch(router, delay=next_free - now)
             return

@@ -51,6 +51,27 @@ class TestPacketClasses:
         assert not PacketClass.SPECIAL.adaptive_allowed
 
 
+    def test_class_flags_for_all_seven_classes(self):
+        """The flags are plain attributes set once per class; the table
+        is what the former properties computed (is_io: the two I/O
+        classes; escape channels: all but SPECIAL; adaptive: neither)."""
+        flags = {
+            pclass.name: (
+                pclass.is_io, pclass.adaptive_allowed, pclass.has_escape_channels
+            )
+            for pclass in PacketClass
+        }
+        assert flags == {
+            "REQUEST": (False, True, True),
+            "FORWARD": (False, True, True),
+            "BLOCK_RESPONSE": (False, True, True),
+            "NONBLOCK_RESPONSE": (False, True, True),
+            "WRITE_IO": (True, False, True),
+            "READ_IO": (True, False, True),
+            "SPECIAL": (False, False, False),
+        }
+
+
 class TestPacket:
     def test_unique_uids(self):
         first = Packet(PacketClass.REQUEST, 0, 1)

@@ -87,6 +87,15 @@ class TestViolationDetection:
         assert [v.name for v in found] == ["nomination-index"]
         assert f"node {router.node}" in found[0].detail
 
+    def test_corrupted_wanted_outputs_union_detected(self, tiny_config):
+        sim = NetworkSimulator(tiny_config)
+        sim.run()
+        router = next(r for r in sim.routers if r.total_buffered())
+        router._wanted_any ^= 0b1111111  # nominate's early return now lies
+        found = InvariantChecker().check_network(sim, full=True)
+        assert [v.name for v in found] == ["nomination-index"]
+        assert "indexed outputs of all ports" in found[0].detail
+
     def test_fail_fast_raises_at_the_breach(self, tiny_config):
         sim = NetworkSimulator(tiny_config)
         sim.run()

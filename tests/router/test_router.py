@@ -217,6 +217,49 @@ class TestResolve:
             is not None
 
 
+class TestFreeMask:
+    def test_equals_the_per_output_loop_around_every_busy_window_end(self):
+        _, routers = build_network()
+        router = routers[0]
+        router.output_busy_until[:] = [0.0, 4.5, 4.5, 12.0, 7.5, 1e9, 3.0]
+        for busy_until in router.output_busy_until:
+            for time in (busy_until, busy_until - 1e-9, busy_until + 1e-9):
+                expected = 0
+                for out, end in enumerate(router.output_busy_until):
+                    if end <= time:
+                        expected |= 1 << out
+                assert router._free_mask(time) == expected
+        assert router._free_mask(float("-inf")) == 0
+        assert router._free_mask(float("inf")) == 0b1111111
+
+
+class TestWantedOutputsIndex:
+    def test_drift_reports_a_corrupted_union_of_wanted_outputs(self):
+        _, routers = build_network()
+        router = routers[0]
+        inject(router, Packet(PacketClass.REQUEST, source=0, destination=1))
+        assert router._wanted_any == 1 << int(OutputPort.EAST)
+        assert router.head_index_drift() == []
+        router._wanted_any = 0  # nominate would now sleep on a ready head
+        assert router.head_index_drift() == [
+            "indexed outputs of all ports 0b0 but heads want 0b100"
+        ]
+
+    def test_union_follows_arrivals_and_departures(self):
+        _, routers = build_network()
+        router = routers[0]
+        packet = Packet(PacketClass.REQUEST, source=0, destination=1)
+        inject(router, packet)
+        inject(router, Packet(PacketClass.BLOCK_RESPONSE, source=1, destination=0),
+               port=InputPort.MC0)
+        locals_mask = 1 << int(OutputPort.L0) | 1 << int(OutputPort.L1)
+        assert router._wanted_any == 1 << int(OutputPort.EAST) | locals_mask
+        launch = router.nominate(0.0, 0.0, fanout=1, nominations_per_port=1)
+        router.resolve(3.0, launch)
+        assert router._wanted_any == 0
+        assert router.head_index_drift() == []
+
+
 class TestEscapeVcProgression:
     def test_dateline_switches_to_vc1_on_wraparound(self):
         topology, routers = build_network(width=4, height=2)

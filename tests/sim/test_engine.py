@@ -99,6 +99,35 @@ class TestNonFiniteTimes:
         with pytest.raises(ValueError, match="finite"):
             queue.schedule_after(float("inf"), lambda: None)
 
+    @pytest.mark.parametrize("method, value, message", [
+        ("schedule_at", float("nan"), "event time must be finite, got nan"),
+        ("schedule_at", float("inf"), "event time must be finite, got inf"),
+        ("schedule_at", float("-inf"), "event time must be finite, got -inf"),
+        ("schedule_at", 2.0, "cannot schedule at 2.0 before now=5.0"),
+        ("schedule_after", float("nan"), "delay must be finite, got nan"),
+        ("schedule_after", float("inf"), "delay must be finite, got inf"),
+        ("schedule_after", float("-inf"), "delay must be finite, got -inf"),
+        ("schedule_after", -1.0, "delay cannot be negative"),
+    ])
+    def test_rejection_names_the_fault_and_leaves_the_queue_untouched(
+        self, method, value, message
+    ):
+        queue = EventQueue()
+        queue.schedule_at(9.0, lambda: None)
+        queue.run_until(5.0)
+        heap, sequence = list(queue._heap), queue._sequence
+        with pytest.raises(ValueError) as caught:
+            getattr(queue, method)(value, lambda: None)
+        assert str(caught.value) == message
+        assert (queue._heap, queue._sequence) == (heap, sequence)
+
+    def test_the_present_and_a_zero_delay_are_accepted(self):
+        queue = EventQueue()
+        queue.run_until(5.0)
+        queue.schedule_at(5.0, lambda: None)
+        queue.schedule_after(0.0, lambda: None)
+        assert [entry[:2] for entry in queue._heap] == [(5.0, 0), (5.0, 1)]
+
     def test_queue_unchanged_after_rejection(self):
         queue = EventQueue()
         with pytest.raises(ValueError):
