@@ -52,6 +52,11 @@ def test_arb_latency_cost(benchmark, perf_record):
     assert 0.005 <= loss <= 0.15
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: at smoke/seed 42 the pipelining-only gain "
+           "reads -2.3% at 122 ns; the claim is re-scored there",
+)
 @pytest.mark.repro("text claim T2: pipelining alone buys SPAA ~8%")
 def test_pipelining_gain(benchmark, perf_record):
     rates = (0.01, 0.03, 0.045)

@@ -46,11 +46,7 @@ def test_figure10_4x4_random(benchmark, perf_record):
     panel = _reduced(PANELS[0], (0.005, 0.02, 0.045, 0.065))
     curves = benchmark.pedantic(
         run_panel,
-        kwargs={
-            "panel": panel,
-            "preset": "smoke",
-            "profile_into": perf_record.profiler,
-        },
+        kwargs={"panel": panel, "preset": "smoke"},
         iterations=1,
         rounds=1,
     )
@@ -86,7 +82,6 @@ def test_figure10_8x8_rotary_rescues_saturation(benchmark, perf_record):
             panel,
             preset="smoke",
             algorithms=("SPAA-base", "SPAA-rotary"),
-            profile_into=perf_record.profiler,
         )
 
     curves = benchmark.pedantic(run, iterations=1, rounds=1)

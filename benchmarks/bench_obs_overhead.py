@@ -75,9 +75,9 @@ def test_disabled_telemetry_overhead_under_two_percent(perf_record):
     with perf_record.phase("interleaved-runs"):
         baseline, nulled = _interleaved_medians(None, NULL_TELEMETRY)
     overhead = nulled / baseline - 1.0
-    # The gated metric is the baseline simulation rate (higher is
+    # The recorded metric is the baseline simulation rate (higher is
     # better); the near-zero, sign-flipping overhead fraction is
-    # context, not a gateable trajectory.
+    # context, so it goes into the record's ``extra``.
     perf_record.metric("sim_runs_per_s", 1.0 / baseline, unit="runs/s")
     perf_record.note(disabled_overhead_fraction=overhead)
     print(
@@ -107,8 +107,8 @@ def test_counters_only_overhead_is_moderate(perf_record):
 
 
 def test_event_tracing_runs_and_reports(perf_record):
-    """Events mode: no gate, the measured number for the docs and the
-    recorded series ``repro-obs perf gate`` watches."""
+    """Events mode: no threshold, the measured number for the docs and
+    ``BENCH_overhead.json``."""
     with perf_record.phase("interleaved-runs"):
         # A sink closes when its run finalizes: a fresh one per run.
         baseline, traced = _interleaved_medians(

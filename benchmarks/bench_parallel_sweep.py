@@ -3,12 +3,14 @@
 A Figure 10 panel is embarrassingly parallel (every (algorithm, rate)
 point is an independent simulation), so ``sweep_algorithms(...,
 workers=N)`` should approach N-fold speedup once the per-point work
-dwarfs the spawn/pickle overhead.  This bench records the scaling
-curve at workers in {1, 2, 4} and always gates the acceptance
-criterion that matters on any machine -- per-point stats bitwise
-identical to the serial run.  The speedup gate itself only arms on
-hosts with >= 4 cores: on the 1-2 core CI runners a process pool
-cannot beat serial and the curve is reported without being gated.
+dwarfs the spawn/pickle overhead.  This bench runs the sweep at
+workers in {1, 2, 4} and always gates the acceptance criterion that
+matters on any machine -- per-point stats bitwise identical to the
+serial run.  A ``speedup_N_workers`` metric is recorded only on a host
+with at least N + 1 CPUs (N workers plus the parent); on a smaller one
+the pool cannot beat serial, so the record carries a "not measurable"
+note instead of a number, and the speedup assert only arms on >= 4
+cores.
 """
 
 from __future__ import annotations
@@ -43,11 +45,10 @@ def _config() -> SimulationConfig:
     )
 
 
-def _timed_sweep(workers: int, profile_into=None) -> tuple[float, dict]:
+def _timed_sweep(workers: int) -> tuple[float, dict]:
     started = time.perf_counter()
     curves = sweep_algorithms(
-        _config(), TIMING_ALGORITHMS, RATES, workers=workers,
-        profile_into=profile_into,
+        _config(), TIMING_ALGORITHMS, RATES, workers=workers
     )
     return time.perf_counter() - started, curves
 
@@ -64,11 +65,8 @@ def _flatten(curves: dict) -> dict:
 def test_parallel_sweep_scaling(benchmark, perf_record):
     cores = os.cpu_count() or 1
     npoints = len(TIMING_ALGORITHMS) * len(RATES)
-    # Both the serial and the pooled runs profile into the same record:
-    # the parity gate below compares full point dicts (counters
-    # included), so every run must attach identical telemetry.
     serial_time, serial_curves = benchmark.pedantic(
-        _timed_sweep, args=(1, perf_record.profiler), iterations=1, rounds=1
+        _timed_sweep, args=(1,), iterations=1, rounds=1
     )
     print(f"\n  {npoints} points, {cores} cores")
     print(f"  workers=1: {serial_time:6.2f}s  (speedup 1.00x)")
@@ -78,13 +76,16 @@ def test_parallel_sweep_scaling(benchmark, perf_record):
         )
     speedups = {1: 1.0}
     for workers in (2, 4):
-        parallel_time, parallel_curves = _timed_sweep(
-            workers, perf_record.profiler
-        )
+        parallel_time, parallel_curves = _timed_sweep(workers)
         speedups[workers] = serial_time / parallel_time
-        perf_record.metric(
-            f"speedup_{workers}_workers", speedups[workers], unit="x"
-        )
+        if cores >= workers + 1:
+            perf_record.metric(
+                f"speedup_{workers}_workers", speedups[workers], unit="x"
+            )
+        else:
+            perf_record.note(**{
+                f"speedup_{workers}_workers": f"not measurable: {cores} cpus"
+            })
         print(
             f"  workers={workers}: {parallel_time:6.2f}s  "
             f"(speedup {speedups[workers]:.2f}x)"

@@ -8,11 +8,11 @@ claims* on its output, so a performance run doubles as a reproduction
 check.
 
 Every bench takes the ``perf_record`` fixture and registers at least
-one domain throughput metric on it (``repro obs perf check`` enforces
-this statically).  At session end the collected records are written as
-``BENCH_<area>.json`` at the repo root and appended to
-``results/perf/history.jsonl`` -- see :mod:`repro.obs.perf` and the
-"Perf trajectory" section of docs/observability.md.
+one domain throughput metric on it.  At session end the collected
+records are written as ``BENCH_<area>.json`` at the repo root (an area
+file is left alone when the session ran only some of its benches) --
+see :mod:`repro.obs.perf` and the "Bench records" section of
+docs/observability.md.
 """
 
 from __future__ import annotations
@@ -49,10 +49,9 @@ def perf_record(request) -> PerfRecorder:
     """Structured perf record for one bench (see repro.obs.perf).
 
     Yields a :class:`~repro.obs.perf.PerfRecorder`; the bench registers
-    domain metrics (``perf_record.metric``), attributes time to phases
-    (``perf_record.phase`` / ``profile_into=perf_record.profiler``) and
-    the fixture times the test body and files the record with the
-    session.
+    domain metrics (``perf_record.metric``), attributes time to its
+    own coarse phases (``perf_record.phase``) and the fixture times the
+    test body and files the record with the session.
     """
     recorder = PerfRecorder(
         name=request.node.name,
@@ -71,11 +70,12 @@ def pytest_sessionfinish(session, exitstatus):
     paths = perf_session.write(REPO_ROOT)
     reporter = session.config.pluginmanager.get_plugin("terminalreporter")
     if reporter is not None:
-        reporter.write_line(
-            "perf records: "
-            + ", ".join(path.name for path in paths)
-            + f" (+{len(paths)} history lines)"
-        )
+        if paths:
+            reporter.write_line(
+                "perf records: " + ", ".join(path.name for path in paths)
+            )
+        for line in perf_session.kept:
+            reporter.write_line(f"perf records: {line}")
         for module in sorted(perf_session.unmapped_modules):
             reporter.write_line(
                 f"perf records: WARNING {module} has no area mapping "

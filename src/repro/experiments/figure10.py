@@ -143,7 +143,6 @@ def run_panel(
     telemetry_dir=None,
     guard: SweepGuard | None = None,
     workers: int = 1,
-    profile_into=None,
 ) -> dict[str, BNFCurve]:
     """Sweep one Figure 10 panel.
 
@@ -155,15 +154,11 @@ def run_panel(
     the journal is scoped per panel.  With ``workers > 1`` the panel's
     (algorithm, rate) points run on pooled workers (see
     :func:`repro.sim.sweep.sweep_algorithms`) with bitwise identical
-    per-point stats.  With *profile_into* (a
-    :class:`~repro.obs.profiler.PhaseProfiler`) every point's
-    arbitration/traversal/delivery wall-time attribution is merged
-    into it -- this is how the benchmark suite's perf records learn
-    where a panel's time went.
+    per-point stats.
     """
     return sweep_panel(
         panel_slug(panel.name), panel_config(panel, preset, seed), algorithms,
-        panel.rates, progress, telemetry_dir, guard, workers, profile_into,
+        panel.rates, progress, telemetry_dir, guard, workers,
     )
 
 
@@ -176,7 +171,6 @@ def sweep_panel(
     telemetry_dir,
     guard: SweepGuard | None,
     workers: int,
-    profile_into,
 ) -> dict[str, BNFCurve]:
     """Sweep one figure panel (Figure 10 or 11) under its own *slug*.
 
@@ -193,7 +187,6 @@ def sweep_panel(
         progress,
         telemetry_dir=telemetry_dir,
         workers=workers,
-        profile_into=profile_into,
         **(guard.scoped(slug).sweep_kwargs() if guard else {}),
     )
 

@@ -111,18 +111,15 @@ def run_panel(
     telemetry_dir=None,
     guard: SweepGuard | None = None,
     workers: int = 1,
-    profile_into=None,
 ) -> dict[str, BNFCurve]:
     """Sweep one Figure 11 panel, optionally guarded (see SweepGuard).
 
     ``workers > 1`` fans the panel's points out over pooled workers;
     per-point results stay bitwise identical to a serial run.
-    *profile_into* (a :class:`~repro.obs.profiler.PhaseProfiler`)
-    accumulates every point's per-phase wall-time attribution.
     """
     return sweep_panel(
         f"fig11{panel.key}", panel_config(panel, preset, seed), algorithms,
-        panel.rates, progress, telemetry_dir, guard, workers, profile_into,
+        panel.rates, progress, telemetry_dir, guard, workers,
     )
 
 

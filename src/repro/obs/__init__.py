@@ -1,4 +1,4 @@
-"""Observability layer: metrics, structured tracing, manifests, profiling.
+"""Observability layer: metrics, structured tracing, manifests, bench records.
 
 The paper's central claims are about internal dynamics the end-of-run
 aggregates cannot show -- arbitration collisions (Figure 2), tree
@@ -12,22 +12,20 @@ package makes them measurable:
 * :mod:`repro.obs.sink` -- ``NullSink`` / ``MemorySink`` /
   ``JsonlSink`` trace outputs;
 * :mod:`repro.obs.manifest` -- the run manifest heading every trace;
-* :mod:`repro.obs.profiler` -- wall-clock per simulation phase;
 * :mod:`repro.obs.telemetry` -- the facade the simulators talk to,
   with a :data:`~repro.obs.telemetry.NULL_TELEMETRY` fast path so
   disabled telemetry costs one branch;
 * :mod:`repro.obs.analysis` / :mod:`repro.obs.cli` -- the
   ``repro obs`` trace reader (``summarize`` / ``diff`` / ``ports``);
 * :mod:`repro.obs.perf` -- structured benchmark records
-  (``BENCH_<area>.json``), the append-only perf trajectory and the
-  regression gate behind ``repro obs perf``.
+  (``BENCH_<area>.json``) behind ``repro obs perf report|diff``.
 
 Quickstart::
 
     from repro.obs import JsonlSink, Telemetry
     from repro.sim import NetworkSimulator, SimulationConfig
 
-    telemetry = Telemetry(sink=JsonlSink("run.jsonl"), profile=True)
+    telemetry = Telemetry(sink=JsonlSink("run.jsonl"))
     NetworkSimulator(SimulationConfig(), telemetry=telemetry).run()
     # then:  repro-obs summarize run.jsonl
 """
@@ -44,13 +42,9 @@ from repro.obs.perf import (
     AreaRecord,
     BenchMetric,
     BenchRecord,
-    GateReport,
-    GateViolation,
     PerfRecorder,
     PerfSession,
-    run_gate,
 )
-from repro.obs.profiler import PhaseProfiler, PhaseSummary
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -69,8 +63,6 @@ __all__ = [
     "BenchRecord",
     "Counter",
     "Gauge",
-    "GateReport",
-    "GateViolation",
     "Histogram",
     "JsonlSink",
     "MemorySink",
@@ -79,14 +71,11 @@ __all__ = [
     "NullSink",
     "PerfRecorder",
     "PerfSession",
-    "PhaseProfiler",
-    "PhaseSummary",
     "RunManifest",
     "Telemetry",
     "TraceSink",
     "TraceSummary",
     "diff_summaries",
     "read_jsonl",
-    "run_gate",
     "summarize_trace",
 ]

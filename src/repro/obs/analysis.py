@@ -25,7 +25,6 @@ class TraceSummary:
     path: str
     manifest: RunManifest | None = None
     counters: dict = field(default_factory=dict)
-    profile: list[dict] = field(default_factory=list)
     event_counts: dict[str, int] = field(default_factory=dict)
     wall_time_s: float | None = None
     #: the writer was killed mid-record: the torn final line was dropped
@@ -188,8 +187,8 @@ class TraceSummary:
 
         Carries the derived views sweep tooling wants -- arbitration
         counts, headline totals, per-output utilization, resilience
-        totals, the phase profile -- not the raw counters snapshot
-        (stream the trace again for that).
+        totals -- not the raw counters snapshot (stream the trace again
+        for that).
         """
         by_output = {
             output_port_name(output): {"mean": mean, "max": peak}
@@ -218,7 +217,6 @@ class TraceSummary:
             "resilience": self.resilience_counts(),
             "utilization_by_output": by_output,
             "event_counts": dict(self.event_counts),
-            "profile": list(self.profile),
         }
 
 
@@ -236,8 +234,6 @@ def summarize_trace(path: str | Path, strict_schema: bool = True) -> TraceSummar
                 )
         elif kind == "counters":
             summary.counters = record.get("counters", {})
-        elif kind == "profile":
-            summary.profile = record.get("phases", [])
         elif kind == "run-end":
             summary.wall_time_s = record.get("wall_time_s")
         elif kind == "truncated":

@@ -7,13 +7,11 @@ machine-readable output)::
     repro-obs diff base.jsonl contender.jsonl
     repro-obs ports trace.jsonl --top 10     # busiest (node, port) pairs
 
-Perf-trajectory subcommands (see :mod:`repro.obs.perf` and the "Perf
-trajectory" section of docs/observability.md)::
+Bench-record subcommands (see :mod:`repro.obs.perf` and the "Bench
+records" section of docs/observability.md)::
 
-    repro-obs perf report                    # render history.jsonl
+    repro-obs perf report                    # render ./BENCH_*.json
     repro-obs perf diff BENCH_a.json BENCH_b.json
-    repro-obs perf gate --tolerance 0.5      # fail on regressions
-    repro-obs perf check benchmarks/         # lint: benches feed the plugin
 
 Also reachable as ``repro-experiments obs ...`` and
 ``python -m repro.obs ...``; the traces come from any run with a
@@ -153,15 +151,6 @@ def _render_summary(summary: TraceSummary) -> str:
             title="Trace events",
         ))
 
-    if summary.profile:
-        parts.append(format_table(
-            ("phase", "seconds", "samples"),
-            [
-                (p["name"], f"{p['seconds']:.3f}", p["samples"])
-                for p in summary.profile
-            ],
-            title="Wall-clock by simulation phase",
-        ))
     return "\n\n".join(parts)
 
 
@@ -224,45 +213,37 @@ def _cmd_ports(args: argparse.Namespace) -> str:
     )
 
 
-# -- perf trajectory subcommands -------------------------------------------
-
-
-def _history_path(args: argparse.Namespace) -> Path:
-    if args.history is not None:
-        return args.history
-    return Path(args.root) / perf.HISTORY_RELPATH
+# -- bench-record subcommands ----------------------------------------------
 
 
 def _cmd_perf_report(args: argparse.Namespace) -> str:
-    history = perf.load_history(_history_path(args))
+    records = [
+        perf.AreaRecord.load(path)
+        for path in sorted(Path(args.root).glob(perf.bench_filename("*")))
+    ]
     if args.area:
-        history = [r for r in history if r.area in set(args.area)]
+        records = [r for r in records if r.area in args.area]
     if args.json:
-        return json.dumps([r.to_dict() for r in history], indent=2)
-    if not history:
-        return "(no perf history -- run the benchmarks and the gate first)"
-    parts = []
-    latest_by_area: dict[str, perf.AreaRecord] = {}
-    rows = []
-    for record in history:
-        latest_by_area[record.area] = record
-        wall = sum(bench.wall_s for bench in record.benches)
-        rows.append((
-            record.area,
-            record.created_at[:19],
-            record.git_sha[:9],
-            record.preset,
-            record.run_id,
-            len(record.benches),
-            f"{wall:.2f}",
-        ))
-    parts.append(format_table(
+        return json.dumps([r.to_dict() for r in records], indent=2)
+    if not records:
+        return f"(no BENCH_*.json under {args.root} -- run the benchmarks first)"
+    parts = [format_table(
         ("area", "created", "sha", "preset", "run", "benches", "wall (s)"),
-        rows,
-        title=f"Perf trajectory ({_history_path(args)})",
-    ))
-    for area in sorted(latest_by_area):
-        record = latest_by_area[area]
+        [
+            (
+                record.area,
+                record.created_at[:19],
+                (record.git_sha or "-")[:9],
+                record.preset,
+                record.run_id,
+                len(record.benches),
+                f"{sum(bench.wall_s for bench in record.benches):.2f}",
+            )
+            for record in records
+        ],
+        title=f"Bench records ({args.root})",
+    )]
+    for record in records:
         bench_rows = []
         for bench in record.benches:
             metrics = ", ".join(
@@ -278,7 +259,7 @@ def _cmd_perf_report(args: argparse.Namespace) -> str:
         parts.append(format_table(
             ("bench", "wall (s)", "metrics", "phases"),
             bench_rows,
-            title=f"Latest {area} record (run {record.run_id}, "
+            title=f"{record.area} (run {record.run_id}, "
                   f"preset={record.preset})",
         ))
     return "\n\n".join(parts)
@@ -306,36 +287,6 @@ def _cmd_perf_diff(args: argparse.Namespace) -> str:
         f"B = {args.record_b} (run {record_b.run_id}, {record_b.preset})"
     )
     return format_table(("metric", "A", "B", "B vs A"), rows, title=title)
-
-
-def _cmd_perf_gate(args: argparse.Namespace) -> tuple[str, int]:
-    report = perf.run_gate(
-        root=args.root,
-        history_path=args.history,
-        tolerance=args.tolerance,
-        areas=args.area or None,
-    )
-    if args.json:
-        return json.dumps(report.to_dict(), indent=2), 0 if report.ok else 1
-    lines = [
-        f"perf gate ({_history_path(args)}, tolerance {args.tolerance:.0%}):"
-    ]
-    for area in sorted(report.statuses):
-        lines.append(f"  {area}: {report.statuses[area]}")
-    for violation in report.violations:
-        lines.append(f"  FAIL {violation.describe()}")
-    lines.append("gate: " + ("PASS" if report.ok else "FAIL"))
-    return "\n".join(lines), 0 if report.ok else 1
-
-
-def _cmd_perf_check(args: argparse.Namespace) -> tuple[str, int]:
-    problems = perf.check_bench_coverage(args.bench_dir)
-    if problems:
-        lines = [f"perf check: {len(problems)} problem(s) in {args.bench_dir}"]
-        lines.extend(f"  {problem}" for problem in problems)
-        return "\n".join(lines), 1
-    return f"perf check: every bench module under {args.bench_dir} records " \
-           "a domain metric via perf_record", 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,27 +332,21 @@ def build_parser() -> argparse.ArgumentParser:
     ports.set_defaults(func=_cmd_ports)
 
     perf_cmd = commands.add_parser(
-        "perf", help="benchmark perf records: report, diff, gate, check"
+        "perf", help="benchmark perf records: report, diff"
     )
     perf_commands = perf_cmd.add_subparsers(dest="perf_command", required=True)
 
-    history_common = argparse.ArgumentParser(add_help=False)
-    history_common.add_argument(
+    report = perf_commands.add_parser(
+        "report", parents=[common],
+        help="render the BENCH_<area>.json records under --root",
+    )
+    report.add_argument(
         "--root", type=Path, default=Path("."),
         help="repo root holding BENCH_*.json (default: .)",
     )
-    history_common.add_argument(
-        "--history", type=Path, default=None,
-        help=f"history file (default: <root>/{perf.HISTORY_RELPATH})",
-    )
-
-    report = perf_commands.add_parser(
-        "report", parents=[common, history_common],
-        help="render the perf trajectory and the latest per-area records",
-    )
     report.add_argument(
-        "--area", action="append", choices=perf.AREAS,
-        help="restrict to an area (repeatable)",
+        "--area", action="append",
+        help="restrict to an area, e.g. figures (repeatable)",
     )
     report.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
@@ -418,41 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit machine-readable JSON"
     )
     perf_diff.set_defaults(func=_cmd_perf_diff)
-
-    gate = perf_commands.add_parser(
-        "gate", parents=[common, history_common],
-        help="fail (exit 1) when current BENCH records regress vs history",
-    )
-    gate.add_argument(
-        "--tolerance", type=float, default=perf.DEFAULT_TOLERANCE,
-        help="allowed fractional regression per metric "
-             f"(default {perf.DEFAULT_TOLERANCE})",
-    )
-    gate.add_argument(
-        "--area", action="append", choices=perf.AREAS,
-        help="gate only this area (repeatable; default: all present)",
-    )
-    gate.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    gate.set_defaults(func=_cmd_perf_gate)
-
-    check = perf_commands.add_parser(
-        "check", parents=[common],
-        help="lint: every bench module must record >=1 domain metric",
-    )
-    check.add_argument(
-        "bench_dir", nargs="?", type=Path, default=Path("benchmarks")
-    )
-    check.set_defaults(func=_cmd_perf_check)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = args.func(args)
-        text, code = result if isinstance(result, tuple) else (result, 0)
+        text = args.func(args)
         print(text)
         if args.output is not None:
             args.output.parent.mkdir(parents=True, exist_ok=True)
@@ -460,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as error:
         print(f"repro obs: {error}", file=sys.stderr)
         return 1
-    return code
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,11 +7,10 @@ schema they are tested against (``tests/obs/test_wire_format.py``).
 Bump :data:`OBS_SCHEMA_VERSION` whenever a record's fields change
 meaning.
 
-Four framing kinds are written outside the hooks and are not in the
+Three framing kinds are written outside the hooks and are not in the
 table: ``manifest`` (trace header, :class:`~repro.obs.manifest.RunManifest`),
-``counters`` (final metrics-registry snapshot), ``profile`` (final
-:class:`~repro.obs.profiler.PhaseProfiler` summary) and ``run-end``
-(footer: wall time plus whatever the run passed to ``finalize``).
+``counters`` (final metrics-registry snapshot) and ``run-end`` (footer:
+wall time plus whatever the run passed to ``finalize``).
 """
 
 from __future__ import annotations

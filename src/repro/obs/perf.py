@@ -1,33 +1,28 @@
-"""Benchmark observability: structured perf records, trajectory, gate.
+"""Benchmark observability: structured perf records.
 
 Every ``benchmarks/bench_*.py`` run produces per-area ``BENCH_<area>.json``
-files at the repository root plus one appended line per area in
-``results/perf/history.jsonl`` -- the repo's performance trajectory.
-A record pins everything a later reader needs to trust (or reject) a
-comparison: the machine fingerprint (python, platform, CPU count), the
-git SHA, the bench preset, per-bench wall time, the domain throughput
-metrics the bench registered (arbitrations/sec, flits/sec,
-scenarios/sec, ...) and a per-phase wall-clock attribution from
-:class:`~repro.obs.profiler.PhaseProfiler`.
+files at the repository root.  A record pins everything a later reader
+needs to trust (or reject) a comparison: the machine fingerprint
+(python, platform, CPU count), the git SHA, the bench preset, per-bench
+wall time, the domain throughput metrics the bench registered
+(arbitrations/sec, flits/sec, scenarios/sec, ...) and the wall time of
+the bench's own coarse ``with perf_record.phase(...)`` blocks.  The
+files are committed, so their trajectory is ``git log -p
+BENCH_<area>.json``.
 
-Three consumers live in :mod:`repro.obs.cli` under ``repro obs perf``:
+Two consumers live in :mod:`repro.obs.cli` under ``repro obs perf``:
 
-* ``report`` renders the trajectory of ``history.jsonl``;
+* ``report`` renders the ``BENCH_<area>.json`` files under ``--root``;
 * ``diff`` compares two records field by field (reusing
-  :class:`~repro.obs.analysis.MetricDelta`);
-* ``gate`` fails when a metric regresses beyond a noise tolerance
-  against the last comparable history entry -- "comparable" means same
-  area, same preset and the *same machine fingerprint*, because wall
-  times from different machines gate nothing but noise.
+  :class:`~repro.obs.analysis.MetricDelta`).
 
-``check`` (the lint hook) statically verifies every bench module
-registers at least one domain metric through the ``perf_record``
-fixture, so new benchmarks cannot silently opt out of the trajectory.
+These records describe a run; they decide nothing.  Whether a change
+made the system faster or slower is answered by ``benchmarks/e2e``
+(see "Comparing two commits" in its README).
 """
 
 from __future__ import annotations
 
-import ast
 import contextlib
 import datetime
 import json
@@ -35,29 +30,15 @@ import os
 import platform
 import subprocess
 import sys
+import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.analysis import MetricDelta
-from repro.obs.profiler import PhaseProfiler
 
-#: version of the BENCH_*.json / history.jsonl record layout.
+#: version of the BENCH_*.json record layout.
 PERF_SCHEMA_VERSION = 1
-
-#: repo-root-relative path of the trajectory file.
-HISTORY_RELPATH = Path("results") / "perf" / "history.jsonl"
-
-#: the per-area record files the re-anchor process looks for.
-AREAS = (
-    "arbiters",
-    "figures",
-    "sweeps",
-    "chaos",
-    "overhead",
-    "kernels",
-    "service",
-)
 
 #: bench module (file stem) -> area of its ``BENCH_<area>.json``.
 MODULE_AREAS = {
@@ -75,12 +56,6 @@ MODULE_AREAS = {
     "bench_service": "service",
 }
 
-#: default gate tolerance: a metric may drift this relative fraction
-#: from its baseline before the gate trips.  Wide on purpose -- bench
-#: wall times on shared runners jitter tens of percent; the gate exists
-#: to catch 2x-style regressions, not 5% noise.
-DEFAULT_TOLERANCE = 0.5
-
 
 def bench_filename(area: str) -> str:
     """``BENCH_<area>.json`` -- the repo-root record file for one area."""
@@ -96,12 +71,6 @@ def machine_fingerprint() -> dict:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count() or 1,
     }
-
-
-def fingerprints_comparable(a: dict, b: dict) -> bool:
-    """Same machine shape: wall-time comparisons are meaningful."""
-    keys = ("python", "implementation", "platform", "machine", "cpu_count")
-    return all(a.get(key) == b.get(key) for key in keys)
 
 
 def git_sha(root: Path | str = ".") -> str | None:
@@ -130,8 +99,8 @@ class BenchMetric:
     name: str
     value: float
     unit: str = ""
-    #: direction of goodness: throughputs up, wall times down.  The
-    #: gate reads this to know which side of the tolerance band fails.
+    #: direction of goodness: throughputs up, wall times and overhead
+    #: fractions down.
     higher_is_better: bool = True
 
     def to_dict(self) -> dict:
@@ -160,8 +129,8 @@ class BenchRecord:
     module: str
     wall_s: float
     metrics: tuple[BenchMetric, ...] = ()
-    #: ``[{"name", "seconds", "samples"}, ...]`` -- the profiler's
-    #: phase attribution, descending by wall time.
+    #: ``[{"name", "seconds", "samples"}, ...]`` -- the bench's own
+    #: ``with perf_record.phase(name)`` blocks, descending by wall time.
     phases: tuple[dict, ...] = ()
     extra: dict = field(default_factory=dict)
 
@@ -192,14 +161,21 @@ class BenchRecord:
             metrics=tuple(
                 BenchMetric.from_dict(m) for m in data.get("metrics", ())
             ),
-            phases=tuple(data.get("phases", ())),
+            phases=tuple(
+                {
+                    "name": str(p["name"]),
+                    "seconds": float(p["seconds"]),
+                    "samples": int(p["samples"]),
+                }
+                for p in data.get("phases", ())
+            ),
             extra=dict(data.get("extra", {})),
         )
 
 
 @dataclass
 class AreaRecord:
-    """The content of one ``BENCH_<area>.json`` (and one history line)."""
+    """The content of one ``BENCH_<area>.json``."""
 
     area: str
     run_id: str
@@ -254,7 +230,15 @@ class AreaRecord:
 
     @classmethod
     def load(cls, path: Path | str) -> "AreaRecord":
-        return cls.from_dict(json.loads(Path(path).read_text("utf-8")))
+        """Read one record file; a malformed one is a ``ValueError``
+        naming the file (a missing one stays an ``OSError``)."""
+        text = Path(path).read_text("utf-8")
+        try:
+            return cls.from_dict(json.loads(text))
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(
+                f"{path}: not a perf record ({type(error).__name__}: {error})"
+            ) from error
 
 
 # -- recording (the pytest fixture's half) ---------------------------------
@@ -264,10 +248,7 @@ class PerfRecorder:
     """The per-benchmark handle the ``perf_record`` fixture yields.
 
     A bench registers its domain metrics (:meth:`metric`), attributes
-    wall time to phases either directly (:meth:`phase`) or by merging a
-    simulation's :class:`~repro.obs.profiler.PhaseProfiler`
-    (:meth:`merge_profile` -- sweeps pass ``profile_into=
-    perf_record.profiler`` and skip even that), and may attach
+    wall time to its own coarse phases (:meth:`phase`) and may attach
     free-form context (:meth:`note`).  The fixture times the test body
     and calls :meth:`finish`.
     """
@@ -275,7 +256,8 @@ class PerfRecorder:
     def __init__(self, name: str, module: str) -> None:
         self.name = name
         self.module = module
-        self.profiler = PhaseProfiler(enabled=True)
+        #: phase name -> [seconds, samples]
+        self._phases: dict[str, list] = {}
         self._metrics: list[BenchMetric] = []
         self._extra: dict = {}
 
@@ -295,21 +277,16 @@ class PerfRecorder:
     @contextlib.contextmanager
     def phase(self, name: str):
         """Attribute the wall time of a ``with`` block to phase *name*."""
-        began = self.profiler.begin()
+        began = time.perf_counter()
         try:
             yield
         finally:
-            self.profiler.add(name, began)
-
-    def merge_profile(self, source: PhaseProfiler | dict) -> None:
-        """Fold a simulation profiler (or its trace record) in."""
-        if isinstance(source, PhaseProfiler):
-            self.profiler.merge(source)
-        else:
-            self.profiler.merge_record(source)
+            totals = self._phases.setdefault(name, [0.0, 0])
+            totals[0] += time.perf_counter() - began
+            totals[1] += 1
 
     def note(self, **extra) -> None:
-        """Attach ungated context (e.g. measured overhead fractions)."""
+        """Attach free-form context (e.g. why a metric was not measurable)."""
         self._extra.update(extra)
 
     def finish(self, wall_s: float) -> BenchRecord:
@@ -318,7 +295,12 @@ class PerfRecorder:
             module=self.module,
             wall_s=float(wall_s),
             metrics=tuple(self._metrics),
-            phases=tuple(self.profiler.to_record()["phases"]),
+            phases=tuple(
+                {"name": name, "seconds": seconds, "samples": samples}
+                for name, (seconds, samples) in sorted(
+                    self._phases.items(), key=lambda item: -item[1][0]
+                )
+            ),
             extra=dict(self._extra),
         )
 
@@ -330,105 +312,62 @@ class PerfSession:
         self.preset = preset
         self._by_area: dict[str, list[BenchRecord]] = {}
         self.unmapped_modules: set[str] = set()
-
-    @staticmethod
-    def area_for_module(module: str) -> str | None:
-        return MODULE_AREAS.get(module)
+        #: one line per area file :meth:`write` left alone.
+        self.kept: list[str] = []
 
     @property
     def has_records(self) -> bool:
         return bool(self._by_area)
 
     def add(self, record: BenchRecord) -> None:
-        area = self.area_for_module(record.module)
+        area = MODULE_AREAS.get(record.module)
         if area is None:
-            # Unknown bench modules still land in the trajectory --
-            # under their own area -- instead of being dropped.
+            # Unknown bench modules still get a record -- under their
+            # own area -- instead of being dropped.
             self.unmapped_modules.add(record.module)
             area = record.module.removeprefix("bench_")
         self._by_area.setdefault(area, []).append(record)
 
-    def write(
-        self,
-        root: Path | str,
-        history_path: Path | str | None = None,
-        created_at: str | None = None,
-    ) -> list[Path]:
-        """Write ``BENCH_<area>.json`` files and append to the history.
+    def write(self, root: Path | str) -> list[Path]:
+        """Write ``BENCH_<area>.json`` files; return the paths written.
 
-        Returns the paths written (record files; the history file is
-        appended to, not rewritten).
+        An area file is rewritten only when this session ran every
+        bench already in it: a partial run (one module, ``-k``) would
+        otherwise erase the other benches' records.  Such a file is
+        left alone and a line saying so lands in :attr:`kept`.
+        Deleting the file is how a renamed bench is rebaselined.
         """
         root = Path(root)
-        if history_path is None:
-            history_path = root / HISTORY_RELPATH
         run_id = uuid.uuid4().hex[:12]
-        if created_at is None:
-            created_at = datetime.datetime.now(
-                datetime.timezone.utc
-            ).isoformat(timespec="seconds")
+        created_at = datetime.datetime.now(datetime.timezone.utc).isoformat(
+            timespec="seconds"
+        )
         sha = git_sha(root)
         fingerprint = machine_fingerprint()
         written: list[Path] = []
         for area in sorted(self._by_area):
-            record = AreaRecord(
+            benches = sorted(self._by_area[area], key=lambda b: b.name)
+            path = root / bench_filename(area)
+            if path.exists():
+                on_file = {b.name for b in AreaRecord.load(path).benches}
+                ran = on_file & {b.name for b in benches}
+                if ran != on_file:
+                    self.kept.append(
+                        f"{path.name} kept - partial run "
+                        f"({len(ran)} of {len(on_file)} benches)"
+                    )
+                    continue
+            AreaRecord(
                 area=area,
                 run_id=run_id,
                 created_at=created_at,
                 git_sha=sha,
                 preset=self.preset,
                 fingerprint=fingerprint,
-                benches=sorted(self._by_area[area], key=lambda b: b.name),
-            )
-            path = root / bench_filename(area)
-            record.write(path)
-            append_history(history_path, record.to_dict())
+                benches=benches,
+            ).write(path)
             written.append(path)
         return written
-
-
-# -- trajectory ------------------------------------------------------------
-
-
-def append_history(path: Path | str, record: dict) -> None:
-    """Append one area record to the JSONL trajectory."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def load_history(path: Path | str) -> list[AreaRecord]:
-    """All history entries, oldest first (missing file -> empty)."""
-    path = Path(path)
-    if not path.exists():
-        return []
-    records: list[AreaRecord] = []
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(AreaRecord.from_dict(json.loads(line)))
-    return records
-
-
-def baseline_for(
-    current: AreaRecord, history: list[AreaRecord]
-) -> AreaRecord | None:
-    """The most recent *comparable* history entry to gate against.
-
-    Comparable = same area and preset, different run, same machine
-    fingerprint.  Cross-machine records never gate each other.
-    """
-    for entry in reversed(history):
-        if (
-            entry.area == current.area
-            and entry.preset == current.preset
-            and entry.run_id != current.run_id
-            and fingerprints_comparable(entry.fingerprint, current.fingerprint)
-        ):
-            return entry
-    return None
 
 
 # -- comparison ------------------------------------------------------------
@@ -471,210 +410,3 @@ def diff_area_records(a: AreaRecord, b: AreaRecord) -> list[MetricDelta]:
                 )
             )
     return deltas
-
-
-@dataclass(frozen=True)
-class GateViolation:
-    """One metric that regressed beyond the gate's tolerance."""
-
-    area: str
-    bench: str
-    metric: str
-    baseline: float
-    current: float
-    #: signed relative change, positive = regression direction.
-    regression: float
-    tolerance: float
-
-    def describe(self) -> str:
-        return (
-            f"{self.area}/{self.bench}: {self.metric} regressed "
-            f"{self.regression:+.1%} (baseline {self.baseline:g}, "
-            f"now {self.current:g}, tolerance {self.tolerance:.0%})"
-        )
-
-
-def gate_area(
-    current: AreaRecord,
-    baseline: AreaRecord,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[GateViolation]:
-    """Compare *current* to *baseline*; return the tolerance breaches.
-
-    Wall time regresses upward; a ``higher_is_better`` metric regresses
-    downward.  Benches or metrics absent from the baseline gate nothing
-    (new benchmarks start their own trajectory), and zero/negative
-    baselines are skipped -- no meaningful relative change exists.
-    """
-    violations: list[GateViolation] = []
-
-    def check(
-        bench: str, metric: str, base: float, now: float, higher_better: bool
-    ) -> None:
-        if base <= 0:
-            return
-        if higher_better:
-            regression = (base - now) / base
-        else:
-            regression = (now - base) / base
-        if regression > tolerance:
-            violations.append(
-                GateViolation(
-                    area=current.area,
-                    bench=bench,
-                    metric=metric,
-                    baseline=base,
-                    current=now,
-                    regression=regression,
-                    tolerance=tolerance,
-                )
-            )
-
-    for bench in current.benches:
-        base_bench = baseline.bench(bench.name)
-        if base_bench is None:
-            continue
-        check(
-            bench.name, "wall_s", base_bench.wall_s, bench.wall_s,
-            higher_better=False,
-        )
-        for metric in bench.metrics:
-            base_metric = base_bench.metric(metric.name)
-            if base_metric is None:
-                continue
-            check(
-                bench.name,
-                metric.name,
-                base_metric.value,
-                metric.value,
-                metric.higher_is_better,
-            )
-    return violations
-
-
-@dataclass
-class GateReport:
-    """Outcome of gating every present ``BENCH_*.json`` against history."""
-
-    #: area -> "ok" | "regressed" | "baseline-recorded"
-    statuses: dict[str, str] = field(default_factory=dict)
-    violations: list[GateViolation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "statuses": dict(self.statuses),
-            "violations": [
-                {
-                    "area": v.area,
-                    "bench": v.bench,
-                    "metric": v.metric,
-                    "baseline": v.baseline,
-                    "current": v.current,
-                    "regression": v.regression,
-                    "tolerance": v.tolerance,
-                }
-                for v in self.violations
-            ],
-        }
-
-
-def run_gate(
-    root: Path | str = ".",
-    history_path: Path | str | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    areas: tuple[str, ...] | None = None,
-) -> GateReport:
-    """Gate the repo-root ``BENCH_*.json`` files against the trajectory.
-
-    For each record file present: find the last comparable history
-    entry and compare within *tolerance*.  A record with no comparable
-    baseline is appended to the history (becoming the baseline for the
-    next run) and passes -- a fresh machine records, it does not fail.
-    """
-    root = Path(root)
-    if history_path is None:
-        history_path = root / HISTORY_RELPATH
-    history = load_history(history_path)
-    report = GateReport()
-    found_any = False
-    for area in areas if areas is not None else AREAS:
-        path = root / bench_filename(area)
-        if not path.exists():
-            continue
-        found_any = True
-        current = AreaRecord.load(path)
-        baseline = baseline_for(current, history)
-        if baseline is None:
-            if not any(e.run_id == current.run_id for e in history):
-                append_history(history_path, current.to_dict())
-            report.statuses[area] = "baseline-recorded"
-            continue
-        violations = gate_area(current, baseline, tolerance)
-        report.violations.extend(violations)
-        report.statuses[area] = "regressed" if violations else "ok"
-    if not found_any:
-        raise ValueError(
-            f"no BENCH_*.json records under {root} -- run "
-            "`PYTHONPATH=src python -m pytest benchmarks/ -q -s` first"
-        )
-    return report
-
-
-# -- static bench coverage check (the lint hook) ---------------------------
-
-
-def check_bench_coverage(bench_dir: Path | str) -> list[str]:
-    """Verify every bench module feeds the perf plugin; return problems.
-
-    A module passes when at least one of its test functions takes the
-    ``perf_record`` fixture *and* calls ``perf_record.metric(...)``
-    somewhere in the module -- i.e. it registers at least one domain
-    metric.  Purely static (``ast``), so the lint job runs it without
-    installing the simulator's dependencies.
-    """
-    bench_dir = Path(bench_dir)
-    problems: list[str] = []
-    modules = sorted(
-        p for p in bench_dir.glob("bench_*.py") if p.name != "__init__.py"
-    )
-    if not modules:
-        return [f"no bench_*.py modules found under {bench_dir}"]
-    for module in modules:
-        try:
-            tree = ast.parse(module.read_text("utf-8"), filename=str(module))
-        except SyntaxError as error:
-            problems.append(f"{module.name}: unparsable ({error})")
-            continue
-        takes_fixture = False
-        registers_metric = False
-        for node in ast.walk(tree):
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) and node.name.startswith("test"):
-                args = node.args
-                names = [a.arg for a in args.posonlyargs + args.args]
-                if "perf_record" in names:
-                    takes_fixture = True
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "metric"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "perf_record"
-            ):
-                registers_metric = True
-        if not takes_fixture:
-            problems.append(
-                f"{module.name}: no test takes the perf_record fixture"
-            )
-        elif not registers_metric:
-            problems.append(
-                f"{module.name}: never calls perf_record.metric(...) -- "
-                "benches must register at least one domain metric"
-            )
-    return problems

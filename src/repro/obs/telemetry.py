@@ -1,12 +1,12 @@
 """The telemetry facade the simulators and arbiters talk to.
 
-One :class:`Telemetry` object aggregates a metrics registry, a trace
-sink and a phase profiler behind the narrow set of hooks the hot paths
-call.  The design rule is *one branch when disabled*: every
-instrumented site reads ``self.telemetry`` (a plain attribute,
-defaulting to :data:`NULL_TELEMETRY`) and tests ``.enabled`` before
-doing any work, so a simulation without telemetry pays an attribute
-load and a predictable branch -- nothing else.
+One :class:`Telemetry` object aggregates a metrics registry and a trace
+sink behind the narrow set of hooks the hot paths call.  The design
+rule is *one branch when disabled*: every instrumented site reads
+``self.telemetry`` (a plain attribute, defaulting to
+:data:`NULL_TELEMETRY`) and tests ``.enabled`` before doing any work,
+so a simulation without telemetry pays an attribute load and a
+predictable branch -- nothing else.
 
 Within an enabled Telemetry there are still two tiers:
 
@@ -28,7 +28,6 @@ import time
 from typing import Any
 
 from repro.obs.manifest import RunManifest
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.registry import MetricsRegistry, MetricSeries
 from repro.obs.sink import NullSink, TraceSink
 
@@ -38,20 +37,14 @@ LATENCY_BOUNDS_CYCLES = tuple(float(2**e) for e in range(5, 17))
 
 
 class Telemetry:
-    """Live telemetry: counters + optional trace events + profiler."""
+    """Live telemetry: counters + optional trace events."""
 
     enabled = True
 
-    def __init__(
-        self,
-        sink: TraceSink | None = None,
-        profile: bool = False,
-    ) -> None:
+    def __init__(self, sink: TraceSink | None = None) -> None:
         self.sink = sink if sink is not None else NullSink()
         #: per-packet trace records only flow into a real sink.
         self.events = self.sink.active
-        self.profiling = profile
-        self.profiler = PhaseProfiler(enabled=profile)
         self.registry = MetricsRegistry()
         self.manifest: RunManifest | None = None
         self._finalized = False
@@ -190,7 +183,7 @@ class Telemetry:
             self.sink.emit(self.manifest.to_record())
 
     def finalize(self, **footer: Any) -> None:
-        """Write counters/profile/footer records and close the sink.
+        """Write counters/footer records and close the sink.
 
         Idempotent: the timing model finalizes at the end of
         :meth:`~repro.sim.timing_model.NetworkSimulator.run`, and
@@ -201,8 +194,6 @@ class Telemetry:
         self._finalized = True
         if self.sink.active:
             self.sink.emit({"kind": "counters", "counters": self.registry.snapshot()})
-            if self.profiling:
-                self.sink.emit(self.profiler.to_record())
             record = {"kind": "run-end"}
             if self.manifest is not None:
                 record["wall_time_s"] = time.perf_counter() - self._started
@@ -498,15 +489,14 @@ class Telemetry:
 class _NullTelemetry:
     """The shared disabled singleton: the flags sites read, no hooks.
 
-    Every instrumented site tests ``.enabled`` (or ``.events`` /
-    ``.profiling``) before it calls a hook, so this class has none: a
-    call that forgets the guard raises ``AttributeError`` in the tests
-    instead of silently paying a method call per event.
+    Every instrumented site tests ``.enabled`` (or ``.events``) before
+    it calls a hook, so this class has none: a call that forgets the
+    guard raises ``AttributeError`` in the tests instead of silently
+    paying a method call per event.
     """
 
     enabled = False
     events = False
-    profiling = False
 
     def __bool__(self) -> bool:
         return False

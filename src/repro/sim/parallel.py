@@ -362,10 +362,6 @@ def _write_sweep_manifest(
         manifest["supervisor"] = {
             **supervisor_summary, "trace": SUPERVISOR_TRACE_NAME
         }
-    if landing.profile_into is not None:
-        # The workers' merged phase attribution: where the pool's
-        # aggregate wall time went (arbitration/traversal/delivery).
-        manifest["profile"] = landing.profile_into.to_record()["phases"]
     telemetry_dir.mkdir(parents=True, exist_ok=True)
     path = telemetry_dir / "sweep_manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")

@@ -5,9 +5,8 @@ one place every sweep option (guards, journal, resume, retries,
 workers) is described.  It plans the pending (algorithm, rate) points
 as :class:`PointSpec`, lets an *executor* decide who runs each
 attempt, and lands every :class:`PointResult` through one
-:class:`Landing` -- journal record, profile merge, progress line,
-curve point -- so a serial sweep and a pooled one differ only in the
-executor:
+:class:`Landing` -- journal record, progress line, curve point -- so
+a serial sweep and a pooled one differ only in the executor:
 
 * the **serial executor** (:func:`_run_serial`) calls
   :func:`run_attempt` in this process, point by point in sweep order.
@@ -26,7 +25,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.sink import JsonlSink
 from repro.obs.telemetry import Telemetry
 from repro.resilience.checkpoint import SweepJournal, rate_key
@@ -143,9 +141,6 @@ class PointSpec:
     invariants: InvariantConfig | None
     watchdog: WatchdogConfig | None
     retry_backoff_s: float
-    #: arm phase profiling for the attempt; the per-point attribution
-    #: comes back serialized in :attr:`PointResult.profile`.
-    profile: bool = False
     #: which attempt this spec runs (0-based); the executor bumps it
     #: when rescheduling a failed point, and :func:`_run_point` derives
     #: the attempt's seed bumps from it.
@@ -168,9 +163,6 @@ class PointResult:
     #: pre-formatted ``"TypeName: message"`` of a failed attempt, the
     #: exact text the journal and the progress line carry.
     error: str | None = None
-    #: the attempt's serialized ``profile`` record (phase wall-time
-    #: attribution) when the spec asked for profiling, else ``None``.
-    profile: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -183,9 +175,9 @@ def _point_telemetry(spec: PointSpec) -> Telemetry | None:
             spec.config.algorithm, spec.rate
         )
         path.parent.mkdir(parents=True, exist_ok=True)
-        return Telemetry(sink=JsonlSink(path), profile=spec.profile)
-    if spec.collect_counters or spec.profile:
-        return Telemetry(profile=spec.profile)
+        return Telemetry(sink=JsonlSink(path))
+    if spec.collect_counters:
+        return Telemetry()
     return None
 
 
@@ -279,10 +271,7 @@ def run_attempt(
             algorithm, spec.rate, spec.attempt + 1, None, None,
             error=f"{type(error).__name__}: {error}",
         )
-    return PointResult(
-        algorithm, spec.rate, spec.attempt + 1, point, resilience,
-        profile=telemetry.profiler.to_record() if spec.profile else None,
-    )
+    return PointResult(algorithm, spec.rate, spec.attempt + 1, point, resilience)
 
 
 def backoff_delay(retry_backoff_s: float, next_attempt: int) -> float:
@@ -296,15 +285,14 @@ def backoff_delay(retry_backoff_s: float, next_attempt: int) -> float:
 class Landing:
     """Where every attempt's outcome lands, whoever ran the attempt.
 
-    One per sweep: it journals attempts, merges profiles, emits the
-    progress lines and collects the points the curves are assembled
-    from (``completed``, keyed like :attr:`PointSpec.key`).
+    One per sweep: it journals attempts, emits the progress lines and
+    collects the points the curves are assembled from (``completed``,
+    keyed like :attr:`PointSpec.key`).
     """
 
     journal: SweepJournal | None
     progress: Callable[[str], None] | None
     max_attempts: int
-    profile_into: PhaseProfiler | None
     completed: dict[tuple[str, str], BNFPoint] = field(default_factory=dict)
 
     def say(self, algorithm: str, rate: float, line: str) -> None:
@@ -325,8 +313,6 @@ class Landing:
                 f"{result.error}",
             )
             return
-        if self.profile_into is not None and result.profile is not None:
-            self.profile_into.merge_record(result.profile)
         if self.journal is not None:
             self.journal.record_success(
                 name,
@@ -380,7 +366,6 @@ def sweep_algorithms(
     workers: int = 1,
     supervisor: SupervisorConfig | None = None,
     fleet=None,
-    profile_into: PhaseProfiler | None = None,
     observer_factory: Callable[[str, float], Sequence] | None = None,
 ) -> dict[str, BNFCurve]:
     """Run several algorithms over the same loads (one Figure 10 panel).
@@ -443,12 +428,6 @@ def sweep_algorithms(
         fleet: a live :class:`repro.service.ServiceServer`; points are
             leased to its connected remote workers regardless of
             *workers*.
-        profile_into: when set, every point runs with phase profiling
-            enabled and its arbitration/traversal/delivery wall-time
-            attribution is merged into this
-            :class:`~repro.obs.profiler.PhaseProfiler` (and, pooled,
-            into the sweep manifest).  Points resumed from a journal
-            contribute nothing (they did not run).
         observer_factory: called as ``factory(algorithm, rate)`` before
             each point; the returned observers (see
             :mod:`repro.sim.observers`) are attached to that point's
@@ -467,7 +446,7 @@ def sweep_algorithms(
             "telemetry instead or run serially"
         )
     resume = resume and journal is not None
-    landing = Landing(journal, progress, max_attempts, profile_into)
+    landing = Landing(journal, progress, max_attempts)
     pending: list[PointSpec] = []
     for algorithm in algorithms:
         algo_config = config.with_algorithm(algorithm)
@@ -486,7 +465,6 @@ def sweep_algorithms(
                 invariants=invariants,
                 watchdog=watchdog,
                 retry_backoff_s=retry_backoff_s,
-                profile=profile_into is not None,
             ))
     with journal.lock() if journal is not None else nullcontext():
         if pooled:

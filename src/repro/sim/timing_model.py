@@ -430,16 +430,12 @@ class NetworkSimulator:
             router.launch_scheduled_at = None
         if now < router.last_launch_time + self.timing.initiation_interval:
             return  # a stale attempt inside the initiation window
-        tel = self.telemetry
-        began = tel.profiler.begin() if tel.profiling else 0.0
         launch = router.nominate(
             now,
             now,  # readiness: the output must be free *now* (no hiding)
             self.timing.fanout,
             self.timing.nominations_per_port,
         )
-        if tel.profiling:
-            tel.profiler.add("arbitration", began)
         if launch is None:
             # Arrivals, departures and credit releases all generate
             # wake-ups, but an output's busy window expiring is pure
@@ -468,11 +464,7 @@ class NetworkSimulator:
 
     def _resolve(self, router: Router, launch: Launch) -> None:
         now = self.queue.now
-        tel = self.telemetry
-        began = tel.profiler.begin() if tel.profiling else 0.0
         dispatches = router.resolve(now, launch)
-        if tel.profiling:
-            tel.profiler.add("arbitration", began)
         for dispatch in dispatches:
             self._apply_dispatch(router, dispatch)
         # Losers (and newly uncovered heads) can renominate immediately.
@@ -543,15 +535,11 @@ class NetworkSimulator:
                 )
 
     def _arrive(self, router: Router, port: InputPort, channel, packet: Packet) -> None:
-        tel = self.telemetry
-        began = tel.profiler.begin() if tel.profiling else 0.0
         self.packets_in_transit -= 1
         router.buffers[port].commit(packet, channel)
         if self._inflight is not None:
             self._inflight.add(packet, router.node, port)
         packet.waiting_since = self.queue.now
-        if tel.profiling:
-            tel.profiler.add("traversal", began)
         self._request_launch(router)
 
     # -- fault injection ------------------------------------------------------
@@ -675,7 +663,6 @@ class NetworkSimulator:
                 observer.on_delivery(self, packet)
         tel = self.telemetry
         if tel.enabled:
-            began = tel.profiler.begin() if tel.profiling else 0.0
             tel.on_delivery(
                 now,
                 packet.destination,
@@ -684,8 +671,6 @@ class NetworkSimulator:
                 now - packet.injected_at,
                 packet.hops,
             )
-            if tel.profiling:
-                tel.profiler.add("delivery", began)
         if self._in_window(now):
             self.stats.packets_delivered += 1
             self.stats.flits_delivered += packet.flits

@@ -1,4 +1,4 @@
-"""Tests for trace sinks, the run manifest and the profiler."""
+"""Tests for trace sinks and the run manifest."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs.events import OBS_SCHEMA_VERSION
 from repro.obs.manifest import RunManifest, jsonable
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.sink import JsonlSink, MemorySink, NullSink, read_jsonl
 from repro.sim.config import SimulationConfig
 
@@ -113,28 +112,3 @@ class TestManifest:
     def test_from_record_rejects_other_kinds(self):
         with pytest.raises(ValueError):
             RunManifest.from_record({"kind": "counters"})
-
-
-class TestProfiler:
-    def test_disabled_profiler_is_inert(self):
-        profiler = PhaseProfiler(enabled=False)
-        began = profiler.begin()
-        profiler.add("arbitration", began)
-        assert profiler.summaries() == []
-
-    def test_enabled_profiler_accumulates(self):
-        profiler = PhaseProfiler(enabled=True)
-        for _ in range(3):
-            began = profiler.begin()
-            profiler.add("arbitration", began)
-        began = profiler.begin()
-        profiler.add("delivery", began)
-        summaries = {s.name: s for s in profiler.summaries()}
-        assert summaries["arbitration"].samples == 3
-        assert summaries["delivery"].samples == 1
-        assert summaries["arbitration"].seconds >= 0.0
-        record = profiler.to_record()
-        assert record["kind"] == "profile"
-        assert {p["name"] for p in record["phases"]} == {
-            "arbitration", "delivery",
-        }

@@ -38,7 +38,7 @@ class TestNullTelemetry:
         # the null telemetry has flags, not hooks: a site that forgets
         # ``if tel.enabled:`` must fail here, not pay a call per event
         public = {n for n in vars(type(NULL_TELEMETRY)) if not n.startswith("_")}
-        assert public == {"enabled", "events", "profiling"}
+        assert public == {"enabled", "events"}
         with pytest.raises(AttributeError):
             NULL_TELEMETRY.on_injection(0.0, 0, 0, "request", 1)
         with pytest.raises(AttributeError):
@@ -77,17 +77,6 @@ class TestTelemetryFacade:
         assert end["packets_delivered"] == 5
         assert end["wall_time_s"] >= 0.0
         assert sink.closed
-
-    def test_profile_record_present_when_profiling(self):
-        sink = MemorySink()
-        tel = Telemetry(sink=sink, profile=True)
-        tel.open_run(small_config())
-        began = tel.profiler.begin()
-        tel.profiler.add("arbitration", began)
-        tel.finalize()
-        assert [r["kind"] for r in sink.records] == [
-            "manifest", "counters", "profile", "run-end",
-        ]
 
 
 class TestArbiterInstrumentation:
