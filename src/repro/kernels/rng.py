@@ -25,8 +25,10 @@ The word function is a chained splitmix64 finalizer:
     word        = mix64(trial_base + pack(domain, a, b) * GAMMA)
 
 with ``pack(domain, a, b) = domain << 48 | a << 24 | b`` (so ``a`` and
-``b`` must stay below 2**24 -- loads, rows, outputs and PIM rounds all
-do, by orders of magnitude).  The same arithmetic runs as Python ints
+``b`` must stay below 2**24 -- rows, outputs and PIM rounds do by
+orders of magnitude, ``StandaloneConfig`` bounds the load, and
+:func:`pack_key` and :func:`words` raise on anything else).  The word
+step is :func:`keyed_word`.  The same arithmetic runs as Python ints
 here and as ``uint64`` arrays in :mod:`repro.kernels` -- see
 :func:`words` -- and tests/kernels/test_rng.py asserts the two agree
 bit for bit.
@@ -100,6 +102,17 @@ def pack_key(domain: int, a: int, b: int) -> int:
     return (domain << _D_SHIFT) | (a << _A_SHIFT) | b
 
 
+def keyed_word(base: int, packed: int) -> int:
+    """The word at *packed* key (see :func:`pack_key`) of a trial *base*.
+
+    The one scalar copy of the word formula.  Hot loops that draw many
+    keys of one trial take :meth:`TrialStream.trial_base` once and pack
+    their keys inline; they own the field bounds that :func:`pack_key`
+    would otherwise check.
+    """
+    return mix64(base + packed * _GAMMA)
+
+
 class TrialStream:
     """Scalar (object-path) view of the keyed stream for one seed."""
 
@@ -111,7 +124,8 @@ class TrialStream:
         self._trial = -1
         self._base = 0
 
-    def _trial_base(self, trial: int) -> int:
+    def trial_base(self, trial: int) -> int:
+        """The per-trial base every word of *trial* is derived from."""
         if trial != self._trial:
             self._trial = trial
             self._base = mix64(self._hash + trial * _GAMMA)
@@ -119,7 +133,7 @@ class TrialStream:
 
     def word(self, trial: int, domain: int, a: int = 0, b: int = 0) -> int:
         """The 64-bit word at key ``(trial, domain, a, b)``."""
-        return mix64(self._trial_base(trial) + pack_key(domain, a, b) * _GAMMA)
+        return keyed_word(self.trial_base(trial), pack_key(domain, a, b))
 
     def randbelow(
         self, trial: int, domain: int, a: int, b: int, n: int
@@ -139,12 +153,18 @@ def words(seed: int, trial, domain: int, a=0, b=0):
 
     ``trial``, ``a`` and ``b`` may be scalars or arrays; the result
     has their broadcast shape with dtype ``uint64`` and is bit-equal
-    to the scalar path element by element.  Imported lazily so the
-    object path never requires numpy.
+    to the scalar path element by element.  Every ``a``/``b`` must lie
+    in ``[0, KEY_FIELD_LIMIT)``, as for :func:`pack_key`; out-of-range
+    fields raise ``ValueError`` instead of aliasing another key.
+    Imported lazily so the object path never requires numpy.
     """
     import numpy as np
 
     gamma = np.uint64(_GAMMA)
+    for name, field in (("a", a), ("b", b)):
+        field = np.asarray(field)
+        if field.size and (field.min() < 0 or field.max() >= KEY_FIELD_LIMIT):
+            raise ValueError(f"key field {name} out of range [0, {KEY_FIELD_LIMIT})")
     trial = np.asarray(trial, dtype=np.uint64)
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)

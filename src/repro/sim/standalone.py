@@ -57,8 +57,11 @@ from repro.kernels.rng import (
     D_PORT,
     D_SECOND_DIR,
     D_TWO_COIN,
+    KEY_FIELD_LIMIT,
     KeyedTrialRandom,
     TrialStream,
+    keyed_word,
+    pack_key,
 )
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.router.connection_matrix import DEFAULT_CONNECTION_MATRIX, ConnectionMatrix
@@ -66,6 +69,7 @@ from repro.router.ports import (
     InputPort,
     LOCAL_OUTPUTS,
     NUM_OUTPUT_PORTS,
+    READ_PORTS_PER_INPUT,
     TORUS_OUTPUTS,
     network_rows,
     row_of,
@@ -74,6 +78,29 @@ from repro.sim.metrics import RunningStats
 
 #: valid values of the ``backend`` switch.
 BACKENDS = ("object", "vectorized")
+
+# Packet generation, table-driven: each draw indexes a tuple instead of
+# building an enum or a candidate list.  ``_TWO_DIRECTIONS[first][k]``
+# is the pair (first direction, k-th of the other three in order), i.e.
+# the pop-then-index rule the vectorized workload mirrors.
+_INPUT_PORTS = tuple(InputPort)
+_LOCAL_CHOICES = tuple((int(out),) for out in LOCAL_OUTPUTS)
+_ONE_DIRECTION = tuple((int(first),) for first in TORUS_OUTPUTS)
+_TWO_DIRECTIONS = tuple(
+    tuple((int(first), int(second)) for second in TORUS_OUTPUTS if second != first)
+    for first in TORUS_OUTPUTS
+)
+
+# Packed draw keys of packet generation: ``_PORT_KEY | uid * _UID_KEY``
+# is ``pack_key(D_PORT, uid, 0)``, and so on.  The config bounds
+# ``load`` so every uid fits its key field unchecked.
+_UID_KEY = pack_key(0, 1, 0)
+_PORT_KEY = pack_key(D_PORT, 0, 0)
+_LOCAL_COIN_KEY = pack_key(D_LOCAL_COIN, 0, 0)
+_LOCAL_OUT_KEY = pack_key(D_LOCAL_OUT, 0, 0)
+_FIRST_DIR_KEY = pack_key(D_FIRST_DIR, 0, 0)
+_TWO_COIN_KEY = pack_key(D_TWO_COIN, 0, 0)
+_SECOND_DIR_KEY = pack_key(D_SECOND_DIR, 0, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,6 +144,9 @@ class StandaloneConfig:
     def __post_init__(self) -> None:
         if self.load < 1:
             raise ValueError("load must be at least one packet")
+        if self.load > KEY_FIELD_LIMIT:
+            # Packet uids key the draws; larger ones would not fit a key field.
+            raise ValueError(f"load must be at most {KEY_FIELD_LIMIT} packets")
         if not 0.0 <= self.occupancy < 1.0:
             raise ValueError("occupancy must be in [0, 1)")
         if not 0.0 <= self.local_fraction <= 1.0:
@@ -199,6 +229,8 @@ class StandaloneRouterModel:
         style = nomination_style(config.algorithm)
         self._uses_packet_pool = style == "pool"
         self._single_output = style == "single-output"
+        #: (port, outputs) -> nomination cells, see :meth:`_nomination_cells`
+        self._cells: dict[tuple[InputPort, tuple[int, ...]], tuple] = {}
         #: why a requested vectorized run fell back to the object path
         #: (None when no fallback happened).
         self.fallback_reason: str | None = None
@@ -269,37 +301,31 @@ class StandaloneRouterModel:
     # -- workload generation ------------------------------------------------
 
     def _generate_packets(self, trial: int = 0) -> list[StandalonePacket]:
-        stream = self._stream
+        """Draw ``load`` packets from the keys of one trial base.
+
+        Same keys and derivations as :class:`TrialStream`'s
+        ``randbelow`` (``word % n``) and ``uniform`` (top 53 bits).
+        """
         config = self.config
+        local_fraction = config.local_fraction
+        two_direction_fraction = config.two_direction_fraction
+        base = self._stream.trial_base(trial)
         packets = []
         for uid in range(config.load):
-            port = InputPort(stream.randbelow(trial, D_PORT, uid, 0, 8))
-            if stream.uniform(trial, D_LOCAL_COIN, uid) < config.local_fraction:
-                pick = stream.randbelow(
-                    trial, D_LOCAL_OUT, uid, 0, len(LOCAL_OUTPUTS)
-                )
-                outputs = (int(LOCAL_OUTPUTS[pick]),)
+            key = uid * _UID_KEY
+            port = _INPUT_PORTS[keyed_word(base, _PORT_KEY | key) % 8]
+            coin = keyed_word(base, _LOCAL_COIN_KEY | key) >> 11
+            if coin * 2.0**-53 < local_fraction:
+                outputs = _LOCAL_CHOICES[keyed_word(base, _LOCAL_OUT_KEY | key) % 3]
             else:
-                candidates = list(TORUS_OUTPUTS)
-                first = candidates.pop(
-                    stream.randbelow(trial, D_FIRST_DIR, uid, 0, len(candidates))
-                )
-                two = (
-                    stream.uniform(trial, D_TWO_COIN, uid)
-                    < config.two_direction_fraction
-                )
-                if two:
-                    second = candidates[
-                        stream.randbelow(
-                            trial, D_SECOND_DIR, uid, 0, len(candidates)
-                        )
-                    ]
-                    outputs = (int(first), int(second))
+                first = keyed_word(base, _FIRST_DIR_KEY | key) % 4
+                coin = keyed_word(base, _TWO_COIN_KEY | key) >> 11
+                if coin * 2.0**-53 < two_direction_fraction:
+                    second = keyed_word(base, _SECOND_DIR_KEY | key) % 3
+                    outputs = _TWO_DIRECTIONS[first][second]
                 else:
-                    outputs = (int(first),)
-            packets.append(
-                StandalonePacket(uid=uid, port=port, outputs=outputs, age=uid)
-            )
+                    outputs = _ONE_DIRECTION[first]
+            packets.append(StandalonePacket(uid, port, outputs, uid))
         # Oldest first within a port: lower uid == arrived earlier.
         return packets
 
@@ -365,26 +391,21 @@ class StandaloneRouterModel:
         never could (its keys were unique per packet); the regression
         test pins that all per-packet nominations are emitted.
         """
+        cells_of = self._cells
         nominations: list[Nomination] = []
         for packet in packets:
-            port = packet.port
-            for read_port in range(2):
-                row = row_of(port, read_port)
-                outputs = tuple(
-                    out
-                    for out in packet.outputs
-                    if self.config.matrix.connected(row, out)
-                )
-                if not outputs:
-                    continue
+            cells = cells_of.get((packet.port, packet.outputs))
+            if cells is None:
+                cells = self._nomination_cells(packet.port, packet.outputs)
+            for row, outputs, source, group in cells:
                 nominations.append(
                     Nomination(
                         row=row,
                         packet=packet.uid,
                         outputs=outputs,
-                        source=self._source_of(port),
+                        source=source,
                         age=-packet.age,
-                        group=int(port),
+                        group=group,
                         group_capacity=2,
                     )
                 )
@@ -408,22 +429,21 @@ class StandaloneRouterModel:
         """
         check_free = self.config.algorithm != "OPF"
         stream = self._stream
+        cells_of = self._cells
         nominated_ports: set[InputPort] = set()
         nominations: list[Nomination] = []
         for packet in packets:  # oldest first
             port = packet.port
             if port in nominated_ports:
                 continue
-            for read_port in range(2):
-                row = row_of(port, read_port)
-                outputs = [
-                    out
-                    for out in packet.outputs
-                    if self.config.matrix.connected(row, out)
-                    and (not check_free or out in free_outputs)
-                ]
-                if not outputs:
-                    continue
+            cells = cells_of.get((port, packet.outputs))
+            if cells is None:
+                cells = self._nomination_cells(port, packet.outputs)
+            for row, outputs, source, group in cells:
+                if check_free:
+                    outputs = [out for out in outputs if out in free_outputs]
+                    if not outputs:
+                        continue
                 choice = outputs[
                     stream.randbelow(
                         trial, D_NOM_CHOICE, packet.uid, 0, len(outputs)
@@ -434,9 +454,9 @@ class StandaloneRouterModel:
                         row=row,
                         packet=packet.uid,
                         outputs=(choice,),
-                        source=self._source_of(port),
+                        source=source,
                         age=-packet.age,
-                        group=int(port),
+                        group=group,
                         group_capacity=2,
                     )
                 )
@@ -444,9 +464,26 @@ class StandaloneRouterModel:
                 break
         return nominations
 
-    @staticmethod
-    def _source_of(port: InputPort) -> SourceKind:
-        return SourceKind.NETWORK if port.is_network else SourceKind.LOCAL
+    def _nomination_cells(
+        self, port: InputPort, outputs: tuple[int, ...]
+    ) -> tuple[tuple[int, tuple[int, ...], SourceKind, int], ...]:
+        """``(row, connected outputs, source, group)`` per read port.
+
+        Read port 0 first; read ports wired to none of *outputs* are
+        left out.  The answer depends only on ``(port, outputs)`` and
+        the frozen ``config.matrix``, so it is computed once per pair
+        and kept in ``self._cells``.
+        """
+        matrix = self.config.matrix
+        source = SourceKind.NETWORK if port.is_network else SourceKind.LOCAL
+        cells = []
+        for read_port in range(READ_PORTS_PER_INPUT):
+            row = row_of(port, read_port)
+            connected = tuple(out for out in outputs if matrix.connected(row, out))
+            if connected:
+                cells.append((row, connected, source, int(port)))
+        self._cells[port, outputs] = cells = tuple(cells)
+        return cells
 
 
 def measure_matches(

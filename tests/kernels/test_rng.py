@@ -13,6 +13,7 @@ from repro.kernels.rng import (  # noqa: E402
     KEY_FIELD_LIMIT,
     KeyedTrialRandom,
     TrialStream,
+    keyed_word,
     mix64,
     pack_key,
     uniforms,
@@ -68,6 +69,15 @@ class TestScalarStream:
         assert value == (word >> 11) * 2.0**-53
         assert 0.0 <= value < 1.0
 
+    def test_word_is_keyed_word_of_the_trial_base(self):
+        stream = TrialStream(seed=11)
+        base = stream.trial_base(4)
+        assert stream.word(4, D_BUSY, 3, 1) == keyed_word(
+            base, pack_key(D_BUSY, 3, 1)
+        )
+        assert stream.trial_base(5) != base
+        assert stream.trial_base(4) == base
+
     def test_pack_key_bounds(self):
         pack_key(D_PORT, KEY_FIELD_LIMIT - 1, KEY_FIELD_LIMIT - 1)
         with pytest.raises(ValueError):
@@ -102,6 +112,24 @@ class TestArrayParity:
         assert int(words(9, 4, D_PORT, 1, 0)) == TrialStream(9).word(
             4, D_PORT, 1, 0
         )
+
+    def test_words_accept_the_largest_fields(self):
+        top = KEY_FIELD_LIMIT - 1
+        assert int(words(42, 0, D_PORT, top, top)) == TrialStream(42).word(
+            0, D_PORT, top, top
+        )
+
+    @pytest.mark.parametrize("a, b", [
+        (KEY_FIELD_LIMIT, 0),
+        (0, KEY_FIELD_LIMIT),
+        (-1, 0),
+        (np.array([0, KEY_FIELD_LIMIT], dtype=np.uint64), 0),
+        (0, np.arange(KEY_FIELD_LIMIT - 1, KEY_FIELD_LIMIT + 1)),
+    ])
+    def test_words_reject_out_of_range_fields(self, a, b):
+        """Out-of-range fields would alias another key; raise like pack_key."""
+        with pytest.raises(ValueError):
+            words(42, 0, D_PORT, a, b)
 
 
 class TestKeyedTrialRandom:

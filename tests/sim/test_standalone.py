@@ -1,11 +1,13 @@
 """Tests for the standalone matching model (Figures 8 and 9 substrate)."""
 
+import hashlib
 import warnings
 from dataclasses import replace
 
 import pytest
 
 from repro.core.types import validate_matching
+from repro.kernels.rng import KEY_FIELD_LIMIT
 from repro.router.ports import InputPort
 from repro.sim.standalone import (
     StandaloneConfig,
@@ -28,6 +30,12 @@ class TestConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             StandaloneConfig(**kwargs)
+
+    def test_load_must_fit_a_key_field(self):
+        """Packet uids key the draws, so ``load`` is bounded at construction."""
+        StandaloneConfig(load=KEY_FIELD_LIMIT)  # largest uid is LIMIT - 1
+        with pytest.raises(ValueError, match="at most"):
+            StandaloneConfig(load=KEY_FIELD_LIMIT + 1)
 
 
 class TestModelMechanics:
@@ -192,6 +200,38 @@ class TestSeedStability:
         ).run()
         expected = self.PINNED[algorithm]
         assert tuple(observed[t] for t in sorted(observed)) == expected
+
+    #: sha256 over every ``load,occupancy,trial,row,packet,output;``
+    #: grant of :meth:`test_grant_digest_is_pinned`'s grid.  Most of
+    #: these algorithms have no kernel, so the parity gate never
+    #: checks them; this pins the whole oracle, not two trials.
+    DIGESTS = {
+        "MCM": "2faf7778aa4d92ce6699614ab529ebb1dff28e2014377262232a3bc7baeec568",
+        "OPF": "6150d1191cd2e8edd52210b84f21b01f2c8bdb2f4ae7c6d6908e3138a8031060",
+        "PIM": "5033258aeff79a995abde17bd4494524b49ecf64f9955d713ccdfab0dbc26ef1",
+        "PIM1": "52107c9a20b5e073dcb2b9caca3eb02c615a70e727dabc592c26e87463210ce8",
+        "SPAA": "48a8f98d953aab844e6536760269ad7f8c3abb5fc2a9b29af6b060f3a953c7b1",
+        "SPAA-rotary": "f6baed6507d36c734d5fbf078104cbc0baa18fe5f21af00d8c0674ed4b155015",
+        "WFA": "5609bd5e04a6412a393a63fbe105f41fd3068ff49634f8cb6ff2853399cde346",
+        "WFA-rotary": "a2543c04d133a1fad9d6897d0bbe525d77d620b2b33767f6967da9120f237688",
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(PINNED))
+    def test_grant_digest_is_pinned(self, algorithm):
+        digest = hashlib.sha256()
+        for load in (8, 64):
+            for occupancy in (0.0, 0.5):
+                def hook(trial, grants, prefix=f"{load},{occupancy},"):
+                    for g in grants:
+                        digest.update(
+                            f"{prefix}{trial},{g.row},{g.packet},{g.output};".encode()
+                        )
+
+                config = StandaloneConfig(algorithm=algorithm, load=load,
+                                          occupancy=occupancy, trials=200,
+                                          seed=123)
+                StandaloneRouterModel(config, trial_hook=hook).run()
+        assert digest.hexdigest() == self.DIGESTS[algorithm]
 
 
 class TestPaperShape:
