@@ -180,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="run scenarios on N supervised spawn-context workers; "
+        help="run scenarios on N supervised worker processes, each a "
+             "fresh interpreter (POSIX); "
              "per-scenario outcomes are bitwise identical to a serial run, "
              "and a worker that dies costs only its own scenario a "
              "'crash' outcome",

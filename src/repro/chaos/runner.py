@@ -1,8 +1,8 @@
 """Executing one chaos scenario with the full resilience layer armed.
 
 :func:`run_scenario` is a module-level function of picklable arguments
-so campaign workers can call it across a spawn-context process
-boundary, exactly like :func:`repro.sim.parallel.run_point_attempt`.  It
+so campaign workers can call it across a process boundary, exactly
+like :func:`repro.sim.parallel.run_point_attempt`.  It
 never raises for a *failing* scenario -- invariant violations,
 deadlocks and drain failures are the campaign's product, not its
 errors -- and instead classifies every run into a

@@ -251,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="run fig10/fig11 sweep points in a process pool of N "
-             "spawn-context workers (default 1 = serial); per-point "
+        help="run fig10/fig11 sweep points in a pool of N worker "
+             "processes, each a fresh interpreter that imports only what "
+             "its points need (POSIX; default 1 = serial); per-point "
              "results are bitwise identical to a serial run, and with "
              "--journal-dir the journal doubles as the work queue so "
              "--resume works the same as serially",

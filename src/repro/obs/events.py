@@ -2,8 +2,9 @@
 
 Every record in a trace (see :mod:`repro.obs.sink`) is one JSON object
 with a ``kind`` discriminator.  The :class:`~repro.obs.telemetry.Telemetry`
-hooks write these dicts directly; :data:`RECORD_FIELDS` is the written
-schema they are tested against (``tests/obs/test_wire_format.py``).
+hooks write these records directly (the per-packet kinds as ready-made
+JSON lines); :data:`RECORD_FIELDS` is the written schema they are
+tested against (``tests/obs/test_wire_format.py``).
 Bump :data:`OBS_SCHEMA_VERSION` whenever a record's fields change
 meaning.
 

@@ -8,6 +8,7 @@ lookup plus a float add.  Callers that increment the same series
 repeatedly should hold on to the bound series object returned by
 :meth:`Metric.labels` instead of re-resolving labels every time; that
 is what :class:`repro.obs.telemetry.Telemetry` does for the arbiters.
+An unlabeled metric holds on to its one series itself.
 
 Snapshots serialize to plain JSON-able dicts, so they can ride in a
 JSONL trace (see :mod:`repro.obs.sink`) and be re-read by ``repro obs``.
@@ -49,6 +50,9 @@ class Metric:
         self.help = help
         self.label_names = tuple(label_names)
         self._series: dict[tuple[str, ...], MetricSeries] = {}
+        #: an unlabeled metric's one series, once created: unlabeled
+        #: increments (per-packet counters) skip label resolution.
+        self._unlabeled: MetricSeries | None = None
 
     def labels(self, *values: object) -> MetricSeries:
         """The series for one label-value tuple (created on first use)."""
@@ -61,6 +65,8 @@ class Metric:
         if series is None:
             series = self._make_series(key)
             self._series[key] = series
+            if not key:
+                self._unlabeled = series
         return series
 
     def _make_series(self, key: tuple[str, ...]) -> MetricSeries:
@@ -92,7 +98,10 @@ class Counter(Metric):
 
     def inc(self, amount: float = 1.0, *label_values: object) -> None:
         """Unlabeled-or-labeled convenience increment."""
-        self.labels(*label_values).inc(amount)
+        series = self._unlabeled
+        if series is None or label_values:
+            series = self.labels(*label_values)
+        series.inc(amount)
 
     def total(self) -> float:
         """Sum over every series (the unlabeled view)."""
@@ -151,7 +160,10 @@ class Histogram(Metric):
         self.bounds = ordered
 
     def observe(self, value: float, *label_values: object) -> None:
-        self.labels(*label_values).observe(value)
+        series = self._unlabeled
+        if series is None or label_values:
+            series = self.labels(*label_values)
+        series.observe(value)
 
     def _make_series(self, key: tuple[str, ...]) -> HistogramSeries:
         return HistogramSeries(key, self.bounds)

@@ -2,7 +2,10 @@
 
 A sink consumes the wire-format dicts (schema:
 :mod:`repro.obs.events`) and the manifest/counters records written by
-:class:`repro.obs.telemetry.Telemetry`.  Three implementations:
+:class:`repro.obs.telemetry.Telemetry` through :meth:`TraceSink.emit`,
+and the per-packet records, which their hooks format as compact JSON
+lines themselves, through :meth:`TraceSink.write`.  Three
+implementations:
 
 * :class:`NullSink` -- swallows everything; ``active`` is False so
   producers can skip building records entirely (the disabled fast
@@ -20,18 +23,35 @@ whole trace into memory.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import IO
 
+#: ``json.dumps(record, separators=(",", ":"))`` as one C encoder built
+#: once, instead of a new encoder per record; ``"".join`` its chunks.
+#: Arguments: markers (None: no state shared between calls), default,
+#: encoder, indent, key and item separators, sort_keys, skipkeys,
+#: allow_nan.
+_compact = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None,
+    ":", ",", False, False, True,
+)
+
 
 class TraceSink:
-    """Interface; subclasses override :meth:`emit` and :meth:`close`."""
+    """Interface; subclasses override :meth:`emit` and :meth:`close`
+    (and :meth:`write`, when they store lines)."""
 
     #: False when emitting is pointless (producers skip record building).
     active: bool = True
 
     def emit(self, record: dict) -> None:
         raise NotImplementedError
+
+    def write(self, line: str) -> None:
+        """Take one record already encoded as a compact JSON line
+        (no newline); a sink that keeps dicts gets it as :meth:`emit`."""
+        self.emit(json.loads(line))
 
     def close(self) -> None:
         """Flush and release resources; further emits are ignored."""
@@ -87,12 +107,16 @@ class JsonlSink(TraceSink):
         self.records_written = 0
 
     def emit(self, record: dict) -> None:
+        self.write("".join(_compact(record, 0)))
+
+    def write(self, line: str) -> None:
         if self._closed:
             return
         if self._file is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._file = self.path.open("w", encoding="utf-8")
-        self._file.write(json.dumps(record, separators=(",", ":")) + "\n")
+        # One write per record: a killed writer can tear only the last line.
+        self._file.write(line + "\n")
         self.records_written += 1
 
     def close(self) -> None:

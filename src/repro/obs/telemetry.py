@@ -14,8 +14,11 @@ Within an enabled Telemetry there are still two tiers:
 * **events** (per-packet trace records) only run when the sink is
   real (``sink.active``), because serializing every grant of a
   multi-million-event run is only worth it when someone asked for the
-  trace.  A hook builds its record once, as the wire dict the sink
-  serializes; :data:`repro.obs.events.RECORD_FIELDS` is the schema.
+  trace.  A hook builds its record once: the four per-packet kinds
+  (``inject``, ``nominate``, ``grant``, ``deliver``; 97% of a trace) as
+  the compact JSON line itself (``sink.write``), every other kind as
+  the wire dict the sink serializes (``sink.emit``).  Both give the
+  same bytes; :data:`repro.obs.events.RECORD_FIELDS` is the schema.
 
 The same Telemetry instance is shared by every router of a simulation,
 so counters are network-wide totals; per-node series carry the node as
@@ -25,6 +28,7 @@ a label.
 from __future__ import annotations
 
 import time
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any
 
 from repro.obs.manifest import RunManifest
@@ -231,14 +235,19 @@ class Telemetry:
         series.inc(amount)
 
     # -- router-level hooks ----------------------------------------------
+    #
+    # The per-packet hooks write their line in RECORD_FIELDS order,
+    # exactly as json.dumps(..., separators=(",", ":")) would: floats as
+    # repr (EventQueue keeps times finite, so never NaN or inf; the
+    # durations derive from them), strings JSON-escaped.
 
     def on_nomination(
         self, now: float, node: int, row: int, packet: int, outputs: tuple[int, ...]
     ) -> None:
         if self.events:
-            self.sink.emit(
-                {"time": now, "node": node, "row": row, "packet": packet,
-                 "outputs": list(outputs), "kind": "nominate"}
+            self.sink.write(
+                f'{{"time":{now!r},"node":{node},"row":{row},"packet":{packet},'
+                f'"outputs":[{",".join(map(str, outputs))}],"kind":"nominate"}}'
             )
 
     def on_dispatch(
@@ -261,9 +270,9 @@ class Telemetry:
         ports[0].inc(busy_cycles)
         ports[1].inc()
         if self.events:
-            self.sink.emit(
-                {"time": now, "node": node, "row": row, "packet": packet,
-                 "output": output, "busy_cycles": busy_cycles, "kind": "grant"}
+            self.sink.write(
+                f'{{"time":{now!r},"node":{node},"row":{row},"packet":{packet},'
+                f'"output":{output},"busy_cycles":{busy_cycles!r},"kind":"grant"}}'
             )
 
     def on_conflicts(self, now: float, node: int, algorithm: str, count: int) -> None:
@@ -294,9 +303,10 @@ class Telemetry:
     ) -> None:
         self._injections.inc()
         if self.events:
-            self.sink.emit(
-                {"time": now, "node": node, "packet": packet, "pclass": pclass,
-                 "destination": destination, "kind": "inject"}
+            self.sink.write(
+                f'{{"time":{now!r},"node":{node},"packet":{packet},'
+                f'"pclass":{_json_str(pclass)},"destination":{destination},'
+                f'"kind":"inject"}}'
             )
 
     def on_delivery(
@@ -311,10 +321,11 @@ class Telemetry:
         self._deliveries.inc()
         self._latency.observe(latency_cycles)
         if self.events:
-            self.sink.emit(
-                {"time": now, "node": node, "packet": packet, "pclass": pclass,
-                 "latency_cycles": latency_cycles, "hops": hops,
-                 "kind": "deliver"}
+            self.sink.write(
+                f'{{"time":{now!r},"node":{node},"packet":{packet},'
+                f'"pclass":{_json_str(pclass)},'
+                f'"latency_cycles":{latency_cycles!r},"hops":{hops},'
+                f'"kind":"deliver"}}'
             )
 
     # -- resilience hooks --------------------------------------------------

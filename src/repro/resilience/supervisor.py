@@ -6,11 +6,11 @@ alone owns the delayed ready-heap, the payloads, the
 :class:`~repro.resilience.leases.LeaseTable`, the event queue, the
 crash -> resubmit -> quarantine policy, the stats and the telemetry
 callbacks, and it reaches its *holders* only through a small
-:class:`Transport`.  Two exist: the spawn-context pool below -- raw
-``multiprocessing.Process`` workers the parent owns outright, one
-duplex pipe each (an executor pool cannot terminate one wedged worker,
-and one dead worker breaks all of its pending futures) -- and the TCP
-fleet in :mod:`repro.service.coordinator`.  The scheduler
+:class:`Transport`.  Two exist: the local pool below -- bare child
+interpreters the parent owns outright, one duplex socket each (an
+executor pool cannot terminate one wedged worker, and one dead worker
+breaks all of its pending futures) -- and the TCP fleet in
+:mod:`repro.service.coordinator`.  The scheduler
 
 * watches **heartbeats**: the task runner receives a heartbeat
   callable that the simulation drives from inside its event loop (see
@@ -39,10 +39,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import socket
+import subprocess
+import sys
 import time
 from contextlib import suppress
 from dataclasses import dataclass
-from multiprocessing import get_context
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import Any, Callable, NamedTuple, Protocol
 
@@ -56,8 +58,10 @@ __all__ = [
     "Transport",
 ]
 
-#: spawn keeps workers free of inherited parent state (open sinks, RNGs,
-#: the loaded journal) whatever the platform's default start method is.
+#: manifests' name for how a pool worker starts: a fresh interpreter,
+#: free of inherited parent state (open sinks, RNGs, the loaded
+#: journal).  The value is kept from the ``multiprocessing`` start
+#: method the pool once used, so manifests stay byte-identical.
 MP_CONTEXT = "spawn"
 
 
@@ -443,7 +447,7 @@ class PointSupervisor:
         )
 
 
-# -- the local transport: spawn-context children on duplex pipes -----------
+# -- the local transport: bare child interpreters on duplex sockets --------
 
 
 class _HeartbeatSender:
@@ -479,8 +483,8 @@ class _HeartbeatSender:
 def _worker_main(conn: Connection, runner: Callable[[Any, Callable], Any]) -> None:
     """Long-lived worker loop: recv task, run, send result, repeat.
 
-    Module-level so a spawn context can pickle it by reference.  Every
-    reply echoes the task's opaque *tag* (task id + dispatch id).  Any
+    What :data:`_BOOTSTRAP` runs in a pool worker.  Every reply
+    echoes the task's opaque *tag* (task id + dispatch id).  Any
     exception escaping *runner* is reported as an ``error`` message
     (the worker survives); runners are expected to catch task-level
     exceptions themselves and fold them into their result objects.
@@ -519,9 +523,41 @@ def _worker_main(conn: Connection, runner: Callable[[Any, Callable], Any]) -> No
         pass
 
 
+#: what a pool worker's interpreter runs (``python -c``, the socket's
+#: descriptor as its one argument): adopt the parent's ``sys.path``, so
+#: callers that put ``src/`` on it work, then serve the runner sent
+#: next.  It imports nothing else -- never the caller's ``__main__`` --
+#: so a worker costs what unpickling its runner and payloads imports.
+_BOOTSTRAP = """\
+import sys
+from multiprocessing.connection import Connection
+conn = Connection(int(sys.argv[1]))
+sys.path[:] = conn.recv()
+from repro.resilience.supervisor import _worker_main
+_worker_main(conn, conn.recv())
+"""
+
+
+class _Process(subprocess.Popen):
+    """A worker interpreter, with the ``multiprocessing.Process``
+    surface the pool uses (``pid``, ``terminate`` and ``kill`` are
+    Popen's own)."""
+
+    def is_alive(self) -> bool:
+        return self.poll() is None
+
+    @property
+    def exitcode(self) -> int | None:
+        return self.poll()
+
+    def join(self, timeout: float | None = None) -> None:
+        with suppress(subprocess.TimeoutExpired):
+            self.wait(timeout)
+
+
 @dataclass(eq=False)
 class _Worker:
-    process: Any
+    process: _Process
     conn: Connection
 
     @property
@@ -530,8 +566,11 @@ class _Worker:
 
 
 class ProcessPoolTransport:
-    """Up to *workers* child processes, spawned on demand and replaced
-    when they die or are reaped."""
+    """Up to *workers* child processes (:data:`_BOOTSTRAP` on one end
+    of a socket pair; POSIX-only), spawned on demand and replaced when
+    they die or are reaped.  Each is waited for when it is reaped or
+    the pool closes, and no resource tracker is started, so no process
+    outlives the pool."""
 
     def __init__(
         self,
@@ -545,7 +584,6 @@ class ProcessPoolTransport:
         self.runner = runner
         self.reap_grace_s = reap_grace_s
         self.stats: dict[str, int] = {}
-        self._context = get_context(MP_CONTEXT)
         self._pool: list[_Worker] = []
 
     def idle_holder(self, busy: Callable[[Any], Any]) -> _Worker | None:
@@ -557,16 +595,18 @@ class ProcessPoolTransport:
         return None
 
     def _spawn(self) -> _Worker:
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
-        process = self._context.Process(
-            target=_worker_main,
-            args=(child_conn, self.runner),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        worker = _Worker(process=process, conn=parent_conn)
-        self._pool.append(worker)
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            process = _Process(
+                [sys.executable, "-c", _BOOTSTRAP, str(theirs.fileno())],
+                pass_fds=(theirs.fileno(),),
+                stdin=subprocess.DEVNULL,
+            )
+            conn = Connection(ours.detach())
+        worker = _Worker(process=process, conn=conn)
+        self._pool.append(worker)  # reaped by close() if a send fails
+        conn.send(sys.path)
+        conn.send(self.runner)
         return worker
 
     def send(self, lease: Lease, payload: Any, reassigned: bool) -> None:

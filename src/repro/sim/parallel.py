@@ -149,7 +149,7 @@ def _claim_once_file() -> bool:
 def run_point_attempt(spec: PointSpec, heartbeat=None) -> PointResult:
     """Worker entry: the test fault hooks, then the shared attempt.
 
-    Module-level, so a spawn context pickles it by reference.
+    Module-level, so it is sent to pool workers by reference.
     """
     wedge = os.environ.get(WEDGE_POINT_ENV)
     if wedge and _test_fault_matches(wedge, spec) and _claim_once_file():

@@ -411,7 +411,7 @@ def sweep_algorithms(
             sweep order, and raises :class:`SweepPointError` at the
             first point that exhausts *max_attempts*.  With
             ``workers > 1`` all points of all algorithms share one set
-            of spawn-context workers under the
+            of fresh-interpreter workers under the
             :class:`~repro.resilience.PointSupervisor` scheduler, with
             bitwise identical per-point results: a dead worker is
             replaced and its point retried, a point that fails every

@@ -54,6 +54,40 @@ class TestCounter:
         ]
 
 
+class TestUnlabeledSeries:
+    """Unlabeled metrics (the per-packet counters) resolve their one
+    series once, when it is first used -- not per increment, and not
+    before: a metric never touched still snapshots with no series."""
+
+    @pytest.mark.parametrize(
+        "metric, record, value",
+        [
+            (Counter("c"), Counter.inc, 6.0),
+            (
+                Histogram("h", bounds=(1.0,)),
+                Histogram.observe,
+                {"bounds": [1.0], "bucket_counts": [0, 3], "sum": 6.0, "count": 3},
+            ),
+        ],
+        ids=["counter", "histogram"],
+    )
+    def test_series_is_created_on_first_use_and_resolved_once(
+        self, metric, record, value, monkeypatch
+    ):
+        assert metric.snapshot()["series"] == []
+        resolved = []
+        real_labels = type(metric).labels
+        monkeypatch.setattr(
+            type(metric),
+            "labels",
+            lambda self, *values: resolved.append(values) or real_labels(self, *values),
+        )
+        for _ in range(3):
+            record(metric, 2.0)
+        assert resolved == [()]
+        assert metric.snapshot()["series"] == [{"labels": [], "value": value}]
+
+
 class TestGauge:
     def test_set_overwrites(self):
         gauge = Gauge("depth")

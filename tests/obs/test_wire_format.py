@@ -6,7 +6,8 @@ literal captured at the commit before the hooks stopped going through
 typed event classes (PR 14).  That pins key order, the list form of
 ``outputs`` and the leading ``kind`` of ``watchdog`` for all 20 kinds --
 including the supervisor and service kinds no simulation emits -- so a
-trace written today stays byte-identical to one written then.
+trace written today stays byte-identical to one written then.  The same
+hooks into a ``JsonlSink`` pin the line each one puts on disk.
 """
 
 import json
@@ -14,7 +15,7 @@ import json
 import pytest
 
 from repro.obs.events import RECORD_FIELDS
-from repro.obs.sink import MemorySink
+from repro.obs.sink import JsonlSink, MemorySink
 from repro.obs.telemetry import Telemetry
 
 #: (hook, arguments, json.dumps of the emitted record at the parent commit)
@@ -104,6 +105,20 @@ def test_record_keys_are_the_written_schema(hook, args, wire):
         assert tuple(record) == ("kind",) + fields
     else:
         assert tuple(record) == fields + ("kind",)
+
+
+def test_jsonl_sink_writes_the_compact_form_of_every_literal(tmp_path):
+    """The bytes on disk: per-packet kinds are formatted by their hooks,
+    the rest by the sink's encoder -- both must be exactly what
+    ``json.dumps(record, separators=(",", ":"))`` writes."""
+    path = tmp_path / "wire.jsonl"
+    telemetry = Telemetry(sink=JsonlSink(path))
+    for hook, args, _ in WIRE:
+        getattr(telemetry, hook)(*args)
+    telemetry.sink.close()
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        json.dumps(json.loads(wire), separators=(",", ":")) for _, _, wire in WIRE
+    ]
 
 
 def test_every_schema_kind_has_exactly_one_hook():

@@ -8,6 +8,10 @@ so the resilience CI slice exercises them.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,35 @@ from repro.sim.sweep import (
 )
 
 RATES = (0.005, 0.02)
+
+#: a two-point pooled sweep at module level (no ``__main__`` guard)
+#: that prints its points; the same points as ``tiny_config()`` serially.
+_POOLED_SWEEP_SCRIPT = """\
+import json
+from repro.sim.config import NetworkConfig, SimulationConfig, TrafficConfig
+from repro.sim.sweep import sweep_algorithms
+
+config = SimulationConfig(
+    network=NetworkConfig(width=2, height=2),
+    traffic=TrafficConfig(injection_rate=0.01),
+    warmup_cycles=200,
+    measure_cycles=800,
+    seed=3,
+)
+curves = sweep_algorithms(config, (config.algorithm,), (0.005, 0.02), workers=2)
+print(json.dumps([p.as_dict() for p in curves[config.algorithm].points]))
+"""
+
+
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with ``src/`` on its path."""
+    env = dict(
+        os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src")
+    )
+    return subprocess.run(
+        [sys.executable, *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
 
 
 def tiny_config(seed: int = 3) -> SimulationConfig:
@@ -134,6 +167,29 @@ class TestPlumbing:
         assert result.ok
         assert result.attempts == 1
         assert result.algorithm == spec.config.algorithm
+
+    def test_pooled_sweep_from_a_script_without_a_main_guard(self, tmp_path):
+        """Workers start from a bare interpreter: they never re-run the
+        caller's script, so it needs no ``if __name__ == "__main__":``."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(_POOLED_SWEEP_SCRIPT)
+        done = run_python(str(script))
+        assert done.returncode == 0, done.stderr
+        serial = sweep_algorithm(tiny_config(), RATES)
+        assert json.loads(done.stdout) == [p.as_dict() for p in serial.points]
+
+    def test_no_process_outlives_a_pooled_sweep(self):
+        done = run_python(
+            "-c",
+            _POOLED_SWEEP_SCRIPT
+            + "import os\n"
+            + "try:\n"
+            + "    print(os.waitpid(-1, os.WNOHANG))\n"
+            + "except ChildProcessError:\n"
+            + "    print('no child left')\n",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "no child left"
 
     def test_per_point_traces_and_sweep_manifest(self, tmp_path):
         sweep_algorithms(
