@@ -102,13 +102,4 @@ class AntiStarvationTracker:
 def _with_starving(nomination: Nomination, starving: bool) -> Nomination:
     if nomination.starving == starving:
         return nomination
-    return Nomination(
-        row=nomination.row,
-        packet=nomination.packet,
-        outputs=nomination.outputs,
-        source=nomination.source,
-        age=nomination.age,
-        group=nomination.group,
-        group_capacity=nomination.group_capacity,
-        starving=starving,
-    )
+    return nomination._replace(starving=starving)

@@ -53,13 +53,19 @@ def usable_nominations(
     """Pair each nomination with the subset of its outputs that are free.
 
     Nominations whose candidate outputs are all busy are dropped; the
-    remaining ones keep their preference order.  Every concrete arbiter
+    remaining ones keep their preference order.  A nomination with every
+    output free is paired with its own ``outputs`` tuple (always a
+    tuple: :class:`Nomination` coerces it).  Every concrete arbiter
     starts from this filtered view, mirroring the hardware's readiness
     test ("is the targeted output port free?") in the LA stage.
     """
     usable = []
+    all_free = free_outputs.issuperset
     for nom in nominations:
-        outputs = tuple(o for o in nom.outputs if o in free_outputs)
-        if outputs:
-            usable.append((nom, outputs))
+        outputs = nom.outputs
+        if not all_free(outputs):
+            outputs = tuple(o for o in outputs if o in free_outputs)
+            if not outputs:
+                continue
+        usable.append((nom, outputs))
     return usable

@@ -12,8 +12,7 @@ timing model (Figures 10 and 11) drive the exact same algorithm code.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class SourceKind(enum.Enum):
@@ -28,8 +27,21 @@ class SourceKind(enum.Enum):
     LOCAL = "local"
 
 
-@dataclass(frozen=True, slots=True)
-class Nomination:
+class _NominationFields(NamedTuple):
+    row: int
+    packet: int
+    outputs: tuple[int, ...]
+    source: SourceKind = SourceKind.NETWORK
+    age: int = 0
+    group: int | None = None
+    group_capacity: int = 1
+    starving: bool = False
+
+
+_tuple_new = tuple.__new__
+
+
+class Nomination(_NominationFields):
     """A request presented to the arbitration algorithm.
 
     Attributes:
@@ -57,26 +69,43 @@ class Nomination:
         starving: set by the anti-starvation overlay for packets that
             exceeded the old-color threshold; starving packets outrank
             every prioritization policy, including the Rotary Rule.
+
+    An immutable, hashable value at the cost of a tuple (DESIGN.md
+    section 6): ``outputs`` is coerced to a tuple, and every way of
+    building one -- the constructor, :meth:`_replace`, unpickling --
+    runs the same two checks.
     """
 
-    row: int
-    packet: int
-    outputs: tuple[int, ...]
-    source: SourceKind = SourceKind.NETWORK
-    age: int = 0
-    group: int | None = None
-    group_capacity: int = 1
-    starving: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.outputs:
+    def __new__(
+        cls,
+        row: int,
+        packet: int,
+        outputs: Iterable[int],
+        source: SourceKind = SourceKind.NETWORK,
+        age: int = 0,
+        group: int | None = None,
+        group_capacity: int = 1,
+        starving: bool = False,
+    ) -> Nomination:
+        outputs = tuple(outputs)
+        if len(outputs) > 1:
+            if len(set(outputs)) != len(outputs):
+                raise ValueError(f"duplicate outputs in nomination: {outputs}")
+        elif not outputs:
             raise ValueError("a nomination needs at least one candidate output")
-        if len(set(self.outputs)) != len(self.outputs):
-            raise ValueError(f"duplicate outputs in nomination: {self.outputs}")
+        return _tuple_new(
+            cls, (row, packet, outputs, source, age, group, group_capacity, starving)
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Nomination:
+        # NamedTuple's own _make (behind _replace) skips __new__.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True, slots=True)
-class Grant:
+class Grant(NamedTuple):
     """A single (row, packet, output) match produced by an arbiter."""
 
     row: int

@@ -28,7 +28,9 @@ with ``pack(domain, a, b) = domain << 48 | a << 24 | b`` (so ``a`` and
 ``b`` must stay below 2**24 -- rows, outputs and PIM rounds do by
 orders of magnitude, ``StandaloneConfig`` bounds the load, and
 :func:`pack_key` and :func:`words` raise on anything else).  The word
-step is :func:`keyed_word`.  The same arithmetic runs as Python ints
+step is :func:`keyed_word`, which holds the scalar finalizer inline;
+``mix64(z)`` is ``keyed_word(z, 0)`` and runs once per trial (the trial
+base) and once per seed.  The same arithmetic runs as Python ints
 here and as ``uint64`` arrays in :mod:`repro.kernels` -- see
 :func:`words` -- and tests/kernels/test_rng.py asserts the two agree
 bit for bit.
@@ -82,12 +84,25 @@ D_PIM_ACCEPT = 10
 D_SEQ = 11
 
 
-def mix64(z: int) -> int:
-    """The splitmix64 finalizer (Stafford's Mix13), a 64-bit bijection."""
-    z &= _MASK64
+def keyed_word(base: int, packed: int) -> int:
+    """The word at *packed* key (see :func:`pack_key`) of a trial *base*.
+
+    The one scalar copy of the word formula and of the splitmix64
+    finalizer (Stafford's Mix13) it applies to ``base + packed *
+    GAMMA``.  Hot loops that draw many keys of one trial take
+    :meth:`TrialStream.trial_base` once and pack their keys inline;
+    they own the field bounds that :func:`pack_key` would otherwise
+    check.
+    """
+    z = (base + packed * _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def mix64(z: int) -> int:
+    """The splitmix64 finalizer, a 64-bit bijection of ``z mod 2**64``."""
+    return keyed_word(z, 0)
 
 
 def seed_hash(seed: int) -> int:
@@ -100,17 +115,6 @@ def pack_key(domain: int, a: int, b: int) -> int:
     if not 0 <= a < KEY_FIELD_LIMIT or not 0 <= b < KEY_FIELD_LIMIT:
         raise ValueError(f"key fields out of range: a={a}, b={b}")
     return (domain << _D_SHIFT) | (a << _A_SHIFT) | b
-
-
-def keyed_word(base: int, packed: int) -> int:
-    """The word at *packed* key (see :func:`pack_key`) of a trial *base*.
-
-    The one scalar copy of the word formula.  Hot loops that draw many
-    keys of one trial take :meth:`TrialStream.trial_base` once and pack
-    their keys inline; they own the field bounds that :func:`pack_key`
-    would otherwise check.
-    """
-    return mix64(base + packed * _GAMMA)
 
 
 class TrialStream:

@@ -505,15 +505,7 @@ class Router:
             self._rows_in_flight &= ~(1 << nom.row)
             if outputs:
                 if outputs != nom.outputs:
-                    nom = Nomination(
-                        row=nom.row,
-                        packet=nom.packet,
-                        outputs=outputs,
-                        source=nom.source,
-                        age=nom.age,
-                        group=nom.group,
-                        group_capacity=nom.group_capacity,
-                    )
+                    nom = nom._replace(outputs=outputs)
                 live.append(nom)
             else:
                 speculation_drops += 1

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from repro.core.registry import ArbiterContext, make_arbiter, nomination_style
 from repro.core.types import Nomination, SourceKind
@@ -103,8 +104,7 @@ _TWO_COIN_KEY = pack_key(D_TWO_COIN, 0, 0)
 _SECOND_DIR_KEY = pack_key(D_SECOND_DIR, 0, 0)
 
 
-@dataclass(frozen=True, slots=True)
-class StandalonePacket:
+class StandalonePacket(NamedTuple):
     """A waiting packet: identity, port, candidate outputs, age rank."""
 
     uid: int

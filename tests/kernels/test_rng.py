@@ -1,6 +1,8 @@
 """The keyed RNG stream: scalar/array bit equality and the facade."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
@@ -20,6 +22,16 @@ from repro.kernels.rng import (  # noqa: E402
     words,
 )
 
+_MASK64 = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def reference_finalizer(z):
+    """The splitmix64 finalizer written out once more, for comparison."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
 
 class TestScalarStream:
     def test_mix64_is_stable(self):
@@ -27,6 +39,31 @@ class TestScalarStream:
         assert mix64(0) == 0
         assert mix64(1) == 0x5692161D100B05E5
         assert mix64(2**64 - 1) == 0xB4D055FCF2CBBD7B
+
+    @pytest.mark.parametrize("z, expected", [
+        (42, 0xA759EA27D4727622),
+        (0x9E3779B97F4A7C15, 0xE220A8397B1DCDAF),
+        # Inputs are reduced mod 2**64 first.
+        (2**64, 0),
+        (2**64 + 1, 0x5692161D100B05E5),
+        (2**65 + 12345, 0xF36CF1164265DD51),
+        (3 * 2**64 + 7, 0x12AE30237B17DF14),
+        (2**127 + 99, 0x79CE5DC97509C089),
+    ])
+    def test_mix64_literals(self, z, expected):
+        assert mix64(z) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.integers(0, _MASK64),
+        domain=st.integers(0, 15),
+        a=st.integers(0, KEY_FIELD_LIMIT - 1),
+        b=st.integers(0, KEY_FIELD_LIMIT - 1),
+    )
+    def test_keyed_word_is_the_finalizer_of_the_keyed_sum(self, base, domain, a, b):
+        packed = pack_key(domain, a, b)
+        expected = reference_finalizer((base + packed * _GAMMA) % 2**64)
+        assert keyed_word(base, packed) == expected
 
     def test_words_are_64_bit(self):
         stream = TrialStream(seed=42)
