@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields, replace
 
 from repro.core.registry import STANDALONE_ALGORITHMS, TIMING_ALGORITHMS
 from repro.resilience.faults import FaultConfig
+from repro.resilience.watchdog import WatchdogConfig
 from repro.sim.config import DESTINATION_PATTERNS
 from repro.sim.traffic import pattern_fits
 
@@ -94,6 +95,7 @@ class ChaosScenario:
     def __post_init__(self) -> None:
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"kind {self.kind!r} not in {SCENARIO_KINDS}")
+        WatchdogConfig(window_cycles=self.watchdog_window)  # the runner's check
 
     @property
     def scenario_id(self) -> str:

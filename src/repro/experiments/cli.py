@@ -90,17 +90,18 @@ def _sweep_guard(args: argparse.Namespace) -> SweepGuard | None:
         faults = parse_fault_spec(args.faults) if args.faults else None
     except ValueError as error:
         raise SystemExit(f"bad --faults spec: {error}") from error
+    watchdog = None
+    if args.watchdog is not None:
+        try:
+            watchdog = WatchdogConfig(
+                window_cycles=args.watchdog, remediate=args.watchdog_remediate
+            )
+        except ValueError as error:
+            raise SystemExit(f"bad --watchdog: {error}") from error
     return SweepGuard(
         faults=faults,
         invariants=InvariantConfig() if args.invariants else None,
-        watchdog=(
-            WatchdogConfig(
-                window_cycles=args.watchdog,
-                remediate=args.watchdog_remediate,
-            )
-            if args.watchdog is not None
-            else None
-        ),
+        watchdog=watchdog,
         journal_path=args.journal_dir,
         resume=args.resume,
         max_attempts=args.max_attempts,

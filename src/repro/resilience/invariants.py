@@ -32,6 +32,7 @@ per-trial matching validator around
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -57,10 +58,11 @@ class InvariantConfig:
     fail_fast: bool = False
 
     def __post_init__(self) -> None:
-        if self.check_interval_cycles <= 0:
-            raise ValueError("check_interval_cycles must be positive")
-        if self.max_wait_cycles is not None and self.max_wait_cycles <= 0:
-            raise ValueError("max_wait_cycles must be positive (or None)")
+        if not 0 < self.check_interval_cycles < math.inf:
+            raise ValueError("check_interval_cycles must be finite and positive")
+        max_wait = self.max_wait_cycles
+        if max_wait is not None and not 0 < max_wait < math.inf:
+            raise ValueError("max_wait_cycles must be finite and positive (or None)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,15 +91,14 @@ class InvariantViolationError(AssertionError):
 class InFlightTracker:
     """Incremental network-wide registry of buffered packets.
 
-    The timing model maintains this at the three buffer transitions --
-    local-port inject, link-arrival commit, and dispatch removal (plus
-    a defensive discard on drops) -- so the invariant checker's
-    periodic sweeps can read duplicate-uid and age state in
-    O(buffered packets) instead of re-walking every router x port x
-    virtual channel.  A uid entering a second buffer slot while still
-    registered is a model bug; the collision is recorded at insertion
-    time and surfaced (as a ``duplicate-in-flight`` violation) by the
-    next check.
+    The :class:`InvariantChecker`'s observer hooks maintain it as
+    packets enter buffers (local-port inject, link-arrival commit) and
+    leave them (dispatch), so its periodic sweeps can read duplicate-uid
+    and age state in O(buffered packets) instead of re-walking every
+    router x port x virtual channel.  A uid entering a second buffer
+    slot while still registered is a model bug; the collision is
+    recorded at insertion time and surfaced (as a
+    ``duplicate-in-flight`` violation) by the next check.
     """
 
     __slots__ = ("entries", "collisions")
@@ -129,11 +130,12 @@ class InvariantChecker:
     """Continuous verification of a network simulation's bookkeeping.
 
     Attach with ``NetworkSimulator(config, invariants=checker)`` (or
-    pass an :class:`InvariantConfig`); the simulator schedules the
-    periodic sweeps and the end-of-run check itself.
+    pass an :class:`InvariantConfig`); the simulator attaches it as its
+    first observer and schedules the periodic sweeps and the end-of-run
+    check itself.
 
-    When the simulator maintains an :class:`InFlightTracker` (it does
-    whenever invariants are attached), periodic sweeps take the
+    Its observer hooks keep an :class:`InFlightTracker` of the watched
+    simulator, so periodic sweeps of it take the
     *incremental* path -- conservation totals, tracker-vs-buffer
     consistency, collision-recorded duplicates and the age bound over
     the tracker's O(buffered) entries -- and the exhaustive
@@ -146,6 +148,9 @@ class InvariantChecker:
         self.config = config or InvariantConfig()
         self.violations: list[InvariantViolation] = []
         self.checks_run = 0
+        #: the watched simulator and its in-flight registry (on_attach)
+        self._sim = None
+        self._tracker: InFlightTracker | None = None
 
     @property
     def clean(self) -> bool:
@@ -154,6 +159,18 @@ class InvariantChecker:
     def raise_if_violated(self) -> None:
         if self.violations:
             raise InvariantViolationError(self.violations)
+
+    # -- observer hooks --------------------------------------------------
+
+    def on_attach(self, sim) -> None:
+        self._sim = sim
+        self._tracker = InFlightTracker()
+
+    def on_enter(self, sim, node: int, port, packet) -> None:
+        self._tracker.add(packet, node, port)
+
+    def on_dispatch(self, sim, router, dispatch) -> None:
+        self._tracker.discard(dispatch.packet)  # now in transit or sinking
 
     # -- the checks ------------------------------------------------------
 
@@ -167,14 +184,14 @@ class InvariantChecker:
         sweep (also appended to :attr:`violations`).
 
         *full* selects the exhaustive per-buffer walk; the default
-        (None) walks only when the simulator has no
-        :class:`InFlightTracker`, so high-cadence periodic checks on
-        paper-preset networks stay O(buffered packets).
+        (None) walks only when *sim* is not the simulator this checker
+        watches, so high-cadence periodic checks on paper-preset
+        networks stay O(buffered packets).
         """
         self.checks_run += 1
         found: list[InvariantViolation] = []
         now = sim.now
-        tracker = getattr(sim, "_inflight", None)
+        tracker = self._tracker if sim is self._sim else None
         self._check_conservation(sim, now, found)
         if full or tracker is None:
             self._check_buffers(sim, now, found)

@@ -18,6 +18,7 @@ anything.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -52,8 +53,8 @@ class WatchdogConfig:
     remediate: bool = False
 
     def __post_init__(self) -> None:
-        if self.window_cycles <= 0:
-            raise ValueError("window_cycles must be positive")
+        if not 0 < self.window_cycles < math.inf:
+            raise ValueError("window_cycles must be finite and positive")
         if self.action not in ("record", "raise"):
             raise ValueError('action must be "record" or "raise"')
         if self.max_snapshots < 1:

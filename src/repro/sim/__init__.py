@@ -20,7 +20,6 @@ from repro.sim.metrics import (
 )
 from repro.sim.observers import (
     BufferOccupancyProbe,
-    Observer,
     PacketTrace,
     PacketTracer,
     ThroughputTimeline,
@@ -62,7 +61,6 @@ __all__ = [
     "BNFPoint",
     "BitReversalPattern",
     "BufferOccupancyProbe",
-    "Observer",
     "PacketTrace",
     "PacketTracer",
     "ThroughputTimeline",

@@ -1,8 +1,11 @@
 """Pluggable instrumentation for the timing model.
 
 Observers attach to a :class:`repro.sim.timing_model.NetworkSimulator`
-and sample its state as events happen, without touching the hot path
-when none are registered.  They exist for the questions the paper
+with its ``attach_observer`` and sample its state as events happen,
+without touching the hot path when none are registered.  An observer
+needs no base class: it defines whichever of the four hooks it wants
+(``on_attach``, ``on_enter``, ``on_dispatch``, ``on_delivery``; see
+``attach_observer``).  They exist for the questions the paper
 answers with prose rather than figures -- e.g. "the network produces a
 cyclic pattern of network link utilization with extremely high levels
 of uniform random input traffic ... the period of this cycle increases
@@ -21,24 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.network.packets import Packet
 
 
-class Observer:
-    """Base class; all hooks are optional no-ops."""
-
-    def on_attach(self, simulator) -> None:
-        """Called once when registered, before the run starts."""
-
-    def on_dispatch(self, simulator, router, dispatch) -> None:
-        """A packet won arbitration and left *router*."""
-
-    def on_delivery(self, simulator, packet: Packet) -> None:
-        """A packet sank at its destination's local port."""
-
-
-class ThroughputTimeline(Observer):
+class ThroughputTimeline:
     """Delivered flits per fixed-size window of core cycles.
 
     The paper describes saturated networks clogging and clearing
@@ -49,8 +40,8 @@ class ThroughputTimeline(Observer):
     """
 
     def __init__(self, window_cycles: float = 500.0) -> None:
-        if window_cycles <= 0:
-            raise ValueError("window must be positive")
+        if not 0 < window_cycles < math.inf:
+            raise ValueError("window must be finite and positive")
         self.window_cycles = window_cycles
         self.windows: list[int] = []
 
@@ -106,45 +97,35 @@ class ThroughputTimeline(Observer):
         return best_lag
 
 
-class BufferOccupancyProbe(Observer):
+class BufferOccupancyProbe:
     """Total buffered packets, sampled on a fixed cycle cadence.
 
     Cheap enough to leave on: it samples at most once per
     ``min_interval_cycles`` regardless of event rate.
 
-    Sampling is driven by a self-rescheduling timer (plus a cheap
-    opportunistic sample on dispatch), not by dispatches alone: a
+    Sampling is driven by the simulator's ``every`` ticker (plus a
+    cheap opportunistic sample on dispatch), not by dispatches alone: a
     saturated, clogged network can go whole intervals without any
     dispatch, which is exactly when the occupancy curve matters --
     dispatch-only sampling went blind at the top of the tree-saturation
-    spike.  When the attached simulator cannot schedule events (bare
-    test doubles), the probe degrades to dispatch-driven sampling.
+    spike.  The ticker keeps sampling through ``drain()`` and stops
+    once the network quiesces.
     """
 
     def __init__(self, min_interval_cycles: float = 250.0) -> None:
-        if min_interval_cycles <= 0:
-            raise ValueError("min_interval_cycles must be positive")
+        if not 0 < min_interval_cycles < math.inf:
+            raise ValueError("min_interval_cycles must be finite and positive")
         self.min_interval_cycles = min_interval_cycles
         self.samples: list[tuple[float, int]] = []
         self._next_sample = 0.0
-        self._simulator = None
 
     def on_attach(self, simulator) -> None:
-        self._simulator = simulator
-        if hasattr(simulator, "schedule_after"):
-            simulator.schedule_after(self.min_interval_cycles, self._tick)
-
-    def _tick(self) -> None:
-        simulator = self._simulator
-        now = simulator.now
-        if now >= self._next_sample:
-            self.samples.append((now, simulator.total_buffered_packets()))
-            self._next_sample = now + self.min_interval_cycles
-        window_end = getattr(simulator, "window_end_cycles", None)
-        if window_end is None or now < window_end:
-            simulator.schedule_after(self.min_interval_cycles, self._tick)
+        simulator.every(self.min_interval_cycles, partial(self._sample, simulator))
 
     def on_dispatch(self, simulator, router, dispatch) -> None:
+        self._sample(simulator)
+
+    def _sample(self, simulator) -> None:
         now = simulator.now
         if now >= self._next_sample:
             self.samples.append((now, simulator.total_buffered_packets()))
@@ -186,7 +167,7 @@ class PacketTrace:
         return len(self.hops)
 
 
-class PacketTracer(Observer):
+class PacketTracer:
     """Records hop-by-hop logs for every Nth packet.
 
     Tracing every packet of a long run would dominate memory; the

@@ -184,7 +184,6 @@ def _point_telemetry(spec: PointSpec) -> Telemetry | None:
 def _run_point(
     spec: PointSpec,
     telemetry: Telemetry | None,
-    observer_factory,
     heartbeat: Callable[[], None] | None,
 ) -> tuple[BNFPoint, dict | None]:
     """One guarded point; returns (point, resilience summary or None).
@@ -218,9 +217,6 @@ def _run_point(
         watchdog=dog,
         heartbeat=heartbeat,
     )
-    if observer_factory is not None:
-        for observer in observer_factory(config.algorithm, rate):
-            simulator.attach_observer(observer)
     point = simulator.bnf_point()
     if injector is None and checker is None and dog is None:
         return point, None
@@ -249,9 +245,7 @@ def _run_point(
     return point, resilience
 
 
-def run_attempt(
-    spec: PointSpec, heartbeat=None, observer_factory=None
-) -> PointResult:
+def run_attempt(spec: PointSpec, heartbeat=None) -> PointResult:
     """Run exactly one attempt of one sweep point, in this process.
 
     Both executors call this -- the serial loop directly, a pooled
@@ -265,7 +259,7 @@ def run_attempt(
     algorithm = spec.config.algorithm
     telemetry = _point_telemetry(spec)
     try:
-        point, resilience = _run_point(spec, telemetry, observer_factory, heartbeat)
+        point, resilience = _run_point(spec, telemetry, heartbeat)
     except Exception as error:
         return PointResult(
             algorithm, spec.rate, spec.attempt + 1, None, None,
@@ -329,7 +323,7 @@ class Landing:
         )
 
 
-def _run_serial(pending: list[PointSpec], landing: Landing, observer_factory) -> None:
+def _run_serial(pending: list[PointSpec], landing: Landing) -> None:
     """The serial executor: every point in sweep order, in this process.
 
     The byte-identity reference for the pooled executor.  It stops at
@@ -337,7 +331,7 @@ def _run_serial(pending: list[PointSpec], landing: Landing, observer_factory) ->
     """
     for spec in pending:
         while True:
-            result = run_attempt(spec, observer_factory=observer_factory)
+            result = run_attempt(spec)
             landing.land(result)
             if result.ok:
                 break
@@ -366,7 +360,6 @@ def sweep_algorithms(
     workers: int = 1,
     supervisor: SupervisorConfig | None = None,
     fleet=None,
-    observer_factory: Callable[[str, float], Sequence] | None = None,
 ) -> dict[str, BNFCurve]:
     """Run several algorithms over the same loads (one Figure 10 panel).
 
@@ -428,23 +421,12 @@ def sweep_algorithms(
         fleet: a live :class:`repro.service.ServiceServer`; points are
             leased to its connected remote workers regardless of
             *workers*.
-        observer_factory: called as ``factory(algorithm, rate)`` before
-            each point; the returned observers (see
-            :mod:`repro.sim.observers`) are attached to that point's
-            simulator.  Serial executor only: observers cannot cross
-            the process boundary.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     pooled = workers > 1 or fleet is not None
-    if pooled and observer_factory is not None:
-        raise ValueError(
-            "observer_factory is not supported with workers > 1 "
-            "(observers cannot cross the process boundary); attach "
-            "telemetry instead or run serially"
-        )
     resume = resume and journal is not None
     landing = Landing(journal, progress, max_attempts)
     pending: list[PointSpec] = []
@@ -475,7 +457,7 @@ def sweep_algorithms(
                 workers, supervisor, fleet,
             )
         else:
-            _run_serial(pending, landing, observer_factory)
+            _run_serial(pending, landing)
         if resume:
             journal.compact()
     return {

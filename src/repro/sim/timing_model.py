@@ -39,11 +39,7 @@ from repro.resilience.faults import (
     FaultConfig,
     FaultInjector,
 )
-from repro.resilience.invariants import (
-    InFlightTracker,
-    InvariantChecker,
-    InvariantConfig,
-)
+from repro.resilience.invariants import InvariantChecker, InvariantConfig
 from repro.resilience.watchdog import ProgressWatchdog, WatchdogConfig
 from repro.router.ports import (
     InputPort,
@@ -77,7 +73,8 @@ class NetworkSimulator:
     an :class:`~repro.resilience.InvariantConfig` or checker, and
     ``watchdog`` a :class:`~repro.resilience.WatchdogConfig` or
     :class:`~repro.resilience.ProgressWatchdog`.  All three default to
-    off, costing one ``is None`` check per hook site.
+    off.  The checker and any observer subscribe through
+    :meth:`attach_observer`; every periodic tick runs on :meth:`every`.
     """
 
     def __init__(
@@ -87,7 +84,6 @@ class NetworkSimulator:
         faults: FaultConfig | FaultInjector | None = None,
         invariants: InvariantConfig | InvariantChecker | None = None,
         watchdog: WatchdogConfig | ProgressWatchdog | None = None,
-        finalize_at_drain: bool = False,
         heartbeat=None,
     ) -> None:
         self.config = config
@@ -105,15 +101,6 @@ class NetworkSimulator:
         self.faults = faults
         self.invariants = invariants
         self.watchdog = watchdog
-        #: keep the telemetry sink open through :meth:`drain` even for
-        #: unguarded runs, so drain-warn/drain-time diagnostics land in
-        #: the trace; guarded runs always behave this way.
-        self.finalize_at_drain = finalize_at_drain
-        #: incremental in-flight uid registry (duplicate/age checks in
-        #: O(buffered) instead of a full buffer walk); only maintained
-        #: when an invariant checker is attached, so the unguarded hot
-        #: path pays a single ``is None`` test per transition.
-        self._inflight = InFlightTracker() if invariants is not None else None
         #: whole-run packet accounting (the conservation invariant's
         #: ground truth; window-relative figures live in ``stats``).
         self.total_injected = 0
@@ -187,9 +174,13 @@ class NetworkSimulator:
         self._hop_latency = self.link.hop_latency_cycles(self.clocks)
         self._window_start = float(config.warmup_cycles)
         self._window_end = float(config.total_cycles)
-        #: instrumentation hooks (see repro.sim.observers); empty by
-        #: default so the hot path pays a single truthiness check.
-        self._observers: list = []
+        #: bound observer hooks, one list per site (attach_observer);
+        #: empty by default, so each site pays one truthiness check.
+        self._on_enter: list = []
+        self._on_dispatch: list = []
+        self._on_delivery: list = []
+        if invariants is not None:
+            self.attach_observer(invariants)
         if self.telemetry.enabled:
             self._wire_telemetry()
 
@@ -273,18 +264,18 @@ class NetworkSimulator:
                 self._injector.next_interval(), partial(self._injection_attempt, node)
             )
         if self.invariants is not None:
-            self.queue.schedule_after(
-                self.invariants.config.check_interval_cycles, self._invariant_tick
+            self.every(
+                self.invariants.config.check_interval_cycles,
+                partial(self.invariants.check_network, self),
             )
         if self.watchdog is not None:
-            self.queue.schedule_after(
-                self.watchdog.config.window_cycles, self._watchdog_tick
+            self.every(
+                self.watchdog.config.window_cycles,
+                partial(self.watchdog.observe, self),
             )
         if self.heartbeat is not None:
             self.heartbeat()  # "simulation entered its event loop"
-            self.queue.schedule_after(
-                HEARTBEAT_INTERVAL_CYCLES, self._heartbeat_tick
-            )
+            self.every(HEARTBEAT_INTERVAL_CYCLES, self.heartbeat)
         self.queue.run_until(self._window_end)
         if self.invariants is not None:
             self.invariants.check_network(self, full=True)
@@ -292,13 +283,29 @@ class NetworkSimulator:
             self.config.measure_cycles * self.clocks.cycle_ns
         )
         self.stats.transactions_aborted = self.engine.transactions_aborted
-        # Guarded runs (and runs built with finalize_at_drain) are
-        # expected to be drained afterwards, and the interesting
-        # diagnostics (drain-warn, drain-time watchdog fires) happen
-        # there -- keep the sink open until then.
-        if tel.enabled and not (self._guarded() or self.finalize_at_drain):
+        # Guarded runs are expected to be drained afterwards, and the
+        # interesting diagnostics (drain-warn, drain-time watchdog
+        # fires) happen there -- keep the sink open until then.
+        if tel.enabled and not self._guarded():
             self._finalize_telemetry()
         return self.stats
+
+    def every(self, interval_cycles: float, callback) -> None:
+        """Call ``callback()`` every *interval_cycles* simulated cycles.
+
+        Ticks are cycle-scheduled, not thread-driven, so a wedged loop
+        goes silent (the supervisor's heartbeat staleness bound relies
+        on it).  A ticker reschedules while the measurement window is
+        open or work is outstanding, so :meth:`drain` still ends.
+        """
+        queue = self.queue
+
+        def tick() -> None:
+            callback()
+            if queue.now < self._window_end or self._outstanding_work():
+                queue.schedule_after(interval_cycles, tick)
+
+        queue.schedule_after(interval_cycles, tick)
 
     def _guarded(self) -> bool:
         return (
@@ -398,13 +405,14 @@ class NetworkSimulator:
             return
         router = self.routers[node]
         buffer = router.buffers[port]
-        tracker = self._inflight
+        on_enter = self._on_enter
         drained = 0
         for packet in queue:
             if not buffer.inject(packet, entry_channel(packet.pclass)):
                 break
-            if tracker is not None:
-                tracker.add(packet, node, port)
+            if on_enter:
+                for hook in on_enter:
+                    hook(self, node, port, packet)
             drained += 1
         if drained:
             del queue[:drained]
@@ -471,20 +479,28 @@ class NetworkSimulator:
         self._request_launch(router)
 
     def attach_observer(self, observer) -> None:
-        """Register an instrumentation observer before (or during) a run."""
-        observer.on_attach(self)
-        self._observers.append(observer)
+        """Subscribe *observer*, before (or during) a run.
+
+        An observer is any object with any subset of four hooks:
+        ``on_attach(sim)`` (called here), ``on_enter(sim, node, port,
+        packet)`` (a packet entered an input buffer),
+        ``on_dispatch(sim, router, dispatch)`` and ``on_delivery(sim,
+        packet)``.  Hooks run in attach order.
+        """
+        on_attach = getattr(observer, "on_attach", None)
+        if on_attach is not None:
+            on_attach(self)
+        for name in ("on_enter", "on_dispatch", "on_delivery"):
+            hook = getattr(observer, name, None)
+            if hook is not None:
+                getattr(self, "_" + name).append(hook)
 
     def _apply_dispatch(self, router: Router, dispatch: Dispatch) -> None:
         now = self.queue.now
         plan = dispatch.plan
-        if self._inflight is not None:
-            # The grant removed the packet from its input buffer
-            # (Router.resolve); it is now in transit or sinking.
-            self._inflight.discard(dispatch.packet)
-        if self._observers:
-            for observer in self._observers:
-                observer.on_dispatch(self, router, dispatch)
+        if self._on_dispatch:
+            for hook in self._on_dispatch:
+                hook(self, router, dispatch)
         # Wake the router when the output frees: the arbitration
         # latency becomes a real bubble between packets on a busy
         # output -- the effect behind the paper's "each additional
@@ -537,8 +553,9 @@ class NetworkSimulator:
     def _arrive(self, router: Router, port: InputPort, channel, packet: Packet) -> None:
         self.packets_in_transit -= 1
         router.buffers[port].commit(packet, channel)
-        if self._inflight is not None:
-            self._inflight.add(packet, router.node, port)
+        if self._on_enter:
+            for hook in self._on_enter:
+                hook(self, router.node, port, packet)
         packet.waiting_since = self.queue.now
         self._request_launch(router)
 
@@ -586,11 +603,6 @@ class NetworkSimulator:
     ) -> None:
         """Remove a packet from the accounting, with its reason."""
         router.buffers[port].cancel_reservation(channel)
-        if self._inflight is not None:
-            # Dropped packets die on the link (never buffered here);
-            # the discard is a defensive no-op that keeps the registry
-            # honest if drop semantics ever change.
-            self._inflight.discard(packet)
         self.packets_in_transit -= 1
         self.total_dropped += 1
         self.stats.packets_dropped += 1
@@ -608,7 +620,7 @@ class NetworkSimulator:
         # router that feeds this input port.
         self._request_launch(self.routers[router.upstream_node(port)])
 
-    # -- resilience ticks -----------------------------------------------------
+    # -- watchdog remediation -------------------------------------------------
 
     def recovery_kick(self) -> None:
         """Re-arm arbitration launches everywhere (watchdog remediation).
@@ -625,42 +637,15 @@ class NetworkSimulator:
         for node, port in self._pending:
             self._drain_pending(node, port)
 
-    def _invariant_tick(self) -> None:
-        self.invariants.check_network(self)
-        if self.queue.now < self._window_end or self._outstanding_work():
-            self.queue.schedule_after(
-                self.invariants.config.check_interval_cycles, self._invariant_tick
-            )
-
-    def _watchdog_tick(self) -> None:
-        self.watchdog.observe(self)
-        if self.queue.now < self._window_end or self._outstanding_work():
-            self.queue.schedule_after(
-                self.watchdog.config.window_cycles, self._watchdog_tick
-            )
-
-    def _heartbeat_tick(self) -> None:
-        # Deliberately cycle-scheduled, not thread-driven: the beat
-        # only fires while the event loop is actually making progress,
-        # so a wedged simulation goes silent and the supervisor's
-        # staleness threshold catches it.  Stops rescheduling once the
-        # window closed with nothing outstanding (same termination
-        # rule as the invariant/watchdog ticks, so drain still ends).
-        self.heartbeat()
-        if self.queue.now < self._window_end or self._outstanding_work():
-            self.queue.schedule_after(
-                HEARTBEAT_INTERVAL_CYCLES, self._heartbeat_tick
-            )
-
     # -- delivery & statistics ------------------------------------------------------
 
     def _delivered(self, packet: Packet) -> None:
         now = self.queue.now
         self.packets_sinking -= 1
         self.total_delivered += 1
-        if self._observers:
-            for observer in self._observers:
-                observer.on_delivery(self, packet)
+        if self._on_delivery:
+            for hook in self._on_delivery:
+                hook(self, packet)
         tel = self.telemetry
         if tel.enabled:
             tel.on_delivery(

@@ -120,6 +120,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unknown fields"):
             ChaosScenario.from_dict(record)
 
+    @pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -5.0])
+    def test_bad_watchdog_window_rejected_on_load(self, window):
+        """The runner's WatchdogConfig check, applied when a record is
+        loaded: a bad window is a load error, not a crash outcome."""
+        record = injected_deadlock_scenario(0).as_dict()
+        record["watchdog_window"] = window
+        with pytest.raises(ValueError, match="window_cycles"):
+            ChaosScenario.from_dict(record)
+
 
 class TestFaultDimensions:
     def test_clean_scenario_has_no_dimensions_or_config(self):

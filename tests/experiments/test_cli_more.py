@@ -72,6 +72,13 @@ class TestSupervisorFlags:
         with pytest.raises(SystemExit, match="point-timeout"):
             self._guard("--workers", "2", "--point-timeout", "0")
 
+    @pytest.mark.parametrize("window", ["nan", "inf", "-5", "0"])
+    def test_bad_watchdog_window_is_a_usage_error(self, window):
+        """Caught when the guard is built, before any point runs: a NaN
+        window would otherwise fail every point mid-run."""
+        with pytest.raises(SystemExit, match="bad --watchdog: window_cycles"):
+            self._guard("--watchdog", window)
+
 
 class TestMain:
     def test_fig9_quiet(self, capsys):

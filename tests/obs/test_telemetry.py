@@ -10,6 +10,7 @@ from repro.core.types import Nomination
 from repro.core.wavefront import WavefrontArbiter
 from repro.obs.sink import MemorySink
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.resilience.invariants import InvariantChecker
 from repro.router.ports import network_rows
 from repro.sim.config import NetworkConfig, SimulationConfig, TrafficConfig
 from repro.sim.standalone import StandaloneConfig, StandaloneRouterModel
@@ -187,13 +188,13 @@ class TestNetworkRowsHelper:
 
 
 class TestFinalizeAtDrain:
-    """Drain-time diagnostics must reach unguarded traces when asked.
+    """One rule decides when a run's trace is finalized.
 
-    The old behavior (still the default) finalizes -- and closes the
-    sink of -- an unguarded run at the end of ``run()``, so anything a
-    later ``drain()`` emits (the ``drain-warn`` deadlock diagnostic)
-    was silently dropped.  ``finalize_at_drain=True`` keeps the sink
-    open through ``drain()``.
+    An unguarded run finalizes -- and closes the sink -- at the end of
+    ``run()``, so anything a later ``drain()`` emits (the
+    ``drain-warn`` deadlock diagnostic) is dropped.  A guarded run (a
+    fault injector, invariant checker or watchdog attached) keeps the
+    sink open through ``drain()`` and finalizes there.
     """
 
     @staticmethod
@@ -220,7 +221,7 @@ class TestFinalizeAtDrain:
         sim = NetworkSimulator(
             self.congested_config(),
             telemetry=Telemetry(sink=sink),
-            finalize_at_drain=True,
+            invariants=InvariantChecker(),
         )
         sim.run()
         assert not sink.closed, "run() must not finalize early"
@@ -236,7 +237,7 @@ class TestFinalizeAtDrain:
         sim = NetworkSimulator(
             small_config(),
             telemetry=Telemetry(sink=sink),
-            finalize_at_drain=True,
+            invariants=InvariantChecker(),
         )
         sim.run()
         assert sim.drain() is True

@@ -1,5 +1,6 @@
 """Runtime invariant checking: clean runs stay clean, broken state trips."""
 
+import math
 import os
 import subprocess
 import sys
@@ -28,6 +29,15 @@ class TestInvariantConfig:
 
     def test_age_check_can_be_disabled(self):
         assert InvariantConfig(max_wait_cycles=None).max_wait_cycles is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_rejected(self, bad):
+        """Rejected up front: a NaN cadence fails only mid-run, and a NaN
+        age bound disables the age check (``wait > nan`` is never true)."""
+        with pytest.raises(ValueError, match="check_interval_cycles"):
+            InvariantConfig(check_interval_cycles=bad)
+        with pytest.raises(ValueError, match="max_wait_cycles"):
+            InvariantConfig(max_wait_cycles=bad)
 
 
 class TestCleanRuns:
@@ -232,10 +242,17 @@ class TestInFlightTracker:
         assert any(v.name == "anti-starvation-age" for v in found)
 
     def test_guarded_simulator_maintains_a_tracker(self, tiny_config):
-        guarded = NetworkSimulator(tiny_config, invariants=InvariantChecker())
-        assert guarded._inflight is not None
+        """The checker subscribes as the simulator's first observer and
+        keeps the tracker; the simulator holds none of its own."""
+        checker = InvariantChecker()
+        guarded = NetworkSimulator(tiny_config, invariants=checker)
+        assert checker._sim is guarded
+        assert checker._tracker is not None
+        assert guarded._on_enter == [checker.on_enter]
+        assert guarded._on_dispatch == [checker.on_dispatch]
+        assert not hasattr(guarded, "_inflight")
         unguarded = NetworkSimulator(tiny_config)
-        assert unguarded._inflight is None
+        assert unguarded._on_enter == unguarded._on_dispatch == []
 
     def test_incremental_and_full_agree_on_a_clean_run(self, quad_config):
         """Same verdict from both paths at identical sim states."""
@@ -243,12 +260,30 @@ class TestInFlightTracker:
         sim = NetworkSimulator(quad_config, invariants=checker)
         sim.run()
         # Mid-drain state: packets still buffered, both paths clean.
+        assert len(checker._tracker) == sim.total_buffered_packets() > 0
         incremental = checker.check_network(sim)
         exhaustive = checker.check_network(sim, full=True)
         assert incremental == [] and exhaustive == []
         assert sim.drain()
-        assert len(sim._inflight) == 0
+        assert len(checker._tracker) == 0
         assert checker.clean
+
+    def test_only_the_watched_simulator_takes_the_incremental_path(
+        self, tiny_config
+    ):
+        """Checking another simulator walks its buffers in full: the
+        tracker describes the watched one only."""
+        checker = InvariantChecker()
+        watched = NetworkSimulator(tiny_config, invariants=checker)
+        watched.run()
+        checker._tracker.add(
+            self.fake_packet(10**9), node=0, port=self.fake_port()
+        )
+        other = NetworkSimulator(tiny_config)
+        other.run()
+        assert checker.check_network(other) == []
+        found = checker.check_network(watched)
+        assert [v.name for v in found] == ["inflight-registry"]
 
     def test_tracker_desync_is_caught_by_the_periodic_sweep(self, tiny_config):
         """A phantom registry entry (a 'missed hook') trips the check."""
@@ -256,11 +291,24 @@ class TestInFlightTracker:
         sim = NetworkSimulator(tiny_config, invariants=checker)
         sim.run()
         sim.drain()
-        sim._inflight.add(
+        checker._tracker.add(
             self.fake_packet(10**9), node=0, port=self.fake_port()
         )
         found = checker.check_network(sim)
         assert any(v.name == "inflight-registry" for v in found)
+
+    def test_a_duplicate_entry_through_the_hook_is_reported(self, quad_config):
+        """A packet entering a second buffer while still registered (the
+        collision rule) surfaces as duplicate-in-flight at the next
+        sweep of the watched simulator."""
+        checker = InvariantChecker()
+        sim = NetworkSimulator(quad_config, invariants=checker)
+        sim.run()
+        uid, (node, _, packet) = next(iter(checker._tracker.entries.items()))
+        checker.on_enter(sim, (node + 1) % 16, self.fake_port("W-in"), packet)
+        found = checker.check_network(sim)
+        assert [v.name for v in found] == ["duplicate-in-flight"]
+        assert f"packet #{uid}" in found[0].detail
 
 
 class TestArbitrationInvariants:

@@ -1,6 +1,7 @@
 """Progress watchdog: stall detection, diagnostics, telemetry plumbing."""
 
 import json
+import math
 
 import pytest
 
@@ -23,6 +24,11 @@ class TestWatchdogConfig:
             WatchdogConfig(action="panic")
         with pytest.raises(ValueError):
             WatchdogConfig(max_snapshots=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_window_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WatchdogConfig(window_cycles=bad)
 
 
 class TestHealthyRuns:

@@ -1,10 +1,12 @@
 """Tests for the instrumentation observers."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from repro.network.packets import Packet, PacketClass
+from repro.resilience.invariants import InvariantChecker, InvariantConfig
 from repro.sim.config import NetworkConfig, SimulationConfig, TrafficConfig
 from repro.sim.observers import (
     BufferOccupancyProbe,
@@ -92,6 +94,13 @@ class TestBufferOccupancyProbe:
         assert probe.peak() == 5
         assert probe.mean() == 5.0
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_cadence(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            BufferOccupancyProbe(bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ThroughputTimeline(bad)
+
     def test_empty_probe(self):
         probe = BufferOccupancyProbe()
         assert probe.peak() == 0
@@ -162,6 +171,8 @@ class TestIntegration:
             assert trace.hop_count <= 3
 
     def test_observers_do_not_change_results(self):
+        """All three shipped observers plus an attached invariant
+        checker (its tracker and its ticks) leave the run unchanged."""
         config = SimulationConfig(
             network=NetworkConfig(width=2, height=2),
             traffic=TrafficConfig(injection_rate=0.01),
@@ -169,10 +180,20 @@ class TestIntegration:
             measure_cycles=1_000,
             seed=3,
         )
-        plain = NetworkSimulator(config).bnf_point()
-        observed_sim = NetworkSimulator(config)
-        observed_sim.attach_observer(ThroughputTimeline(100.0))
+        plain_sim = NetworkSimulator(config)
+        plain = plain_sim.bnf_point()
+        checker = InvariantChecker(InvariantConfig(check_interval_cycles=100.0))
+        observed_sim = NetworkSimulator(config, invariants=checker)
+        for observer in (
+            ThroughputTimeline(100.0),
+            BufferOccupancyProbe(100.0),
+            PacketTracer(sample_every=3),
+        ):
+            observed_sim.attach_observer(observer)
         assert observed_sim.bnf_point() == plain
+        assert observed_sim.drain() and plain_sim.drain()
+        assert observed_sim.total_delivered == plain_sim.total_delivered
+        assert checker.checks_run > 10 and checker.clean
 
     def test_sampled_packets_do_not_depend_on_earlier_runs(self):
         """Packet ids are numbered per run: back-to-back runs of one
@@ -197,37 +218,87 @@ class TestIntegration:
         assert first and min(first) == 0
         assert first == second
 
-    def test_observers_through_a_real_sweep(self):
-        """All three observers ride a sweep via observer_factory."""
-        from repro.sim.sweep import sweep_algorithm
 
-        config = SimulationConfig(
+class TestWatchPath:
+    """The one way to watch a run: ``attach_observer`` and its hooks."""
+
+    @staticmethod
+    def config():
+        return SimulationConfig(
             network=NetworkConfig(width=2, height=2),
-            traffic=TrafficConfig(injection_rate=0.01),
+            traffic=TrafficConfig(injection_rate=0.02),
             warmup_cycles=200,
-            measure_cycles=1_000,
-            seed=3,
+            measure_cycles=1_500,
+            seed=5,
         )
-        per_point: dict[float, tuple] = {}
 
-        def factory(algorithm, rate):
-            observers = (
-                ThroughputTimeline(window_cycles=200.0),
-                BufferOccupancyProbe(100.0),
-                PacketTracer(sample_every=3),
-            )
-            per_point[rate] = observers
-            return observers
+    def test_on_enter_fires_once_per_buffer_entry(self):
+        buffered: set[int] = set()
+        counts = {"enter": 0, "dispatch": 0}
 
-        curve = sweep_algorithm(
-            config, [0.005, 0.01], observer_factory=factory
+        class Enters:
+            def on_enter(self, sim, node, port, packet):
+                assert packet.uid not in buffered, "entered twice"
+                buffer = sim.routers[node].buffers[port]
+                assert any(
+                    packet in buffer.packets(channel)
+                    for channel in buffer.channels_with_waiting()
+                )
+                buffered.add(packet.uid)
+                counts["enter"] += 1
+
+        class Dispatches:
+            def on_dispatch(self, sim, router, dispatch):
+                buffered.discard(dispatch.packet.uid)
+                counts["dispatch"] += 1
+
+        sim = NetworkSimulator(self.config())
+        sim.attach_observer(Enters())
+        sim.attach_observer(Dispatches())
+        sim.run()
+        assert counts["enter"] > sim.total_injected  # link arrivals too
+        assert counts["enter"] - counts["dispatch"] == sim.total_buffered_packets()
+        assert sim.total_buffered_packets() > 0
+        assert sim.drain()
+        assert counts["enter"] == counts["dispatch"]
+        assert not buffered
+
+    def test_hookless_object_attaches_and_changes_nothing(self):
+        plain = NetworkSimulator(self.config()).bnf_point()
+        sim = NetworkSimulator(self.config())
+        sim.attach_observer(object())
+        assert sim._on_enter == sim._on_dispatch == sim._on_delivery == []
+        assert sim.bnf_point() == plain
+
+    def test_probe_samples_through_drain_then_stops(self):
+        deliveries: list[float] = []
+
+        class Deliveries:
+            def on_delivery(self, sim, packet):
+                deliveries.append(sim.now)
+
+        # A loaded 4x4: the window closes with ~150 packets buffered, so
+        # the network never idles between then and the last delivery.
+        config = replace(
+            self.config(),
+            network=NetworkConfig(width=4, height=4),
+            traffic=TrafficConfig(injection_rate=0.05),
         )
-        assert len(curve.points) == 2
-        assert set(per_point) == {0.005, 0.01}
-        for timeline, probe, tracer in per_point.values():
-            assert sum(timeline.windows) > 0
-            assert probe.samples
-            assert tracer.completed()
+        sim = NetworkSimulator(config)
+        probe = BufferOccupancyProbe(min_interval_cycles=100.0)
+        sim.attach_observer(probe)
+        sim.attach_observer(Deliveries())
+        sim.run()
+        during_run = len(probe.samples)
+        assert sim.drain()
+        assert len(probe.samples) > during_run
+        # The probe's ticker outlived the last delivery by less than one
+        # interval: its first tick with nothing outstanding was its
+        # last, and that tick is the event drain() ended on.
+        quiesced_at = deliveries[-1]
+        assert quiesced_at < sim.now < quiesced_at + probe.min_interval_cycles
+        assert sim.now % probe.min_interval_cycles == 0
+        assert sim.queue.pending == 0
 
 
 class TestSaturatedNetwork:

@@ -139,15 +139,6 @@ class TestPlumbing:
             p.as_dict() for p in expected.points
         ]
 
-    def test_observer_factory_rejected_in_parallel(self):
-        with pytest.raises(ValueError, match="observer_factory"):
-            sweep_algorithm(
-                tiny_config(),
-                RATES,
-                observer_factory=lambda algorithm, rate: [],
-                workers=2,
-            )
-
     def test_point_spec_is_picklable_and_runs_in_process(self):
         """run_point_attempt is the worker entry; exercise it directly."""
         import pickle

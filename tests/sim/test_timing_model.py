@@ -218,3 +218,67 @@ class TestDrainFlag:
         assert sim.drained_clean is False
         kinds = [record.get("kind") for record in telemetry.sink.records]
         assert "drain-warn" in kinds
+
+
+class TestTickSchedule:
+    """Every periodic tick runs on one ticker under one stop rule.
+
+    A guarded 4x4 run with all three simulator ticks sharing cycles
+    (invariants every 250, a remediating watchdog every 500, the
+    heartbeat every 1000) and a stalled router, so the watchdog fires
+    and its recovery kick changes state.  A tick reordered at a shared
+    cycle, or one that stopped early or late, moves these literals.
+    """
+
+    def test_guarded_run_and_drain_are_pinned(self, tmp_path):
+        import hashlib
+        import json
+
+        from repro.obs.sink import JsonlSink
+        from repro.obs.telemetry import Telemetry
+        from repro.resilience.faults import FaultConfig, FaultInjector
+        from repro.resilience.invariants import InvariantChecker, InvariantConfig
+        from repro.resilience.watchdog import ProgressWatchdog, WatchdogConfig
+
+        faults = FaultInjector(FaultConfig(
+            seed=9, flit_drop_rate=2e-3, flit_corrupt_rate=1e-3,
+            stall_node=5, stall_start_cycle=1_500.0, stall_cycles=3_000.0,
+        ))
+        checker = InvariantChecker(InvariantConfig(check_interval_cycles=250.0))
+        dog = ProgressWatchdog(WatchdogConfig(window_cycles=500.0, remediate=True))
+        beats = []
+        trace = tmp_path / "guarded.jsonl"
+        sim = NetworkSimulator(
+            config(
+                traffic=TrafficConfig(injection_rate=0.02),
+                measure_cycles=3_000,
+                seed=11,
+            ),
+            telemetry=Telemetry(sink=JsonlSink(trace)),
+            faults=faults,
+            invariants=checker,
+            watchdog=dog,
+            heartbeat=lambda: beats.append(sim.now),
+        )
+        point = sim.bnf_point()
+        assert sim.drain() is True
+
+        assert (
+            point.throughput, point.latency_ns, point.packets_delivered
+        ) == (0.447825, 67.66868329239979, 1811)
+        assert point.transaction_latency_ns == 230.3993994955843
+        assert sim.drained_clean is True
+        assert sim.queue.now == 6000.0
+        assert (checker.checks_run, checker.violations) == (25, [])
+        assert (
+            dog.fired, dog.remediations_attempted, dog.remediated, dog.deadlocked
+        ) == (1, 1, 1, 0)
+        assert len(beats) == 7
+        records = [
+            line
+            for line in trace.read_text().splitlines()
+            if json.loads(line)["kind"] not in ("manifest", "run-end")
+        ]
+        assert hashlib.sha256("\n".join(records).encode()).hexdigest() == (
+            "1b732d012009dd61629615a572527af7350c29961e06f74d01e58212cb3f9b88"
+        )
