@@ -2,10 +2,9 @@
 
 Benchmarks regenerate each paper figure at reduced scale (the ``smoke``
 / ``fast`` presets) so ``pytest benchmarks/ --benchmark-only`` finishes
-in minutes; the full-scale regeneration is ``repro-experiments all
---preset paper``.  Each benchmark also *checks the paper's shape
-claims* on its output, so a performance run doubles as a reproduction
-check.
+in minutes, and record what it cost.  They check no paper claim: the
+claims are the rows of ``repro.experiments.claims.CLAIMS``, scored by
+``repro-experiments score`` into ``results/scoreboard.txt``.
 
 Every bench takes the ``perf_record`` fixture and registers at least
 one domain throughput metric on it.  At session end the collected
@@ -31,7 +30,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 def pytest_configure(config):
     config.addinivalue_line(
-        "markers", "repro(figure): marks which paper figure a benchmark regenerates"
+        "markers", "repro(claim): the scoreboard row of the figure a benchmark regenerates"
     )
     config._repro_perf_session = PerfSession(
         preset=os.environ.get("REPRO_BENCH_PRESET", "smoke")
@@ -61,6 +60,25 @@ def perf_record(request) -> PerfRecorder:
     yield recorder
     wall_s = time.perf_counter() - began
     request.config._repro_perf_session.add(recorder.finish(wall_s))
+
+
+@pytest.fixture
+def record_sweep_metrics(perf_record, benchmark):
+    """Record a measured panel run's sweep throughput: call it with the
+    run's ``{algorithm: BNFCurve}``."""
+    def record(curves) -> None:
+        elapsed = benchmark.stats.stats.mean
+        if elapsed <= 0:
+            return
+        points = [point for curve in curves.values() for point in curve.points]
+        delivered = sum(point.packets_delivered for point in points)
+        perf_record.metric(
+            "sweep_points_per_s", len(points) / elapsed, unit="points/s"
+        )
+        perf_record.metric(
+            "packets_delivered_per_s", delivered / elapsed, unit="packets/s"
+        )
+    return record
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -1,13 +1,15 @@
 """Experiment regenerators: one module per figure plus in-text claims.
 
-``repro-experiments <fig8|fig9|fig10|fig11|claims|all>`` on the command
-line, or import the ``run_*`` functions directly:
+``repro-experiments <fig8|fig9|fig10|fig11|claims|score>`` on the command
+line (``score`` runs them all into ``results/`` and EXPERIMENTS.md), or
+import the ``run_*`` functions directly:
 
 * :mod:`repro.experiments.figure8` -- standalone matching vs load
 * :mod:`repro.experiments.figure9` -- matching vs output occupancy
 * :mod:`repro.experiments.figure10` -- BNF curves, 4 panels
 * :mod:`repro.experiments.figure11` -- scaling studies, 3 panels
-* :mod:`repro.experiments.claims` -- the paper's in-text numbers
+* :mod:`repro.experiments.claims` -- the in-text ablations and
+  ``CLAIMS``, the one table of the paper's numbers every report reads
 """
 
 from repro.experiments.claims import (

@@ -5,12 +5,14 @@ Usage::
     repro-experiments fig8
     repro-experiments fig10 --preset paper --output results/fig10.txt
     repro-experiments fig10 --telemetry-dir results/traces
-    repro-experiments all --preset fast
+    repro-experiments score --preset smoke --workers 2
     repro-experiments obs summarize results/traces/**/*.jsonl
     repro-experiments chaos run --seed 7 --count 20 --output-dir chaos-out
     repro-experiments serve fig10 --preset paper --invariants --port 7421
     repro-experiments serve chaos --output-dir out --port 7421
     repro-experiments work --connect cohost:7421
+
+``score`` runs them all into ``results/`` and EXPERIMENTS.md's tables.
 
 The ``obs`` subcommand delegates to :mod:`repro.obs.cli` (also
 installed as ``repro-obs``) for inspecting the JSONL telemetry traces
@@ -40,7 +42,11 @@ from repro.resilience import (
     WatchdogConfig,
     parse_fault_spec,
 )
+from repro.sim.config import MODEL_REVISION
 from repro.sim.sweep import SweepGuard
+
+#: the seed of every experiment run from this command line
+SEED = 42
 
 
 def supervisor_from_flags(
@@ -115,85 +121,94 @@ def _sweep_guard(args: argparse.Namespace) -> SweepGuard | None:
     )
 
 
-def _standalone_faults(args: argparse.Namespace):
-    """Parse --faults for the standalone figures (fig8/fig9)."""
-    if not args.faults:
-        return None
+def _standalone(args: argparse.Namespace) -> dict:
+    """fig8/fig9 keyword arguments from the flags."""
     try:
-        return parse_fault_spec(args.faults)
+        faults = parse_fault_spec(args.faults) if args.faults else None
     except ValueError as error:
         raise SystemExit(f"bad --faults spec: {error}") from error
+    return {"trials": args.trials, "seed": SEED, "faults": faults,
+            "backend": args.backend}
 
 
-def _run_fig8(args: argparse.Namespace) -> str:
-    return figure8.format_figure8(
-        figure8.run_figure8(
-            trials=args.trials,
-            faults=_standalone_faults(args),
-            backend=args.backend,
-        )
-    )
+def _sweeps(args: argparse.Namespace, panels: tuple) -> dict:
+    """fig10/fig11 keyword arguments from the flags."""
+    return {"preset": args.preset, "panels": panels, "seed": SEED,
+            "progress": progress_printer(args),
+            "telemetry_dir": args.telemetry_dir,
+            "guard": _sweep_guard(args), "workers": args.workers}
 
 
-def _run_fig9(args: argparse.Namespace) -> str:
-    return figure9.format_figure9(
-        figure9.run_figure9(
-            trials=args.trials,
-            faults=_standalone_faults(args),
-            backend=args.backend,
-        )
-    )
+def _run_fig10(args: argparse.Namespace):
+    panels = tuple(p for p in figure10.PANELS
+                   if (args.panel or "").lower() in p.name.lower())
+    if not panels:
+        raise SystemExit(f"no Figure 10 panel matches {args.panel!r}")
+    return figure10.run_figure10(**_sweeps(args, panels))
 
 
-def _run_fig10(args: argparse.Namespace) -> str:
-    panels = figure10.PANELS
-    if args.panel:
-        panels = tuple(p for p in panels if args.panel.lower() in p.name.lower())
-        if not panels:
-            raise SystemExit(f"no Figure 10 panel matches {args.panel!r}")
-    result = figure10.run_figure10(
-        preset=args.preset,
-        panels=panels,
-        progress=progress_printer(args),
-        telemetry_dir=args.telemetry_dir,
-        guard=_sweep_guard(args),
-        workers=args.workers,
-    )
-    return figure10.format_figure10(result)
+def _run_fig11(args: argparse.Namespace):
+    panels = tuple(p for p in figure11.PANELS
+                   if not args.panel or args.panel.lower() == p.key)
+    if not panels:
+        raise SystemExit("Figure 11 panels are a, b and c")
+    return figure11.run_figure11(**_sweeps(args, panels))
 
 
-def _run_fig11(args: argparse.Namespace) -> str:
-    panels = figure11.PANELS
-    if args.panel:
-        panels = tuple(p for p in panels if p.key == args.panel.lower())
-        if not panels:
-            raise SystemExit("Figure 11 panels are a, b and c")
-    result = figure11.run_figure11(
-        preset=args.preset,
-        panels=panels,
-        progress=progress_printer(args),
-        telemetry_dir=args.telemetry_dir,
-        guard=_sweep_guard(args),
-        workers=args.workers,
-    )
-    return figure11.format_figure11(result)
-
-
-def _run_claims(args: argparse.Namespace) -> str:
-    return claims.format_claims(
-        claims.run_arb_latency_cost(preset=args.preset),
-        claims.run_pipelining_gain(preset=args.preset),
-        claims.run_saturation_oscillation(preset=args.preset),
-    )
-
-
+#: verb -> (run from the flags, render the result's data)
 _EXPERIMENTS = {
-    "fig8": _run_fig8,
-    "fig9": _run_fig9,
-    "fig10": _run_fig10,
-    "fig11": _run_fig11,
-    "claims": _run_claims,
+    "fig8": (lambda args: figure8.run_figure8(**_standalone(args)),
+             figure8.format_figure8),
+    "fig9": (lambda args: figure9.run_figure9(**_standalone(args)),
+             figure9.format_figure9),
+    "fig10": (_run_fig10, figure10.format_figure10),
+    "fig11": (_run_fig11, figure11.format_figure11),
+    "claims": (lambda args: claims.run_claims(args.preset, SEED),
+               claims.format_claims),
 }
+
+
+def _run(name: str, args: argparse.Namespace):
+    """One experiment's report (its data, then its scored claim rows)
+    and the rows; the wall-clock line goes to stderr."""
+    started = time.time()
+    run, render = _EXPERIMENTS[name]
+    result = run(args)
+    scored = claims.score(name, result)
+    print(f"[{name} regenerated in {time.time() - started:.1f}s]",
+          file=sys.stderr, flush=True)
+    return render(result) + "\n\n" + claims.render(scored), scored
+
+
+def _score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Run every experiment; write results/ and EXPERIMENTS.md's tables."""
+    if args.panel or args.output:
+        parser.error("score runs every panel and writes fixed files; "
+                     "drop --panel/--output")
+    document = Path("EXPERIMENTS.md")
+    spans = {"stamp": f"model revision {MODEL_REVISION} · preset "
+                      f"{args.preset} · seed {SEED}"}
+    try:
+        text = document.read_text(encoding="utf-8")
+        claims.rewrite_spans(text, dict.fromkeys([*spans, *_EXPERIMENTS], ""))
+    except (OSError, ValueError) as error:
+        parser.error(f"score rewrites EXPERIMENTS.md in the current "
+                     f"directory: {error}")
+    stamp = spans["stamp"] + "\n\n"
+    board = []
+    for name in _EXPERIMENTS:
+        report, scored = _run(name, args)
+        _write(Path("results", f"{name}.txt"), stamp + report)
+        spans[name] = claims.markdown(scored)
+        board += scored
+    _write(Path("results", "scoreboard.txt"), stamp + claims.render(board))
+    document.write_text(claims.rewrite_spans(text, spans), encoding="utf-8")
+    return 0
+
+
+def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def progress_printer(args: argparse.Namespace):
@@ -214,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_EXPERIMENTS) + ["all"],
-        help="which figure (or in-text claim set) to regenerate",
+        choices=sorted(_EXPERIMENTS) + ["score"],
+        help="which figure (or in-text claim set) to regenerate, or "
+             "'score' for all of them into results/ and EXPERIMENTS.md",
     )
     parser.add_argument(
         "--preset",
@@ -374,22 +390,17 @@ def main(argv: list[str] | None = None, fleet=None) -> int:
         from repro.service.cli import main as service_main
 
         return service_main(argv)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     args.fleet = fleet
     if args.workers < 1:
         raise SystemExit("--workers must be at least 1")
-    names = sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    reports = []
-    for name in names:
-        started = time.time()
-        report = _EXPERIMENTS[name](args)
-        elapsed = time.time() - started
-        reports.append(report + f"\n\n[{name} regenerated in {elapsed:.1f}s]")
-    text = ("\n\n" + "=" * 78 + "\n\n").join(reports)
-    print(text)
+    if args.experiment == "score":
+        return _score(args, parser)
+    report, _ = _run(args.experiment, args)
+    print(report)
     if args.output is not None:
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        args.output.write_text(text + "\n")
+        _write(args.output, report)
     return 0
 
 

@@ -12,6 +12,7 @@ SPAA-rotary).  Headline paper claims this regenerates:
   while the Rotary-Rule variants keep climbing (+16% WFA, +43% SPAA
   at ~280 ns on 8x8).
 
+:data:`repro.experiments.claims.CLAIMS` reads them off the curves.
 The sweeps run on the saturation-calibrated buffer plan (see
 ``repro.sim.config.saturation_buffer_plan``), which our model needs
 for back-pressure to bind at the paper's saturation point.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.registry import TIMING_ALGORITHMS
-from repro.experiments.report import bnf_plot, curves_table, format_table
+from repro.experiments.report import panels_report
 from repro.sim.config import (
     NetworkConfig,
     SimulationConfig,
@@ -31,11 +32,7 @@ from repro.sim.config import (
     saturation_buffer_plan,
 )
 from repro.sim.metrics import BNFCurve
-from repro.sim.sweep import (
-    SweepGuard,
-    sweep_algorithms,
-    throughput_gain_at_latency,
-)
+from repro.sim.sweep import SweepGuard, sweep_algorithms
 
 
 @dataclass(frozen=True)
@@ -47,25 +44,15 @@ class Panel:
     height: int
     pattern: str
     rates: tuple[float, ...]
-    #: latency at which the paper quotes the SPAA-vs-WFA gain
-    headline_latency_ns: float
-    #: latency at which the paper quotes the rotary-vs-base gain
-    rotary_latency_ns: float | None = None
 
+
+_RATES = (0.002, 0.005, 0.01, 0.02, 0.03, 0.045, 0.065)
 
 PANELS: tuple[Panel, ...] = (
-    Panel("4x4, Random Traffic", 4, 4, "uniform",
-          (0.002, 0.005, 0.01, 0.02, 0.03, 0.045, 0.065),
-          headline_latency_ns=83.0),
-    Panel("8x8, Random Traffic", 8, 8, "uniform",
-          (0.002, 0.005, 0.01, 0.02, 0.03, 0.045, 0.065),
-          headline_latency_ns=122.0, rotary_latency_ns=280.0),
-    Panel("8x8, Bit Reversal", 8, 8, "bit-reversal",
-          (0.002, 0.005, 0.01, 0.02, 0.03, 0.045, 0.065),
-          headline_latency_ns=122.0, rotary_latency_ns=280.0),
-    Panel("8x8, Perfect Shuffle", 8, 8, "perfect-shuffle",
-          (0.002, 0.005, 0.01, 0.02, 0.03, 0.045, 0.065),
-          headline_latency_ns=122.0, rotary_latency_ns=280.0),
+    Panel("4x4, Random Traffic", 4, 4, "uniform", _RATES),
+    Panel("8x8, Random Traffic", 8, 8, "uniform", _RATES),
+    Panel("8x8, Bit Reversal", 8, 8, "bit-reversal", _RATES),
+    Panel("8x8, Perfect Shuffle", 8, 8, "perfect-shuffle", _RATES),
 )
 
 #: (warmup, measure) cycles per preset; "paper" matches the 75 000-cycle
@@ -82,40 +69,6 @@ PRESETS: dict[str, tuple[int, int]] = {
 class Figure10Result:
     preset: str
     panels: dict[str, dict[str, BNFCurve]] = field(default_factory=dict)
-
-    def headline_gains(self, panel: Panel) -> list[tuple[str, float]]:
-        """The paper-style comparisons for one panel."""
-        curves = self.panels[panel.name]
-        gains = [(
-            "SPAA-base over WFA-base "
-            f"@{panel.headline_latency_ns:.0f}ns",
-            throughput_gain_at_latency(
-                curves["SPAA-base"], curves["WFA-base"],
-                panel.headline_latency_ns,
-            ),
-        ), (
-            "SPAA-base over PIM1 "
-            f"@{panel.headline_latency_ns:.0f}ns",
-            throughput_gain_at_latency(
-                curves["SPAA-base"], curves["PIM1"], panel.headline_latency_ns
-            ),
-        )]
-        if panel.rotary_latency_ns is not None:
-            gains.append((
-                f"SPAA-rotary over SPAA-base @{panel.rotary_latency_ns:.0f}ns",
-                throughput_gain_at_latency(
-                    curves["SPAA-rotary"], curves["SPAA-base"],
-                    panel.rotary_latency_ns,
-                ),
-            ))
-            gains.append((
-                f"WFA-rotary over WFA-base @{panel.rotary_latency_ns:.0f}ns",
-                throughput_gain_at_latency(
-                    curves["WFA-rotary"], curves["WFA-base"],
-                    panel.rotary_latency_ns,
-                ),
-            ))
-        return gains
 
 
 def panel_config(panel: Panel, preset: str = "fast", seed: int = 42) -> SimulationConfig:
@@ -219,32 +172,7 @@ def run_figure10(
 
 
 def format_figure10(result: Figure10Result) -> str:
-    sections = []
-    panels_by_name = {panel.name: panel for panel in PANELS}
-    for name, curves in result.panels.items():
-        parts = [f"== Figure 10 panel: {name} (preset={result.preset}) =="]
-        parts.append(curves_table(curves))
-        parts.append(bnf_plot(curves))
-        panel = panels_by_name.get(name)
-        if panel is not None:
-            parts.append(
-                format_table(
-                    ("comparison", "measured gain"),
-                    [
-                        (label, f"{gain:+.1%}")
-                        for label, gain in result.headline_gains(panel)
-                    ],
-                    title="Headline gains (paper: +11% 4x4 / +24% 8x8; "
-                          "rotary +43% SPAA, +16% WFA)",
-                )
-            )
-        sections.append("\n\n".join(parts))
-    return "\n\n\n".join(sections)
-
-
-def main(preset: str = "fast") -> None:  # pragma: no cover - CLI glue
-    print(format_figure10(run_figure10(preset=preset, progress=print)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return panels_report({
+        f"Figure 10 panel: {name} (preset={result.preset})": curves
+        for name, curves in result.panels.items()
+    })

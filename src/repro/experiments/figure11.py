@@ -10,6 +10,8 @@ Three panels, each sweeping PIM1, WFA-rotary and SPAA-rotary:
 * (c) a 144-processor 12x12 network (beyond the product's 128 limit):
   SPAA-rotary ~18% over WFA-rotary at ~200 ns, though at extreme load
   WFA-rotary's output-arbiter synchronization lets it keep climbing.
+
+:data:`repro.experiments.claims.CLAIMS` reads them off the curves.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.figure10 import PRESETS, sweep_panel
-from repro.experiments.report import bnf_plot, curves_table, format_table
+from repro.experiments.report import panels_report
 from repro.sim.config import (
     NetworkConfig,
     SimulationConfig,
@@ -25,7 +27,7 @@ from repro.sim.config import (
     saturation_buffer_plan,
 )
 from repro.sim.metrics import BNFCurve
-from repro.sim.sweep import SweepGuard, throughput_gain_at_latency
+from repro.sim.sweep import SweepGuard
 
 SCALING_ALGORITHMS = ("PIM1", "WFA-rotary", "SPAA-rotary")
 
@@ -39,8 +41,6 @@ class ScalingPanel:
     mshr_limit: int
     pipeline_scale: int
     rates: tuple[float, ...]
-    headline_latency_ns: float
-    baseline: str = "WFA-rotary"
 
 
 PANELS: tuple[ScalingPanel, ...] = (
@@ -48,19 +48,16 @@ PANELS: tuple[ScalingPanel, ...] = (
         "a", "2x Pipeline, 8x8, Random Traffic", 8, 8,
         mshr_limit=16, pipeline_scale=2,
         rates=(0.004, 0.01, 0.02, 0.04, 0.06, 0.09, 0.13),
-        headline_latency_ns=100.0,
     ),
     ScalingPanel(
         "b", "64 requests, 8x8, Random Traffic", 8, 8,
         mshr_limit=64, pipeline_scale=1,
         rates=(0.002, 0.005, 0.01, 0.02, 0.03, 0.045, 0.065),
-        headline_latency_ns=200.0,
     ),
     ScalingPanel(
         "c", "12x12, Random Traffic", 12, 12,
         mshr_limit=16, pipeline_scale=1,
         rates=(0.002, 0.005, 0.01, 0.02, 0.03, 0.045, 0.065),
-        headline_latency_ns=200.0,
     ),
 )
 
@@ -70,14 +67,6 @@ class Figure11Result:
     preset: str
     panels: dict[str, dict[str, BNFCurve]] = field(default_factory=dict)
     panel_specs: dict[str, ScalingPanel] = field(default_factory=dict)
-
-    def headline_gain(self, panel: ScalingPanel) -> float:
-        """SPAA-rotary's throughput gain over the panel baseline."""
-        curves = self.panels[panel.name]
-        return throughput_gain_at_latency(
-            curves["SPAA-rotary"], curves[panel.baseline],
-            panel.headline_latency_ns,
-        )
 
 
 def panel_config(
@@ -146,31 +135,8 @@ def run_figure11(
 
 
 def format_figure11(result: Figure11Result) -> str:
-    sections = []
-    paper_numbers = {"a": ">+60%", "b": "~+13%", "c": "~+18%"}
-    for name, curves in result.panels.items():
-        panel = result.panel_specs[name]
-        parts = [f"== Figure 11{panel.key}: {name} (preset={result.preset}) =="]
-        parts.append(curves_table(curves))
-        parts.append(bnf_plot(curves))
-        parts.append(
-            format_table(
-                ("comparison", "measured", "paper"),
-                [(
-                    f"SPAA-rotary over {panel.baseline} "
-                    f"@{panel.headline_latency_ns:.0f}ns",
-                    f"{result.headline_gain(panel):+.1%}",
-                    paper_numbers.get(panel.key, "n/a"),
-                )],
-            )
-        )
-        sections.append("\n\n".join(parts))
-    return "\n\n\n".join(sections)
-
-
-def main(preset: str = "fast") -> None:  # pragma: no cover - CLI glue
-    print(format_figure11(run_figure11(preset=preset, progress=print)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return panels_report({
+        f"Figure 11{result.panel_specs[name].key}: {name} "
+        f"(preset={result.preset})": curves
+        for name, curves in result.panels.items()
+    })

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.registry import STANDALONE_ALGORITHMS
-from repro.experiments.report import ascii_plot, format_table
+from repro.experiments.report import matches_report
 from repro.sim.standalone import StandaloneConfig, find_mcm_saturation_load
 from repro.sim.sweep import sweep_standalone
 
@@ -76,48 +76,9 @@ def run_figure8(
 
 def format_figure8(result: Figure8Result) -> str:
     """Human-readable rendering of the regenerated figure."""
-    headers = ("fraction of MCM sat. load",) + tuple(result.series)
-    rows = [
-        (f"{fraction:.3f}",) + tuple(
-            result.series[algorithm][i] for algorithm in result.series
-        )
-        for i, fraction in enumerate(result.fractions)
-    ]
-    table = format_table(
-        headers,
-        rows,
-        title=(
-            "Figure 8: arbitration matches/cycle, zero output occupancy "
-            f"(MCM saturation load = {result.saturation_load} packets)"
-        ),
+    return matches_report(
+        "Figure 8: arbitration matches/cycle, zero output occupancy "
+        f"(MCM saturation load = {result.saturation_load} packets)",
+        "fraction of MCM saturation load", result.fractions, result.series,
+        ".3f",
     )
-    plot = ascii_plot(
-        {
-            algorithm: list(zip(result.fractions, values))
-            for algorithm, values in result.series.items()
-        },
-        x_label="fraction of MCM saturation load",
-        y_label="matches per cycle",
-        height=16,
-    )
-    gaps = format_table(
-        ("algorithm", "matches @ saturation", "gain over SPAA"),
-        [
-            (
-                algorithm,
-                result.matches_at_saturation(algorithm),
-                f"{result.gap_over_spaa(algorithm):+.1%}",
-            )
-            for algorithm in result.series
-        ],
-        title="Saturation-load comparison (paper: MCM/WFA/PIM +36%, PIM1 +14%)",
-    )
-    return "\n\n".join([table, plot, gaps])
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(format_figure8(run_figure8()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.registry import STANDALONE_ALGORITHMS
-from repro.experiments.report import ascii_plot, format_table
+from repro.experiments.report import matches_report
 from repro.sim.standalone import StandaloneConfig, find_mcm_saturation_load
 from repro.sim.sweep import sweep_standalone
 
@@ -68,44 +68,9 @@ def run_figure9(
 
 
 def format_figure9(result: Figure9Result) -> str:
-    headers = ("fraction of outputs occupied",) + tuple(result.series)
-    rows = [
-        (f"{occupancy:.2f}",) + tuple(
-            result.series[algorithm][i] for algorithm in result.series
-        )
-        for i, occupancy in enumerate(result.occupancies)
-    ]
-    table = format_table(
-        headers,
-        rows,
-        title=(
-            "Figure 9: arbitration matches/cycle at the MCM saturation load "
-            f"({result.saturation_load} packets)"
-        ),
+    return matches_report(
+        "Figure 9: arbitration matches/cycle at the MCM saturation load "
+        f"({result.saturation_load} packets)",
+        "fraction of output ports occupied", result.occupancies,
+        result.series, ".2f",
     )
-    plot = ascii_plot(
-        {
-            algorithm: list(zip(result.occupancies, values))
-            for algorithm, values in result.series.items()
-        },
-        x_label="fraction of output ports occupied",
-        y_label="matches per cycle",
-        height=16,
-    )
-    spreads = format_table(
-        ("occupancy", "spread across algorithms"),
-        [
-            (f"{occ:.2f}", f"{result.spread_at(occ):.1%}")
-            for occ in result.occupancies
-        ],
-        title="Algorithm spread (paper: negligible by 75% occupancy)",
-    )
-    return "\n\n".join([table, plot, spreads])
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(format_figure9(run_figure9()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

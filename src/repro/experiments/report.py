@@ -92,6 +92,21 @@ def ascii_plot(
     return "\n".join(lines)
 
 
+def matches_report(
+    title: str, x_label: str, xs: Sequence[float],
+    series: Mapping[str, Sequence[float]], x_format: str,
+) -> str:
+    """A standalone figure (Figures 8 and 9): matches/cycle per x and
+    algorithm, as a table and a plot."""
+    rows = [(f"{x:{x_format}}",) + tuple(values[i] for values in series.values())
+            for i, x in enumerate(xs)]
+    plot = ascii_plot(
+        {label: list(zip(xs, values)) for label, values in series.items()},
+        x_label=x_label, y_label="matches per cycle", height=16,
+    )
+    return format_table((x_label, *series), rows, title=title) + "\n\n" + plot
+
+
 def bnf_plot(curves: Mapping[str, BNFCurve], width: int = 72, height: int = 20) -> str:
     """ASCII Burton-Normal-Form chart: latency (y) vs throughput (x)."""
     series = {
@@ -119,4 +134,13 @@ def curves_table(curves: Mapping[str, BNFCurve]) -> str:
     return format_table(
         ("algorithm", "offered rate", "flits/router/ns", "latency ns", "packets"),
         rows,
+    )
+
+
+def panels_report(panels: Mapping[str, Mapping[str, BNFCurve]]) -> str:
+    """BNF panels (Figures 10 and 11): under each title, the raw sweep
+    numbers and the chart."""
+    return "\n\n\n".join(
+        f"== {title} ==\n\n{curves_table(curves)}\n\n{bnf_plot(curves)}"
+        for title, curves in panels.items()
     )

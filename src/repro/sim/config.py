@@ -19,6 +19,11 @@ HARDWARE_NODE_LIMIT = 128
 
 DESTINATION_PATTERNS = ("uniform", "bit-reversal", "perfect-shuffle")
 
+#: Revision of the timing model's behaviour, stamped on every file
+#: ``repro-experiments score`` writes.  A declared modelling change
+#: bumps it and re-scores in the same change.
+MODEL_REVISION = 1
+
 
 @dataclass(frozen=True)
 class NetworkConfig:

@@ -230,9 +230,10 @@ class BNFCurve:
 
         The paper states results like "11% higher throughput at about
         83 ns average latency"; this interpolates the curve the same
-        way.  Points are sorted by throughput; the latency is assumed
+        way.  Points are sorted by latency; the latency is assumed
         monotone along the sweep (it is, up to noise, below
-        saturation).  Returns the interpolated throughput, or the peak
+        saturation).  Returns the interpolated throughput, the first
+        point's throughput if every point is slower, or the peak
         throughput if the curve never gets that slow.
         """
         points = sorted(self.points, key=lambda p: p.latency_ns)
