@@ -207,23 +207,17 @@ def _run_scheduled(
     quarantine gets a terminal infrastructure outcome.
     """
     by_index = {scenario.index: scenario for scenario in todo}
-    supervisor_config = config.supervisor or SupervisorConfig()
+    holders = min(config.workers, len(todo))
     if config.fleet is not None:
-        from repro.service.coordinator import FleetCoordinator
+        from repro.service.coordinator import FleetTransport
 
-        scheduler = FleetCoordinator(
-            config.fleet,
-            config=supervisor_config,
-            resubmit_crashed=True,
-            task_kind="chaos-scenario",
-        )
-    else:
-        scheduler = PointSupervisor(
-            workers=min(config.workers, len(todo)),
-            runner=_supervised_scenario,
-            config=supervisor_config,
-            resubmit_crashed=False,
-        )
+        holders = FleetTransport(config.fleet)
+    scheduler = PointSupervisor(
+        _supervised_scenario,
+        holders,
+        config.supervisor or SupervisorConfig(),
+        resubmit_crashed=config.fleet is not None,
+    )
     #: last crash kind per scenario: a quarantine's terminal outcome.
     last_kind: dict[int, str] = {}
     with scheduler:

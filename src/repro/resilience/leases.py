@@ -2,7 +2,7 @@
 
 A *lease* is one grant of one task to one holder -- a local worker
 process, or a remote worker connection behind
-:func:`repro.service.coordinator.FleetCoordinator` -- by
+:class:`repro.service.coordinator.FleetTransport` -- by
 :class:`~repro.resilience.supervisor.PointSupervisor`.  Whatever the
 holder, the bookkeeping around it is the same:
 

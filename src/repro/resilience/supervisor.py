@@ -1,16 +1,20 @@
-"""The one lease-driven scheduler, and its local (pipe-to-child) transport.
+"""The one lease-driven scheduler, its workers' task body, and the pool.
 
 Every pooled sweep and chaos campaign -- ``workers > 1`` on one host,
 or a remote fleet -- is dispatched by :class:`PointSupervisor`.  It
-alone owns the delayed ready-heap, the payloads, the
+alone owns the runner, the delayed ready-heap, the tasks (each pickled
+once, runner and payload together), the
 :class:`~repro.resilience.leases.LeaseTable`, the event queue, the
 crash -> resubmit -> quarantine policy, the stats and the telemetry
 callbacks, and it reaches its *holders* only through a small
-:class:`Transport`.  Two exist: the local pool below -- bare child
-interpreters the parent owns outright, one duplex socket each (an
-executor pool cannot terminate one wedged worker, and one dead worker
-breaks all of its pending futures) -- and the TCP fleet in
-:mod:`repro.service.coordinator`.  The scheduler
+:class:`Transport` that moves task and result bytes.  Two exist: the
+local pool below -- bare child interpreters the parent owns outright,
+one duplex socket each (an executor pool cannot terminate one wedged
+worker, and one dead worker breaks all of its pending futures) -- and
+the TCP fleet in :mod:`repro.service.coordinator`.  Their workers run
+every task with the same body, :func:`run_task`, and beat with the
+same :class:`Heartbeat`; neither knows which runner it will be handed.
+The scheduler
 
 * watches **heartbeats**: the task runner receives a heartbeat
   callable that the simulation drives from inside its event loop (see
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import pickle
 import socket
 import subprocess
 import sys
@@ -52,10 +57,12 @@ from repro.resilience.leases import Lease, LeaseTable
 
 __all__ = [
     "Delivery",
+    "Heartbeat",
     "PointSupervisor",
     "SupervisorConfig",
     "SupervisorEvent",
     "Transport",
+    "run_task",
 ]
 
 #: manifests' name for how a pool worker starts: a fresh interpreter,
@@ -145,9 +152,11 @@ class Delivery(NamedTuple):
     """One thing a transport heard from (or about) a holder.
 
     ``kind`` is ``"heartbeat"``, ``"done"`` (*data* is the runner's
-    result), ``"error"`` (the runner raised) or ``"left"`` (the holder
-    is gone) -- *data* is then the detail.  All but ``left`` echo the
-    ``task_id``/``dispatch`` stamped on the task.
+    pickled result, which the scheduler unpickles only for the live
+    lease), ``"error"`` (the task failed to load, run or pickle its
+    result) or ``"left"`` (the holder is gone) -- *data* is then the
+    detail.  All but ``left`` echo the ``task_id``/``dispatch`` stamped
+    on the task.
     """
 
     kind: str
@@ -167,10 +176,11 @@ class Transport(Protocol):
         """A live holder for which ``busy(holder)`` (it has a live lease)
         is falsy, or ``None`` when there is none."""
 
-    def send(self, lease: Lease, payload: Any, reassigned: bool) -> None:
-        """Hand *payload* to ``lease.holder``, stamped with the lease's
-        dispatch id.  Raises ``OSError``, after disposing of the holder,
-        when the task cannot have reached it."""
+    def send(self, lease: Lease, task: bytes, reassigned: bool) -> None:
+        """Hand *task* (the pickled runner and payload) to
+        ``lease.holder``, stamped with the lease's dispatch id.  Raises
+        ``OSError``, after disposing of the holder, when the task cannot
+        have reached it."""
 
     def poll(self, timeout: float) -> list[Delivery]:
         """Wait up to *timeout* seconds for deliveries."""
@@ -183,11 +193,11 @@ class Transport(Protocol):
 
 
 class PointSupervisor:
-    """The scheduler, over a self-healing local pool by default.
+    """The scheduler: one runner, its tasks, and whoever holds them.
 
     Usage::
 
-        with PointSupervisor(workers, runner, config=cfg) as sup:
+        with PointSupervisor(runner, workers, config=cfg) as sup:
             for task_id, payload in work:
                 sup.submit(task_id, payload)
             while sup.outstanding:
@@ -195,10 +205,13 @@ class PointSupervisor:
                 ...  # journal / retry / collect per event.kind
 
     *runner* is a module-level callable ``runner(payload, heartbeat)``
-    executed in the worker; it should call ``heartbeat()`` between
-    simulation epochs (the sweep and chaos runners thread it into the
-    simulator's heartbeat tick).  :meth:`over` builds the same
-    scheduler over any other :class:`Transport`.
+    executed by whichever worker holds the task; it should call
+    ``heartbeat()`` between simulation epochs (the sweep and chaos
+    runners thread it into the simulator's heartbeat tick).  The
+    scheduler pickles it with every payload, at :meth:`submit`, so a
+    worker needs nothing but the task's bytes (:func:`run_task`).
+    *holders* is a worker count (a self-healing local pool) or any
+    other :class:`Transport` (the fleet; a test's fake).
 
     With ``resubmit_crashed=True`` (the sweep's mode) a crashed task is
     automatically resubmitted until ``quarantine_after`` crashes, then
@@ -208,40 +221,17 @@ class PointSupervisor:
 
     def __init__(
         self,
-        workers: int,
         runner: Callable[[Any, Callable], Any],
+        holders: "int | Transport",
         config: SupervisorConfig | None = None,
         telemetry=None,
         resubmit_crashed: bool = True,
     ) -> None:
         config = config if config is not None else SupervisorConfig()
-        self._schedule_over(
-            ProcessPoolTransport(workers, runner, config.reap_grace_s),
-            config, telemetry, resubmit_crashed,
-        )
-
-    @classmethod
-    def over(
-        cls,
-        transport: Transport,
-        config: SupervisorConfig | None = None,
-        telemetry=None,
-        resubmit_crashed: bool = True,
-    ) -> "PointSupervisor":
-        """The scheduler over *transport* (the fleet; a test's fake)."""
-        self = cls.__new__(cls)
-        config = config if config is not None else SupervisorConfig()
-        self._schedule_over(transport, config, telemetry, resubmit_crashed)
-        return self
-
-    def _schedule_over(
-        self,
-        transport: Transport,
-        config: SupervisorConfig,
-        telemetry,
-        resubmit_crashed: bool,
-    ) -> None:
-        self.transport = transport
+        if isinstance(holders, int):
+            holders = ProcessPoolTransport(holders, config.reap_grace_s)
+        self.runner = runner
+        self.transport = holders
         self.config = config
         self.telemetry = telemetry
         self.resubmit_crashed = resubmit_crashed
@@ -249,7 +239,8 @@ class PointSupervisor:
         #: ready_at implements parent-side retry backoff.
         self._ready: list[tuple[float, int, Any]] = []
         self._seq = itertools.count()
-        self._payloads: dict[Any, Any] = {}
+        #: task_id -> the pickled (runner, payload) every hand-off ships.
+        self._tasks: dict[Any, bytes] = {}
         self._leases = LeaseTable(
             deadline_s=config.point_timeout_s,
             stale_s=config.heartbeat_stale_s,
@@ -288,11 +279,17 @@ class PointSupervisor:
         """Queue *payload* under *task_id*; *delay_s* defers dispatch.
 
         Resubmitting an id replaces its payload (how the sweep bumps a
-        spec's attempt counter between retries).
+        spec's attempt counter between retries).  A payload that cannot
+        be pickled raises here, before anything is dispatched.
         """
         if self._closed:
             raise RuntimeError("supervisor is closed")
-        self._payloads[task_id] = payload
+        self._tasks[task_id] = pickle.dumps(
+            (self.runner, payload), pickle.HIGHEST_PROTOCOL
+        )
+        self._queue(task_id, delay_s)
+
+    def _queue(self, task_id: Any, delay_s: float = 0.0) -> None:
         heapq.heappush(
             self._ready,
             (time.monotonic() + max(0.0, delay_s), next(self._seq), task_id),
@@ -352,16 +349,15 @@ class PointSupervisor:
             if holder is None:
                 return
             _, _, task_id = heapq.heappop(self._ready)
-            payload = self._payloads[task_id]
             reassigned = self._leases.crashes(task_id) > 0
             lease = self._leases.grant(task_id, holder, now)
             try:
-                self.transport.send(lease, payload, reassigned)
+                self.transport.send(lease, self._tasks[task_id], reassigned)
             except OSError:
                 # The holder died between idle and send: the task
                 # never ran, so this is a requeue, not a crash.
                 self._leases.release(task_id)
-                self.submit(task_id, payload)
+                self._queue(task_id)
 
     def _handle(self, delivery: Delivery) -> None:
         kind, holder, task_id, dispatch, data = delivery
@@ -397,7 +393,7 @@ class PointSupervisor:
                 SupervisorEvent(
                     kind="result",
                     task_id=task_id,
-                    result=data,
+                    result=pickle.loads(data),
                     crashes=self._leases.crashes(task_id),
                 )
             )
@@ -435,7 +431,7 @@ class PointSupervisor:
         if not self._leases.should_quarantine(
             task_id, self.config.quarantine_after
         ):
-            self.submit(task_id, self._payloads[task_id])
+            self._queue(task_id)
             return
         self._counts["quarantined"] += 1
         if tracing:
@@ -447,25 +443,29 @@ class PointSupervisor:
         )
 
 
-# -- the local transport: bare child interpreters on duplex sockets --------
+# -- the worker side, local or remote: one heartbeat, one task body -------
 
 
-class _HeartbeatSender:
-    """The callable a worker's task runner drives between epochs.
+class Heartbeat:
+    """The callable a task's runner drives between epochs.
 
-    Throttled to wall time so a fast simulation loop does not flood
-    the pipe; a send failure (parent gone) is swallowed -- the reap
-    arrives either way.
+    *send* ships one beat (a pool pipe's or a fleet socket's send);
+    :meth:`start` names the task being beaten for.  Throttled to wall
+    time so a fast simulation loop does not flood the wire; a send
+    failure (the scheduler is gone) is swallowed -- the holder is
+    dropped or the worker's own loop hits the dead connection next.
     """
 
-    def __init__(self, conn: Connection, min_interval_s: float = 0.2) -> None:
-        self._conn = conn
+    def __init__(
+        self, send: Callable[[Any], None], min_interval_s: float = 0.2
+    ) -> None:
+        self._send = send
         self._min_interval_s = min_interval_s
-        self._tag: Any = None
+        self._beat: Any = None
         self._last = 0.0
 
-    def reset(self, tag: Any) -> None:
-        self._tag = tag
+    def start(self, beat: Any) -> None:
+        self._beat = beat
         self._last = 0.0
         self()  # one immediate beat: "task received, alive"
 
@@ -475,21 +475,41 @@ class _HeartbeatSender:
             return
         self._last = now
         try:
-            self._conn.send(("heartbeat", self._tag))
+            self._send(self._beat)
         except OSError:
             pass
 
 
-def _worker_main(conn: Connection, runner: Callable[[Any, Callable], Any]) -> None:
-    """Long-lived worker loop: recv task, run, send result, repeat.
+def run_task(task: bytes, heartbeat: Heartbeat, beat: Any) -> tuple[str, Any]:
+    """One task, on any worker: ``("done", pickled result)`` or
+    ``("error", detail)``.
 
-    What :data:`_BOOTSTRAP` runs in a pool worker.  Every reply
-    echoes the task's opaque *tag* (task id + dispatch id).  Any
-    exception escaping *runner* is reported as an ``error`` message
-    (the worker survives); runners are expected to catch task-level
-    exceptions themselves and fold them into their result objects.
+    *task* is what :meth:`PointSupervisor.submit` pickled: the runner
+    and its payload.  Any exception (``SystemExit`` included) escaping
+    the unpickling, the run or the pickling of the result is reported
+    as an error and the worker survives; runners are expected to fold
+    task-level failures into their result objects themselves.  An
+    interrupt is not a task failure: it stops the worker.
     """
-    heartbeat = _HeartbeatSender(conn)
+    heartbeat.start(beat)
+    try:
+        runner, payload = pickle.loads(task)
+        result = runner(payload, heartbeat)
+        return "done", pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+    except (Exception, SystemExit) as error:  # report, don't die
+        return "error", f"{type(error).__name__}: {error}"
+
+
+# -- the local transport: bare child interpreters on duplex sockets --------
+
+
+def _serve_pool(conn: Connection) -> None:
+    """A pool worker's life: recv a task, run it, reply, repeat.
+
+    What :data:`_BOOTSTRAP` runs.  Every reply echoes the task's opaque
+    *tag* (task id + dispatch id), and so does every heartbeat.
+    """
+    heartbeat = Heartbeat(conn.send)
     while True:
         try:
             message = conn.recv()
@@ -497,44 +517,28 @@ def _worker_main(conn: Connection, runner: Callable[[Any, Callable], Any]) -> No
             break
         if message[0] == "exit":
             break
-        _, tag, payload = message
-        heartbeat.reset(tag)
+        _, tag, task = message
+        kind, data = run_task(task, heartbeat, ("heartbeat", tag))
         try:
-            result = runner(payload, heartbeat)
-        except BaseException as error:  # noqa: BLE001 -- report, don't die
-            reply = ("error", tag, f"{type(error).__name__}: {error}")
-        else:
-            reply = ("done", tag, result)
-        try:
-            conn.send(reply)
-        except Exception as error:  # result not picklable, parent gone, ...
-            try:
-                conn.send((
-                    "error",
-                    tag,
-                    f"result failed to serialize: "
-                    f"{type(error).__name__}: {error}",
-                ))
-            except Exception:
-                break
-    try:
+            conn.send((kind, tag, data))
+        except OSError:
+            break  # the parent is gone
+    with suppress(OSError):
         conn.close()
-    except OSError:
-        pass
 
 
 #: what a pool worker's interpreter runs (``python -c``, the socket's
 #: descriptor as its one argument): adopt the parent's ``sys.path``, so
-#: callers that put ``src/`` on it work, then serve the runner sent
-#: next.  It imports nothing else -- never the caller's ``__main__`` --
-#: so a worker costs what unpickling its runner and payloads imports.
+#: callers that put ``src/`` on it work, then serve tasks.  It imports
+#: nothing else -- never the caller's ``__main__`` -- so a worker costs
+#: what unpickling its tasks imports.
 _BOOTSTRAP = """\
 import sys
 from multiprocessing.connection import Connection
 conn = Connection(int(sys.argv[1]))
 sys.path[:] = conn.recv()
-from repro.resilience.supervisor import _worker_main
-_worker_main(conn, conn.recv())
+from repro.resilience.supervisor import _serve_pool
+_serve_pool(conn)
 """
 
 
@@ -572,16 +576,10 @@ class ProcessPoolTransport:
     the pool closes, and no resource tracker is started, so no process
     outlives the pool."""
 
-    def __init__(
-        self,
-        workers: int,
-        runner: Callable[[Any, Callable], Any],
-        reap_grace_s: float,
-    ) -> None:
+    def __init__(self, workers: int, reap_grace_s: float) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.workers = workers
-        self.runner = runner
         self.reap_grace_s = reap_grace_s
         self.stats: dict[str, int] = {}
         self._pool: list[_Worker] = []
@@ -606,13 +604,12 @@ class ProcessPoolTransport:
         worker = _Worker(process=process, conn=conn)
         self._pool.append(worker)  # reaped by close() if a send fails
         conn.send(sys.path)
-        conn.send(self.runner)
         return worker
 
-    def send(self, lease: Lease, payload: Any, reassigned: bool) -> None:
+    def send(self, lease: Lease, task: bytes, reassigned: bool) -> None:
         worker = lease.holder
         try:
-            worker.conn.send(("task", (lease.task_id, lease.dispatch), payload))
+            worker.conn.send(("task", (lease.task_id, lease.dispatch), task))
         except OSError:
             self._reap(worker)
             raise

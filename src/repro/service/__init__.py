@@ -3,10 +3,11 @@
 This package stretches the single-host supervised pool
 (:mod:`repro.resilience.supervisor`) over many hosts with nothing but
 the standard library: a TCP coordinator that leases journal keys to
-remote workers (``repro-experiments serve``), a worker loop that runs
-the exact serial per-point path and streams the simulator's in-band
-heartbeats back over the wire (``repro-experiments work``), and a
-JSON-lines protocol between them.
+remote workers (``repro-experiments serve``; the scheduler is the
+local pool's, over :class:`FleetTransport`), a worker loop that runs
+whatever task the scheduler sends with the local pool's task body and
+streams the simulator's in-band heartbeats back over the wire
+(``repro-experiments work``), and a JSON-lines protocol between them.
 
 The coordinator remains the journal's *single writer*: dispatch is
 at-least-once (expired leases are re-granted), recording is
@@ -15,7 +16,7 @@ id and discarded).  See ``docs/service.md`` for the protocol and the
 failure matrix.
 """
 
-from repro.service.coordinator import FleetCoordinator
+from repro.service.coordinator import FleetTransport
 from repro.service.protocol import (
     MessageChannel,
     connect,
@@ -26,7 +27,7 @@ from repro.service.server import ServiceServer
 from repro.service.worker import FleetWorker, WorkerConfig
 
 __all__ = [
-    "FleetCoordinator",
+    "FleetTransport",
     "FleetWorker",
     "MessageChannel",
     "ServiceServer",

@@ -1,13 +1,15 @@
 """The fleet transport: remote workers behind the one scheduler.
 
-:func:`FleetCoordinator` builds the ordinary
-:class:`~repro.resilience.supervisor.PointSupervisor` -- same ready
-heap, lease table, crash/quarantine policy, events and
+``PointSupervisor(runner, FleetTransport(server))`` is the ordinary
+:class:`~repro.resilience.supervisor.PointSupervisor` -- same runner,
+ready heap, lease table, crash/quarantine policy, events and
 :class:`~repro.resilience.supervisor.SupervisorConfig` as a local pool
--- over a :class:`FleetTransport`, whose holders are the connections
-joined to a :class:`~repro.service.server.ServiceServer` instead of
-child processes.  Everything wire-shaped lives here: tokens, task
-frames, payload encoding, and kicking a connection.
+-- whose holders are the connections joined to a
+:class:`~repro.service.server.ServiceServer` instead of child
+processes.  Everything wire-shaped lives here: tokens, task frames,
+base64-wrapping the task and result bytes, and kicking a connection.
+Closing the scheduler does **not** close the shared server: one serve
+loop runs many sweeps (fig10 panels, campaign phases) over one fleet.
 
 Exactly-once recording over at-least-once dispatch:
 
@@ -35,50 +37,21 @@ import time
 from typing import Any, Callable
 
 from repro.resilience.leases import Lease
-from repro.resilience.supervisor import (
-    Delivery,
-    PointSupervisor,
-    SupervisorConfig,
-)
+from repro.resilience.supervisor import Delivery
 from repro.service.protocol import decode_payload, encode_payload
 from repro.service.server import ServiceServer, WorkerConnection
 
-__all__ = ["FleetCoordinator", "FleetTransport"]
+__all__ = ["FleetTransport"]
 
 #: wire frame type -> delivery kind.
 _DELIVERY_KINDS = {"heartbeat": "heartbeat", "result": "done", "error": "error"}
 
 
-def FleetCoordinator(  # noqa: N802 -- reads as the class it used to be
-    server: ServiceServer,
-    config: SupervisorConfig | None = None,
-    telemetry=None,
-    resubmit_crashed: bool = True,
-    task_kind: str = "sweep-point",
-) -> PointSupervisor:
-    """The scheduler over *server*'s joined workers.
-
-    *task_kind* names the worker-side runner (``"sweep-point"`` or
-    ``"chaos-scenario"``, see ``repro.service.worker.TASK_RUNNERS``).
-    Closing it does **not** close the shared server: one serve loop
-    runs many sweeps (fig10 panels, campaign phases) over one fleet.
-    """
-    return PointSupervisor.over(
-        FleetTransport(server, task_kind, telemetry),
-        config,
-        telemetry,
-        resubmit_crashed,
-    )
-
-
 class FleetTransport:
     """Lease tasks to the server's connected workers over TCP."""
 
-    def __init__(
-        self, server: ServiceServer, task_kind: str, telemetry=None
-    ) -> None:
+    def __init__(self, server: ServiceServer, telemetry=None) -> None:
         self.server = server
-        self.task_kind = task_kind
         self.telemetry = telemetry
         self.stats = {"leases": 0, "reassignments": 0, "worker_connects": 0}
         # Tokens travel where task ids cannot (task ids are arbitrary
@@ -105,7 +78,7 @@ class FleetTransport:
                 return worker
         return None
 
-    def send(self, lease: Lease, payload: Any, reassigned: bool) -> None:
+    def send(self, lease: Lease, task: bytes, reassigned: bool) -> None:
         worker: WorkerConnection = lease.holder
         token = self._tokens.get(lease.task_id)
         if token is None:
@@ -117,8 +90,7 @@ class FleetTransport:
                 "type": "task",
                 "token": token,
                 "dispatch": lease.dispatch,
-                "task_kind": self.task_kind,
-                "payload": encode_payload(payload),
+                "payload": encode_payload(task),
             })
         except OSError:
             # Connection died under us; the reader's ``leave`` cleans

@@ -1,12 +1,13 @@
 """JSON-lines wire protocol between coordinator and fleet workers.
 
 Frames are one JSON object per ``\\n``-terminated line -- trivially
-debuggable with ``nc`` and immune to partial-read framing bugs.  Task
-payloads (the picklable :class:`~repro.sim.sweep.PointSpec` /
-scenario specs the single-host pools already ship between processes)
-ride *inside* a frame as base64-wrapped pickle, so a remote worker
-rebuilds exactly the object a local worker would have received and
-results stay bitwise identical to a serial run.
+debuggable with ``nc`` and immune to partial-read framing bugs.  A task
+is the bytes the scheduler pickled -- its runner and the picklable
+:class:`~repro.sim.sweep.PointSpec` / scenario spec, exactly what a
+local pool worker receives -- and a result is the bytes the worker
+pickled; both ride *inside* a frame base64-wrapped, so a remote worker
+runs exactly the task a local worker would have run and results stay
+bitwise identical to a serial run.
 
 Frame vocabulary (``type`` field):
 
@@ -16,8 +17,7 @@ frame            direction                meaning
 ``hello``        worker -> coordinator    join the fleet (``name``)
 ``welcome``      coordinator -> worker    accepted; carries ``session``
 ``task``         coordinator -> worker    a leased task (``token``,
-                                          ``dispatch``, ``task_kind``,
-                                          ``payload``)
+                                          ``dispatch``, ``payload``)
 ``heartbeat``    worker -> coordinator    liveness for the running task
 ``result``       worker -> coordinator    task finished (``payload``)
 ``error``        worker -> coordinator    runner raised (``detail``)
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import base64
 import json
-import pickle
 import socket
 import threading
 from typing import Any
@@ -60,16 +59,18 @@ class ProtocolError(RuntimeError):
     """A malformed or oversized frame arrived on the wire."""
 
 
-def encode_payload(obj: Any) -> str:
-    """Pickle *obj* and wrap it for transport inside a JSON frame."""
-    return base64.b64encode(
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
+def encode_payload(data: bytes) -> str:
+    """Wrap pickled *data* for transport inside a JSON frame."""
+    return base64.b64encode(data).decode("ascii")
 
 
-def decode_payload(data: str) -> Any:
-    """Inverse of :func:`encode_payload`."""
-    return pickle.loads(base64.b64decode(data.encode("ascii")))
+def decode_payload(text: Any) -> bytes:
+    """Inverse of :func:`encode_payload`; anything else in a frame's
+    payload field is a :class:`ProtocolError`."""
+    try:
+        return base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as error:
+        raise ProtocolError(f"bad payload: {error}") from error
 
 
 class MessageChannel:

@@ -54,7 +54,7 @@ class ServiceServer:
     Usage::
 
         with ServiceServer(host, port) as server:
-            coordinator = FleetCoordinator(server, config)
+            scheduler = PointSupervisor(runner, FleetTransport(server))
             ...
 
     ``port=0`` binds an ephemeral port (tests); :attr:`port` reports

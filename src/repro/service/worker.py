@@ -1,17 +1,21 @@
 """Fleet worker: connect, lease tasks, run the exact serial path.
 
 :class:`FleetWorker` is the remote analogue of the supervised pool's
-worker loop (:func:`repro.resilience.supervisor._worker_main`): recv a
-task, rebuild the picklable spec, run the same module-level runner a
-local worker would (``run_point_attempt`` for sweep points, the
-campaign's scenario runner for chaos), and ship the result back.  The
-simulator's in-band heartbeats are forwarded over the socket, stamped
-with the task's lease ``dispatch`` id so the scheduler can tell a
-live worker from a zombie whose lease already expired.
+worker loop (:func:`repro.resilience.supervisor._serve_pool`): recv a
+task and run it with the same body a local worker uses
+(:func:`~repro.resilience.supervisor.run_task`: unpickle the runner the
+scheduler sent with the spec, run it, pickle the result), then ship the
+result back.  The worker knows no runners of its own; whatever the
+scheduler was built with arrives in the task.  The simulator's in-band
+heartbeats go through the same
+:class:`~repro.resilience.supervisor.Heartbeat`, stamped with the
+task's token and lease ``dispatch`` id so the scheduler can tell a live
+worker from a zombie whose lease already expired.
 
 Failure handling is all on the reconnect path:
 
-* connection refused / dropped -- retry with the shared
+* connection refused / dropped, or a frame that does not parse --
+  retry with the shared
   :func:`~repro.resilience.backoff.jittered_backoff` (seeded, so a
   fleet of workers restarting together does not stampede the
   coordinator in lockstep);
@@ -31,9 +35,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
 
 from repro.resilience.backoff import jittered_backoff
+from repro.resilience.supervisor import Heartbeat, run_task
 from repro.service.protocol import (
     MessageChannel,
     ProtocolError,
@@ -43,26 +47,6 @@ from repro.service.protocol import (
 )
 
 __all__ = ["FleetWorker", "WorkerConfig", "run_worker"]
-
-
-def _sweep_point_runner() -> Callable[[Any, Callable], Any]:
-    from repro.sim.parallel import run_point_attempt
-
-    return run_point_attempt
-
-
-def _chaos_scenario_runner() -> Callable[[Any, Callable], Any]:
-    from repro.chaos.campaign import _supervised_scenario
-
-    return _supervised_scenario
-
-
-#: task_kind -> lazy runner factory.  Lazy so importing the service
-#: package never drags in the simulator stack.
-TASK_RUNNERS: dict[str, Callable[[], Callable[[Any, Callable], Any]]] = {
-    "sweep-point": _sweep_point_runner,
-    "chaos-scenario": _chaos_scenario_runner,
-}
 
 
 @dataclass(frozen=True)
@@ -87,46 +71,6 @@ class WorkerConfig:
     seed: int = 0
 
 
-class _SocketHeartbeat:
-    """The heartbeat callable threaded into the simulator's tick.
-
-    Wall-throttled like the pipe-based sender; a send failure is
-    swallowed -- the coordinator's staleness check notices either
-    way, and the serve loop will hit the same dead socket next.
-    """
-
-    def __init__(
-        self, channel: MessageChannel, min_interval_s: float = 0.2
-    ) -> None:
-        self._channel = channel
-        self._min_interval_s = min_interval_s
-        self._token: str | None = None
-        self._dispatch: int | None = None
-        self._last = 0.0
-
-    def reset(self, token: str, dispatch: int) -> None:
-        self._token = token
-        self._dispatch = dispatch
-        self._last = 0.0
-        self()  # one immediate beat: "task received, alive"
-
-    def __call__(self) -> None:
-        now = time.monotonic()
-        if now - self._last < self._min_interval_s:
-            return
-        self._last = now
-        try:
-            self._channel.send(
-                {
-                    "type": "heartbeat",
-                    "token": self._token,
-                    "dispatch": self._dispatch,
-                }
-            )
-        except OSError:
-            pass
-
-
 class FleetWorker:
     """One remote worker process's whole life: connect, serve, retry."""
 
@@ -135,7 +79,6 @@ class FleetWorker:
         self._rng = random.Random(config.seed)
         #: (session, frame) of a result the last send failed on.
         self._stash: tuple[str, dict] | None = None
-        self._runners: dict[str, Callable[[Any, Callable], Any]] = {}
 
     def run(self) -> int:
         """Serve until shutdown (0) or reconnects exhausted (1)."""
@@ -183,20 +126,33 @@ class FleetWorker:
         session = str(welcome.get("session", ""))
         if not self._flush_stash(channel, session):
             return False
-        heartbeat = _SocketHeartbeat(channel)
+        heartbeat = Heartbeat(channel.send)
         while True:
             try:
                 frame = channel.recv()
+                if frame is None:
+                    return False
+                kind = frame.get("type")
+                if kind == "shutdown":
+                    return True
+                if kind != "task":
+                    continue
+                task = decode_payload(frame.get("payload"))
             except (OSError, ProtocolError):
                 return False
-            if frame is None:
-                return False
-            kind = frame.get("type")
-            if kind == "shutdown":
-                return True
-            if kind != "task":
-                continue
-            reply = self._run_task(frame, heartbeat)
+            stamp = {
+                "token": str(frame.get("token")),
+                "dispatch": frame.get("dispatch"),
+            }
+            kind, data = run_task(
+                task, heartbeat, {"type": "heartbeat", **stamp}
+            )
+            if kind == "done":
+                reply = {
+                    "type": "result", "payload": encode_payload(data), **stamp
+                }
+            else:
+                reply = {"type": "error", "detail": data, **stamp}
             try:
                 channel.send(reply)
             except OSError:
@@ -221,36 +177,6 @@ class FleetWorker:
             self._stash = (stashed_session, reply)
             return False
         return True
-
-    def _run_task(self, frame: dict, heartbeat: _SocketHeartbeat) -> dict:
-        token = str(frame.get("token"))
-        dispatch = frame.get("dispatch")
-        base = {"token": token, "dispatch": dispatch}
-        heartbeat.reset(token, dispatch)
-        try:
-            runner = self._runner(str(frame.get("task_kind")))
-            payload = decode_payload(frame["payload"])
-            result = runner(payload, heartbeat)
-            return {
-                "type": "result",
-                "payload": encode_payload(result),
-                **base,
-            }
-        except BaseException as error:  # noqa: BLE001 - report, stay alive
-            return {
-                "type": "error",
-                "detail": f"{type(error).__name__}: {error}",
-                **base,
-            }
-
-    def _runner(self, task_kind: str) -> Callable[[Any, Callable], Any]:
-        runner = self._runners.get(task_kind)
-        if runner is None:
-            factory = TASK_RUNNERS.get(task_kind)
-            if factory is None:
-                raise ValueError(f"unknown task kind: {task_kind!r}")
-            runner = self._runners[task_kind] = factory()
-        return runner
 
 
 def run_worker(config: WorkerConfig) -> int:

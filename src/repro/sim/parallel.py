@@ -149,7 +149,8 @@ def _claim_once_file() -> bool:
 def run_point_attempt(spec: PointSpec, heartbeat=None) -> PointResult:
     """Worker entry: the test fault hooks, then the shared attempt.
 
-    Module-level, so it is sent to pool workers by reference.
+    Module-level, so the scheduler pickles it with every spec by
+    reference and any worker, pooled or remote, can load it.
     """
     wedge = os.environ.get(WEDGE_POINT_ENV)
     if wedge and _test_fault_matches(wedge, spec) and _claim_once_file():
@@ -224,26 +225,14 @@ def _drain(
         path = Path(telemetry_dir) / SUPERVISOR_TRACE_NAME
         path.parent.mkdir(parents=True, exist_ok=True)
         telemetry = Telemetry(sink=JsonlSink(path))
+    holders = min(workers, len(pending))
     if fleet is not None:
         # Same scheduler, remote holders: the loop below cannot tell
         # the difference.
-        from repro.service.coordinator import FleetCoordinator
+        from repro.service.coordinator import FleetTransport
 
-        supervisor = FleetCoordinator(
-            fleet,
-            config=config,
-            telemetry=telemetry,
-            resubmit_crashed=True,
-            task_kind="sweep-point",
-        )
-    else:
-        supervisor = PointSupervisor(
-            workers=min(workers, len(pending)),
-            runner=run_point_attempt,
-            config=config,
-            telemetry=telemetry,
-            resubmit_crashed=True,
-        )
+        holders = FleetTransport(fleet, telemetry)
+    supervisor = PointSupervisor(run_point_attempt, holders, config, telemetry)
     try:
         for spec in pending:
             supervisor.submit(spec.key, spec)

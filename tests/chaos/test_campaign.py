@@ -307,8 +307,9 @@ class TestPlainPoolWorkerDeath:
         }
         script[0] = [("left",)]
 
-        def scripted_pool(workers, runner, config, resubmit_crashed):
-            return PointSupervisor.over(
+        def scripted_pool(runner, workers, config, resubmit_crashed):
+            return PointSupervisor(
+                runner,
                 ScriptedTransport(script, holders=workers),
                 config,
                 resubmit_crashed=resubmit_crashed,

@@ -10,6 +10,7 @@ a transport (SIGKILL/wedge reaping, framing, kick-on-expiry) stays in
 ``test_supervisor.py`` and ``tests/service/test_coordinator.py``.
 """
 
+import pickle
 import time
 from collections import deque
 
@@ -45,6 +46,7 @@ class ScriptedTransport:
         self.stats: dict[str, int] = {}
         self.holders = [Holder(f"h{n}") for n in range(holders)]
         self.sent: list[tuple] = []  # (task_id, reassigned, monotonic time)
+        self.tasks: list[bytes] = []  # the bytes each hand-off carried
         self.dropped: list[tuple] = []  # (task_id, detail)
         self.timeouts: list[float] = []
         self.closed = 0
@@ -60,13 +62,17 @@ class ScriptedTransport:
                 return holder
         return None
 
-    def send(self, lease, payload, reassigned) -> None:
+    def send(self, lease, task, reassigned) -> None:
         action, *args = self.script[lease.task_id].popleft()
         holder, task_id, dispatch = lease.holder, lease.task_id, lease.dispatch
         if action == "refuse":
             self._replace(holder)
             raise OSError("holder died between idle and send")
         self.sent.append((task_id, reassigned, time.monotonic()))
+        self.tasks.append(task)
+        if action in ("done", "stale", "impostor"):
+            # What a worker's run_task replies: the pickled result.
+            args = [pickle.dumps(value) for value in args]
         if action in ("done", "error"):
             self._pending.append(
                 Delivery(action, holder, task_id, dispatch, *args)
@@ -107,9 +113,15 @@ def drain(supervisor) -> list:
     return events
 
 
+def echo(payload, heartbeat):
+    """A runner the scripted holders never call; it only gets pickled."""
+    return payload
+
+
 def schedule(script, holders=1, resubmit_crashed=True, **config):
     transport = ScriptedTransport(script, holders=holders)
-    supervisor = PointSupervisor.over(
+    supervisor = PointSupervisor(
+        echo,
         transport,
         SupervisorConfig(**{**FAST_POLL, **config}),
         resubmit_crashed=resubmit_crashed,
@@ -239,6 +251,27 @@ class TestFailedHandOff:
         assert supervisor.stats["quarantined"] == 0
         # The only hand-off that arrived was a first grant, not a retry.
         assert [retry for _, retry, _ in transport.sent] == [False]
+
+
+class TestTasks:
+    def test_every_hand_off_ships_the_bytes_pickled_at_submit(self):
+        """The scheduler owns the runner: it travels with the payload,
+        pickled once, and a retry re-sends the very same bytes."""
+        supervisor, transport = schedule(
+            {"t": [("error", "boom"), ("done", "ok")]}
+        )
+        supervisor.submit("t", {"rate": 0.01})
+        drain(supervisor)
+        first, retry = transport.tasks
+        assert first is retry
+        assert pickle.loads(first) == (echo, {"rate": 0.01})
+
+    def test_unpicklable_payload_fails_at_submit(self):
+        supervisor, transport = schedule({})
+        with pytest.raises(Exception, match="pickle"):
+            supervisor.submit("t", lambda: None)
+        assert not supervisor.outstanding
+        assert transport.sent == []
 
 
 class TestLifecycle:

@@ -79,7 +79,7 @@ def drain(supervisor):
 
 class TestPointSupervisor:
     def test_clean_tasks_round_trip(self):
-        with PointSupervisor(2, _square) as supervisor:
+        with PointSupervisor(_square, 2) as supervisor:
             for n in range(5):
                 supervisor.submit(n, n)
             events = drain(supervisor)
@@ -92,7 +92,7 @@ class TestPointSupervisor:
     def test_killed_worker_is_replaced_and_others_finish(self):
         config = SupervisorConfig(poll_interval_s=0.02, reap_grace_s=2.0)
         with PointSupervisor(
-            2, _kill_marked, config=config, resubmit_crashed=False
+            _kill_marked, 2, config=config, resubmit_crashed=False
         ) as supervisor:
             for task_id, payload in enumerate(["a", "die", "b", "c"]):
                 supervisor.submit(task_id, payload)
@@ -113,7 +113,7 @@ class TestPointSupervisor:
             quarantine_after=2, poll_interval_s=0.02, reap_grace_s=2.0
         )
         with PointSupervisor(
-            1, _kill_marked, config=config, resubmit_crashed=True
+            _kill_marked, 1, config=config, resubmit_crashed=True
         ) as supervisor:
             supervisor.submit("poison", "die")
             events = drain(supervisor)
@@ -125,7 +125,7 @@ class TestPointSupervisor:
     def test_wedged_worker_reaped_on_stale_heartbeat(self):
         started = time.monotonic()
         with PointSupervisor(
-            2, _wedge_marked, config=FAST_REAP, resubmit_crashed=False
+            _wedge_marked, 2, config=FAST_REAP, resubmit_crashed=False
         ) as supervisor:
             supervisor.submit(0, "wedge")
             supervisor.submit(1, "ok")
@@ -145,7 +145,7 @@ class TestPointSupervisor:
             point_timeout_s=0.5, poll_interval_s=0.02, reap_grace_s=2.0
         )
         with PointSupervisor(
-            1, _wedge_marked, config=config, resubmit_crashed=False
+            _wedge_marked, 1, config=config, resubmit_crashed=False
         ) as supervisor:
             supervisor.submit(0, "wedge")
             events = drain(supervisor)
@@ -158,7 +158,7 @@ class TestPointSupervisor:
         with pytest.raises(ValueError):
             SupervisorConfig(quarantine_after=0)
         with pytest.raises(ValueError):
-            PointSupervisor(0, _square)
+            PointSupervisor(_square, 0)
 
 
 class TestSupervisedSweeps:

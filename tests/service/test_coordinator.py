@@ -1,4 +1,4 @@
-"""FleetCoordinator: leasing, dedup, reassignment, expiry, quarantine.
+"""The fleet transport: leasing, dedup, reassignment, expiry, quarantine.
 
 These tests script the worker side of the protocol by hand (a raw
 :func:`connect` channel speaking hello/result/error frames) so every
@@ -9,17 +9,30 @@ event loop pumps, so each test drains it on a background thread and
 plays the worker from the main one.
 """
 
+import pickle
 import threading
 import time
 
 import pytest
 
-from repro.resilience.supervisor import SupervisorConfig
-from repro.service.coordinator import FleetCoordinator
+from repro.resilience.supervisor import PointSupervisor, SupervisorConfig
+from repro.service.coordinator import FleetTransport
 from repro.service.protocol import connect, decode_payload, encode_payload
 from repro.service.server import ServiceServer
 
 FAST_POLL = dict(poll_interval_s=0.02, reap_grace_s=2.0)
+
+
+def echo(payload, heartbeat):
+    """The scheduler's runner; scripted workers only unpickle it."""
+    return payload
+
+
+def fleet_scheduler(server, config, resubmit_crashed=True):
+    """The scheduler over *server*'s joined workers."""
+    return PointSupervisor(
+        echo, FleetTransport(server), config, resubmit_crashed=resubmit_crashed
+    )
 
 
 class ScriptedWorker:
@@ -42,7 +55,7 @@ class ScriptedWorker:
             "type": "result",
             "token": task["token"],
             "dispatch": task["dispatch"] if dispatch is None else dispatch,
-            "payload": encode_payload(result),
+            "payload": encode_payload(pickle.dumps(result)),
         })
 
     def fail(self, task: dict, detail: str) -> None:
@@ -64,14 +77,14 @@ class Drain:
     outstanding and the drain would end immediately).
     """
 
-    def __init__(self, coordinator: FleetCoordinator) -> None:
+    def __init__(self, coordinator) -> None:
         self.events = []
         self.error: BaseException | None = None
         self._thread = threading.Thread(target=self._run, args=(coordinator,))
         self._thread.daemon = True
         self._thread.start()
 
-    def _run(self, coordinator: FleetCoordinator) -> None:
+    def _run(self, coordinator) -> None:
         try:
             while coordinator.outstanding:
                 self.events.append(coordinator.next_event())
@@ -103,14 +116,16 @@ class TestDispatchAndDelivery:
     def test_task_frame_round_trip(self, server):
         worker = ScriptedWorker(server, "w0")
         wait_for_roster(server, 1)
-        with FleetCoordinator(
-            server, SupervisorConfig(**FAST_POLL), task_kind="sweep-point"
+        with fleet_scheduler(
+            server, SupervisorConfig(**FAST_POLL)
         ) as coordinator:
             coordinator.submit(("PIM1", "0.01"), {"rate": 0.01})
             drain = Drain(coordinator)
             task = worker.take_task()
-            assert task["task_kind"] == "sweep-point"
-            assert decode_payload(task["payload"]) == {"rate": 0.01}
+            # The task carries the scheduler's runner; no task kind.
+            assert set(task) == {"type", "token", "dispatch", "payload"}
+            runner, payload = pickle.loads(decode_payload(task["payload"]))
+            assert (runner, payload) == (echo, {"rate": 0.01})
             worker.deliver(task, "the-answer")
             [event] = drain.wait()
         assert event.kind == "result"
@@ -121,7 +136,7 @@ class TestDispatchAndDelivery:
         worker.close()
 
     def test_submit_after_close_is_refused(self, server):
-        coordinator = FleetCoordinator(server, SupervisorConfig(**FAST_POLL))
+        coordinator = fleet_scheduler(server, SupervisorConfig(**FAST_POLL))
         coordinator.close()
         with pytest.raises(RuntimeError):
             coordinator.submit("t", 1)
@@ -131,7 +146,7 @@ class TestDispatchAndDelivery:
         dispatch id never becomes an event."""
         worker = ScriptedWorker(server, "w0")
         wait_for_roster(server, 1)
-        with FleetCoordinator(
+        with fleet_scheduler(
             server, SupervisorConfig(**FAST_POLL)
         ) as coordinator:
             coordinator.submit("t", "payload")
@@ -147,7 +162,7 @@ class TestDispatchAndDelivery:
     def test_unknown_token_is_discarded(self, server):
         worker = ScriptedWorker(server, "w0")
         wait_for_roster(server, 1)
-        with FleetCoordinator(
+        with fleet_scheduler(
             server, SupervisorConfig(**FAST_POLL)
         ) as coordinator:
             coordinator.submit("t", "payload")
@@ -157,7 +172,7 @@ class TestDispatchAndDelivery:
                 "type": "result",
                 "token": "0000-999",  # another coordinator's token
                 "dispatch": task["dispatch"],
-                "payload": encode_payload("ghost"),
+                "payload": encode_payload(pickle.dumps("ghost")),
             })
             worker.deliver(task, "live")
             [event] = drain.wait()
@@ -171,7 +186,7 @@ class TestDispatchAndDelivery:
         worker = ScriptedWorker(server, "w0")
         wait_for_roster(server, 1)
         for round_no in range(2):
-            with FleetCoordinator(
+            with fleet_scheduler(
                 server, SupervisorConfig(**FAST_POLL)
             ) as coordinator:
                 coordinator.submit("t", round_no)
@@ -190,7 +205,7 @@ class TestCrashHandling:
         wait_for_roster(server, 1)
         second = ScriptedWorker(server, "survivor")
         wait_for_roster(server, 2)
-        with FleetCoordinator(
+        with fleet_scheduler(
             server, SupervisorConfig(**FAST_POLL), resubmit_crashed=True
         ) as coordinator:
             coordinator.submit("t", "payload")
@@ -211,7 +226,7 @@ class TestCrashHandling:
     def test_error_frame_is_a_worker_lost_crash(self, server):
         worker = ScriptedWorker(server, "w0")
         wait_for_roster(server, 1)
-        with FleetCoordinator(
+        with fleet_scheduler(
             server, SupervisorConfig(**FAST_POLL), resubmit_crashed=False
         ) as coordinator:
             coordinator.submit("t", "payload")
@@ -227,7 +242,7 @@ class TestCrashHandling:
         worker = ScriptedWorker(server, "w0")
         wait_for_roster(server, 1)
         config = SupervisorConfig(quarantine_after=2, **FAST_POLL)
-        with FleetCoordinator(
+        with fleet_scheduler(
             server, config, resubmit_crashed=True
         ) as coordinator:
             coordinator.submit("poison", "payload")
@@ -251,7 +266,7 @@ class TestLeaseExpiry:
         config = SupervisorConfig(
             point_timeout_s=60.0, heartbeat_stale_s=0.4, **FAST_POLL
         )
-        with FleetCoordinator(
+        with fleet_scheduler(
             server, config, resubmit_crashed=False
         ) as coordinator:
             coordinator.submit("t", "payload")
@@ -273,7 +288,7 @@ class TestLeaseExpiry:
         config = SupervisorConfig(
             point_timeout_s=60.0, heartbeat_stale_s=0.6, **FAST_POLL
         )
-        with FleetCoordinator(
+        with fleet_scheduler(
             server, config, resubmit_crashed=False
         ) as coordinator:
             coordinator.submit("t", "payload")

@@ -17,7 +17,8 @@ import pytest
 from repro.chaos.campaign import CampaignConfig, run_campaign
 from repro.chaos.scenario import ScenarioSpace
 from repro.resilience.checkpoint import SweepJournal
-from repro.resilience.supervisor import SupervisorConfig
+from repro.resilience.supervisor import PointSupervisor, SupervisorConfig
+from repro.service.coordinator import FleetTransport
 from repro.sim.parallel import (
     FAULT_ONCE_FILE_ENV,
     KILL_POINT_ENV,
@@ -37,6 +38,28 @@ FLEET_CONFIG = SupervisorConfig(
     poll_interval_s=0.02,
     reap_grace_s=2.0,
 )
+
+
+def mixed(payload, heartbeat):
+    """A runner no worker knows by name: any importable one runs."""
+    heartbeat()
+    if payload == "raise":
+        raise ValueError("boom")
+    if payload == "unpicklable":
+        return lambda: payload
+    return payload * 2
+
+
+def outcomes(supervisor):
+    """Every task's (id, kind, result, detail), plus the final stats."""
+    with supervisor:
+        for task_id, payload in enumerate(["ab", "raise", "unpicklable", "c"]):
+            supervisor.submit(task_id, payload)
+        events = []
+        while supervisor.outstanding:
+            events.append(supervisor.next_event())
+    rows = sorted((e.task_id, e.kind, e.result, e.detail) for e in events)
+    return rows, supervisor.stats
 
 
 def journal_records(path):
@@ -197,6 +220,32 @@ class TestFleetCampaigns:
         assert resumed.manifest_path.read_bytes() == (
             first.manifest_path.read_bytes()
         )
+
+
+class TestOneTaskBody:
+    def test_pool_and_fleet_workers_answer_alike(self, fleet):
+        """The scheduler hands its runner to whoever holds the task;
+        a spawned pool worker and a fleet worker run it with the same
+        body, so results and error details match, and neither worker
+        dies of a task that raises or returns something unpicklable."""
+        config = SupervisorConfig(poll_interval_s=0.02, reap_grace_s=2.0)
+        pooled, pool_stats = outcomes(
+            PointSupervisor(mixed, 1, config, resubmit_crashed=False)
+        )
+        fleet.add_thread_worker("w0")
+        fleet.wait_for_workers(1)
+        remote, fleet_stats = outcomes(PointSupervisor(
+            mixed, FleetTransport(fleet.server), config, resubmit_crashed=False
+        ))
+        assert remote == pooled
+        assert [row[1:3] for row in pooled] == [
+            ("result", "abab"), ("worker-lost", None),
+            ("worker-lost", None), ("result", "cc"),
+        ]
+        assert pooled[1][3] == "ValueError: boom"
+        assert "pickle" in pooled[2][3]
+        assert pool_stats["respawns"] == fleet_stats["respawns"] == 0
+        assert len(fleet.server.workers) == 1
 
 
 class TestWorkerResilience:

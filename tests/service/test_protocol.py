@@ -5,6 +5,7 @@ AF_UNIX socketpair) because that is exactly what the service runs on,
 peer naming included.
 """
 
+import pickle
 import socket
 import threading
 
@@ -40,20 +41,30 @@ def tcp_pair():
     return client, MessageChannel(accepted["sock"]), accepted["sock"]
 
 
+def round_trip(obj):
+    """What a pickled task or result goes through on the wire."""
+    return pickle.loads(decode_payload(encode_payload(pickle.dumps(obj))))
+
+
 class TestPayloads:
     def test_round_trips_a_dataclass_exactly(self):
         spec = WorkerConfig(host="example", port=7421, name="w0", seed=3)
-        assert decode_payload(encode_payload(spec)) == spec
+        assert round_trip(spec) == spec
 
     def test_round_trips_nested_structures(self):
         obj = {"curve": [(0.01, 12.5), (0.3, 99.0)], "algo": "SPAA-base"}
-        assert decode_payload(encode_payload(obj)) == obj
+        assert round_trip(obj) == obj
 
     def test_payload_is_json_safe(self):
         import json
 
-        encoded = encode_payload(WorkerConfig())
+        encoded = encode_payload(pickle.dumps(WorkerConfig()))
         assert json.loads(json.dumps({"payload": encoded}))["payload"] == encoded
+
+    @pytest.mark.parametrize("garbage", [None, 7, "not base64!", "abc"])
+    def test_malformed_payload_is_a_protocol_error(self, garbage):
+        with pytest.raises(ProtocolError, match="bad payload"):
+            decode_payload(garbage)
 
 
 class TestMessageChannel:
