@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import pickle
 import socket
 import subprocess
@@ -450,8 +451,9 @@ class Heartbeat:
     """The callable a task's runner drives between epochs.
 
     *send* ships one beat (a pool pipe's or a fleet socket's send);
-    :meth:`start` names the task being beaten for.  Throttled to wall
-    time so a fast simulation loop does not flood the wire; a send
+    :meth:`start` names the task being beaten for and sends its first
+    beat at once, whatever the throttle.  Later beats are throttled to
+    wall time so a fast simulation loop does not flood the wire; a send
     failure (the scheduler is gone) is swallowed -- the holder is
     dropped or the worker's own loop hits the dead connection next.
     """
@@ -462,11 +464,13 @@ class Heartbeat:
         self._send = send
         self._min_interval_s = min_interval_s
         self._beat: Any = None
-        self._last = 0.0
+        # "Never beaten": the monotonic clock's origin is undefined (on
+        # Linux it is boot), so no reading may be assumed far from 0.
+        self._last = -math.inf
 
     def start(self, beat: Any) -> None:
         self._beat = beat
-        self._last = 0.0
+        self._last = -math.inf
         self()  # one immediate beat: "task received, alive"
 
     def __call__(self) -> None:

@@ -107,6 +107,16 @@ class TestHeartbeat:
         heartbeat.start("second")
         assert wire.sent == ["first", "second"]
 
+    def test_first_beat_ignores_where_the_clock_starts(self, monkeypatch):
+        """The monotonic clock's origin is undefined (on Linux: boot), so
+        a reading below the throttle must not swallow the first beat."""
+        monkeypatch.setattr(
+            "repro.resilience.supervisor.time.monotonic", lambda: 0.05
+        )
+        sent = []
+        run_task(b"not a pickle", Heartbeat(sent.append), "beat")
+        assert sent == ["beat"]
+
     def test_beats_name_the_current_task(self):
         wire = Wire()
         heartbeat = Heartbeat(wire, min_interval_s=0.0)
