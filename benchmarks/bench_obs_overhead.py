@@ -1,18 +1,16 @@
-"""Telemetry overhead guard: disabled telemetry must cost <2% wall time.
+"""Telemetry overhead: what enabled telemetry costs a timing run.
 
-The instrumented hot paths (arbiters, router, timing model) all follow
-the same discipline -- ``tel = self.telemetry; if tel.enabled:`` -- so
-with the default :data:`~repro.obs.telemetry.NULL_TELEMETRY` a run
-pays one attribute load and one predictable branch per site.  This
-bench runs the same simulation interleaved A/B (no telemetry argument
-vs an explicitly passed null telemetry) and gates their median wall
-times within 2% of each other, so any future edit that moves real work
-outside the ``enabled`` guard fails loudly.
+Disabled telemetry needs no timing gate: every instrumented site (the
+router, the timing model, the callers of ``Arbiter.arbitrate``) tests
+``tel.enabled`` first, and the default
+:data:`~repro.obs.telemetry.NULL_TELEMETRY` has flags but no hooks, so
+a site that forgets its guard raises ``AttributeError`` in every test
+that runs it (``tests/obs/test_telemetry.py``).
 
-A second bench reports (without a tight gate -- the cost is real and
-allowed) what *enabled* counters-only telemetry costs, and a third what
-full event tracing costs; both numbers are quoted in
-docs/observability.md.
+These benches run the same simulation interleaved A/B against a run
+without telemetry and report (without a tight gate -- the cost is real
+and allowed) what *enabled* counters-only telemetry costs and what full
+event tracing costs; both numbers are quoted in docs/observability.md.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import statistics
 import time
 
 from repro.obs.sink import MemorySink
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.sim.config import NetworkConfig, SimulationConfig, TrafficConfig
 from repro.sim.timing_model import NetworkSimulator
 
@@ -69,25 +67,6 @@ def _interleaved_medians(telemetry_a, telemetry_b, repeats: int = 7):
             times_b.append(_time_run(telemetry_b))
             times_a.append(_time_run(telemetry_a))
     return statistics.median(times_a), statistics.median(times_b)
-
-
-def test_disabled_telemetry_overhead_under_two_percent(perf_record):
-    with perf_record.phase("interleaved-runs"):
-        baseline, nulled = _interleaved_medians(None, NULL_TELEMETRY)
-    overhead = nulled / baseline - 1.0
-    # The recorded metric is the baseline simulation rate (higher is
-    # better); the near-zero, sign-flipping overhead fraction is
-    # context, so it goes into the record's ``extra``.
-    perf_record.metric("sim_runs_per_s", 1.0 / baseline, unit="runs/s")
-    perf_record.note(disabled_overhead_fraction=overhead)
-    print(
-        f"\ndisabled-telemetry overhead: {overhead:+.2%} "
-        f"(baseline {baseline:.3f}s, with null telemetry {nulled:.3f}s)"
-    )
-    assert overhead < 0.02, (
-        f"disabled telemetry costs {overhead:.1%} wall time (budget 2%); "
-        "check for work outside the `if tel.enabled:` guards"
-    )
 
 
 def test_counters_only_overhead_is_moderate(perf_record):

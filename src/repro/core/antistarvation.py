@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.types import Nomination
-from repro.obs.telemetry import NULL_TELEMETRY
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,11 +56,6 @@ class AntiStarvationTracker:
     semantics of the paper.
     """
 
-    #: observability hook + owning router id, wired by the simulator
-    #: when telemetry is enabled (see repro.sim.timing_model).
-    telemetry = NULL_TELEMETRY
-    node = -1
-
     def __init__(self, config: AntiStarvationConfig | None = None) -> None:
         self._config = config or AntiStarvationConfig()
         self._draining = False
@@ -83,14 +77,8 @@ class AntiStarvationTracker:
         old = [n for n in nominations if n.age >= self._config.age_threshold]
         if not self._draining and len(old) >= self._config.drain_threshold:
             self._draining = True
-            tel = self.telemetry
-            if tel.enabled:
-                tel.on_starvation(now, self.node, len(old), True)
         if self._draining and not old:
             self._draining = False
-            tel = self.telemetry
-            if tel.enabled:
-                tel.on_starvation(now, self.node, 0, False)
         if not self._draining:
             return nominations
         old_keys = {(n.row, n.packet) for n in old}

@@ -6,7 +6,6 @@ import abc
 from typing import Sequence
 
 from repro.core.types import Grant, Nomination
-from repro.obs.telemetry import NULL_TELEMETRY
 
 
 class Arbiter(abc.ABC):
@@ -24,12 +23,10 @@ class Arbiter(abc.ABC):
     #: human-readable algorithm name, e.g. ``"SPAA-rotary"``.
     name: str = "arbiter"
 
-    #: observability hook (see :mod:`repro.obs`); the simulator swaps
-    #: in a live :class:`~repro.obs.telemetry.Telemetry` when enabled.
-    #: Instrumented arbitrate() implementations must guard every use
-    #: with ``if self.telemetry.enabled`` so the default costs one
-    #: predictable branch.
-    telemetry = NULL_TELEMETRY
+    #: grants the last :meth:`arbitrate` call issued but could not keep
+    #: (PIM's accept-step waste); the only outcome of a call that its
+    #: returned grants do not show, so arbiters that waste none leave 0.
+    wasted_grants: int = 0
 
     @abc.abstractmethod
     def arbitrate(

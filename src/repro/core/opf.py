@@ -37,26 +37,13 @@ class OPFArbiter(Arbiter):
                 head_by_row[nom.row] = (nom, outputs[0])
 
         grants = []
-        collisions = 0
         packets_seen: set[int] = set()
         outputs_seen: set[int] = set()
         for row in sorted(head_by_row):
             nom, output = head_by_row[row]
             if output in outputs_seen or nom.packet in packets_seen:
-                collisions += 1  # arbitration collision: the packet is wasted
-                continue
+                continue  # arbitration collision: the packet is wasted
             grants.append(Grant(row=row, packet=nom.packet, output=output))
             outputs_seen.add(output)
             packets_seen.add(nom.packet)
-
-        tel = self.telemetry
-        if tel.enabled:
-            # This is Figure 2's quantity: heads that picked an output
-            # already claimed by another head this cycle.
-            tel.on_arbitration(
-                self.name,
-                nominated=len(nominations),
-                granted=len(grants),
-                conflicts=collisions,
-            )
         return grants

@@ -77,16 +77,9 @@ class PIMArbiter(Arbiter):
         nominations: Sequence[Nomination],
         free_outputs: frozenset[int],
     ) -> list[Grant]:
+        self.wasted_grants = 0
         usable = usable_nominations(nominations, free_outputs)
         if not usable:
-            tel = self.telemetry
-            if tel.enabled and nominations:
-                tel.on_arbitration(
-                    self.name,
-                    nominated=len(nominations),
-                    granted=0,
-                    conflicts=len(nominations),
-                )
             return []
         max_rounds = self._iterations
         if max_rounds is None:
@@ -159,17 +152,7 @@ class PIMArbiter(Arbiter):
                 progressed = True
             if not progressed:
                 break
-
-        tel = self.telemetry
-        if tel.enabled:
-            tel.on_arbitration(
-                self.name,
-                nominated=len(nominations),
-                granted=len(grants),
-                conflicts=len(nominations) - len(grants),
-            )
-            if wasted_grants:
-                tel.count_algo("pim_wasted_grants_total", self.name, wasted_grants)
+        self.wasted_grants = wasted_grants
         return grants
 
 

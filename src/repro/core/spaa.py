@@ -86,9 +86,8 @@ class SPAAArbiter(Arbiter):
             rows_seen.add(nom.row)
             packets_seen.add(nom.packet)
 
-        usable = usable_nominations(nominations, free_outputs)
         by_output: dict[int, list[Nomination]] = {}
-        for nom, outputs in usable:
+        for nom, outputs in usable_nominations(nominations, free_outputs):
             by_output.setdefault(outputs[0], []).append(nom)
 
         grants = []
@@ -96,19 +95,4 @@ class SPAAArbiter(Arbiter):
             winner = self._policy.select(output, by_output[output])
             self._policy.notify_grant(output, winner)
             grants.append(Grant(row=winner.row, packet=winner.packet, output=output))
-
-        tel = self.telemetry
-        if tel.enabled:
-            # SPAA's collisions split into two kinds: nominations whose
-            # single output turned out busy (speculation waste) and
-            # nominations that lost the output to another input arbiter.
-            busy_drops = len(nominations) - len(usable)
-            tel.on_arbitration(
-                self.name,
-                nominated=len(nominations),
-                granted=len(grants),
-                conflicts=len(nominations) - len(grants),
-            )
-            if busy_drops:
-                tel.count_algo("spaa_busy_output_drops_total", self.name, busy_drops)
         return grants

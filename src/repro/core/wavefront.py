@@ -72,14 +72,6 @@ class WavefrontArbiter(Arbiter):
     ) -> list[Grant]:
         usable = usable_nominations(nominations, free_outputs)
         if not usable:
-            tel = self.telemetry
-            if tel.enabled and nominations:
-                tel.on_arbitration(
-                    self.name,
-                    nominated=len(nominations),
-                    granted=0,
-                    conflicts=len(nominations),
-                )
             return []
 
         # Load the matrix: cell (row, out) holds the oldest nomination
@@ -131,14 +123,6 @@ class WavefrontArbiter(Arbiter):
             granted_packets.add(nom.packet)
 
         self._advance_pointer()
-        tel = self.telemetry
-        if tel.enabled:
-            tel.on_arbitration(
-                self.name,
-                nominated=len(nominations),
-                granted=len(grants),
-                conflicts=len(nominations) - len(grants),
-            )
         return grants
 
     def _starting_cell(

@@ -7,7 +7,8 @@ but stay plain Python so the simulator's hot path pays only a dict
 lookup plus a float add.  Callers that increment the same series
 repeatedly should hold on to the bound series object returned by
 :meth:`Metric.labels` instead of re-resolving labels every time; that
-is what :class:`repro.obs.telemetry.Telemetry` does for the arbiters.
+is what :class:`repro.obs.telemetry.Telemetry` does for the per-algorithm
+arbitration counters.
 An unlabeled metric holds on to its one series itself.
 
 Snapshots serialize to plain JSON-able dicts, so they can ride in a

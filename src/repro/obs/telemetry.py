@@ -1,4 +1,4 @@
-"""The telemetry facade the simulators and arbiters talk to.
+"""The telemetry facade the simulators and the router talk to.
 
 One :class:`Telemetry` object aggregates a metrics registry and a trace
 sink behind the narrow set of hooks the hot paths call.  The design
@@ -208,9 +208,16 @@ class Telemetry:
     # -- arbiter-level hooks ---------------------------------------------
 
     def on_arbitration(
-        self, algorithm: str, nominated: int, granted: int, conflicts: int
+        self, algorithm: str, nominated: int, granted: int, wasted: int = 0
     ) -> None:
-        """One arbitration pass of *algorithm* (called by the arbiters)."""
+        """One arbitration pass of *algorithm*.
+
+        Called by whoever ran the arbiter (the router's GA stage, the
+        standalone model) with the number of nominations it passed in
+        and of grants it got back, before any fault filters them; every
+        nomination left unserved is a conflict.  *wasted* is the
+        arbiter's ``wasted_grants`` (PIM's accept-step waste).
+        """
         series = self._algo_series.get(algorithm)
         if series is None:
             series = (
@@ -221,7 +228,9 @@ class Telemetry:
             self._algo_series[algorithm] = series
         series[0].inc(nominated)
         series[1].inc(granted)
-        series[2].inc(conflicts)
+        series[2].inc(nominated - granted)
+        if wasted:
+            self.count_algo("pim_wasted_grants_total", algorithm, wasted)
 
     def count_algo(self, name: str, algorithm: str, amount: float = 1.0) -> None:
         """Increment an algorithm-specific counter (e.g. PIM wasted grants)."""

@@ -518,8 +518,23 @@ class Router:
         if not live:
             return []
 
-        live = self.antistarvation.classify(live, now)
-        grants = self.arbiter.arbitrate(live, _FREE_OUTPUT_SETS[free])
+        antistarvation, arbiter = self.antistarvation, self.arbiter
+        draining = antistarvation.draining
+        live = antistarvation.classify(live, now)
+        grants = arbiter.arbitrate(live, _FREE_OUTPUT_SETS[free])
+        if tel.enabled:
+            if antistarvation.draining != draining:
+                # The flagged nominations are the old-colored packets
+                # that engaged draining; none are flagged once it ends.
+                tel.on_starvation(
+                    now,
+                    self.node,
+                    sum(nom.starving for nom in live),
+                    antistarvation.draining,
+                )
+            tel.on_arbitration(
+                arbiter.name, len(live), len(grants), arbiter.wasted_grants
+            )
         if self.grant_filter is not None:
             grants = self.grant_filter(self, launch, live, grants, now)
         granted = {nom_key for nom_key in ((g.row, g.packet) for g in grants)}
@@ -527,9 +542,7 @@ class Router:
             if (nom.row, nom.packet) not in granted:
                 self._in_flight.discard(nom.packet)
         if tel.events and len(grants) < len(live):
-            tel.on_conflicts(
-                now, self.node, self.arbiter.name, len(live) - len(grants)
-            )
+            tel.on_conflicts(now, self.node, arbiter.name, len(live) - len(grants))
         return [self._apply_grant(grant, launch, now) for grant in grants]
 
     def upstream_node(self, port: InputPort) -> int:

@@ -160,8 +160,8 @@ class StandaloneConfig:
 class StandaloneRouterModel:
     """Measures an algorithm's matches/cycle on random router states.
 
-    Pass a :class:`repro.obs.telemetry.Telemetry` to have the arbiter
-    under test report nomination/grant/conflict counters per trial.
+    Pass a :class:`repro.obs.telemetry.Telemetry` to record the arbiter's
+    nomination/grant/conflict counters per trial.
     Pass an :class:`repro.resilience.ArbitrationInvariants` as
     ``invariants`` to validate every trial's grants as a legal matching
     (unique rows/packets/outputs, nominated combinations only, free
@@ -224,8 +224,6 @@ class StandaloneRouterModel:
                 rng=self._rng,
             ),
         )
-        if self.telemetry.enabled:
-            self._arbiter.telemetry = self.telemetry
         style = nomination_style(config.algorithm)
         self._uses_packet_pool = style == "pool"
         self._single_output = style == "single-output"
@@ -271,6 +269,7 @@ class StandaloneRouterModel:
         if tel.enabled:
             tel.open_run(self.config, model="standalone")
         stats = RunningStats()
+        arbiter = self._arbiter
         invariants = self.invariants
         faults = self.faults
         heartbeat = self.heartbeat
@@ -282,7 +281,11 @@ class StandaloneRouterModel:
             packets = self._generate_packets(trial)
             free_outputs = self._generate_free_outputs(trial)
             nominations = self._build_nominations(packets, free_outputs, trial)
-            grants = self._arbiter.arbitrate(nominations, free_outputs)
+            grants = arbiter.arbitrate(nominations, free_outputs)
+            if tel.enabled:
+                tel.on_arbitration(
+                    arbiter.name, len(nominations), len(grants), arbiter.wasted_grants
+                )
             if faults is not None:
                 # Injected after arbitration, checked after injection: a
                 # suppressed subset of a legal matching stays legal.

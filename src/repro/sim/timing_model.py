@@ -62,7 +62,7 @@ HEARTBEAT_INTERVAL_CYCLES = 1_000.0
 class NetworkSimulator:
     """One timing-model run: build with a config, call :meth:`run`.
 
-    Pass a :class:`repro.obs.telemetry.Telemetry` to collect arbiter
+    Pass a :class:`repro.obs.telemetry.Telemetry` to collect arbitration
     counters, per-port utilization and (with a real sink) a JSONL
     event trace; the default :data:`~repro.obs.telemetry.NULL_TELEMETRY`
     keeps every instrumented site down to one branch.
@@ -182,16 +182,8 @@ class NetworkSimulator:
         if invariants is not None:
             self.attach_observer(invariants)
         if self.telemetry.enabled:
-            self._wire_telemetry()
-
-    def _wire_telemetry(self) -> None:
-        """Hand the shared Telemetry to every instrumented component."""
-        telemetry = self.telemetry
-        for router in self.routers:
-            router.telemetry = telemetry
-            router.arbiter.telemetry = telemetry
-            router.antistarvation.telemetry = telemetry
-            router.antistarvation.node = router.node
+            for router in self.routers:
+                router.telemetry = self.telemetry
 
     def _build_router(self, node: int, rng: random.Random) -> Router:
         context = ArbiterContext(

@@ -47,6 +47,14 @@ class TestPIM1:
                 waste_seen = True
         assert waste_seen, "PIM1 should sometimes collide and waste a grant"
 
+    def test_wasted_grants_describe_the_last_call(self):
+        arbiter = PIMArbiter(random.Random(0), iterations=1)
+        assert arbiter.wasted_grants == 0
+        arbiter.arbitrate([nom(0, 1, [0, 1])], frozenset(range(7)))
+        assert arbiter.wasted_grants == 1  # both outputs offered to row 0
+        arbiter.arbitrate([nom(0, 1, [0, 1])], frozenset())
+        assert arbiter.wasted_grants == 0  # nothing usable, nothing offered
+
     def test_converged_pim_is_maximal_but_not_maximum(self):
         """PIM never revokes a grant, so a lucky round-1 collision can
         lock in a 1-match outcome even at convergence -- but the result

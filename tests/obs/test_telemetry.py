@@ -1,13 +1,11 @@
 """Tests for the Telemetry facade and the instrumented hot paths."""
 
-import random
+import hashlib
 
 import pytest
 
-from repro.core.pim import PIMArbiter
-from repro.core.spaa import SPAAArbiter
+from repro.core.registry import available_algorithms
 from repro.core.types import Nomination
-from repro.core.wavefront import WavefrontArbiter
 from repro.obs.sink import MemorySink
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.resilience.invariants import InvariantChecker
@@ -50,8 +48,8 @@ class TestTelemetryFacade:
     def test_counters_without_sink(self):
         tel = Telemetry()
         assert tel.enabled and not tel.events
-        tel.on_arbitration("SPAA-base", nominated=4, granted=3, conflicts=1)
-        tel.on_arbitration("SPAA-base", nominated=2, granted=2, conflicts=0)
+        tel.on_arbitration("SPAA-base", nominated=4, granted=3)
+        tel.on_arbitration("SPAA-base", nominated=2, granted=2)
         assert tel.arbitration_summary() == {
             "SPAA-base": {"nominations": 6, "grants": 5, "conflicts": 1}
         }
@@ -81,6 +79,21 @@ class TestTelemetryFacade:
 
 
 class TestArbiterInstrumentation:
+    """The caller of ``arbitrate`` records each pass from its inputs and
+    its grants; here the caller is the standalone model, fed one fixed
+    arbitration."""
+
+    @staticmethod
+    def record(algorithm, nominations, free_outputs):
+        tel = Telemetry()
+        model = StandaloneRouterModel(
+            StandaloneConfig(algorithm=algorithm, trials=1), telemetry=tel
+        )
+        model._generate_free_outputs = lambda trial: free_outputs
+        model._build_nominations = lambda packets, free, trial: nominations
+        model.run()
+        return tel
+
     def nominations(self):
         return [
             Nomination(row=0, packet=1, outputs=(0,)),
@@ -88,34 +101,54 @@ class TestArbiterInstrumentation:
         ]
 
     def test_spaa_counts_collision(self):
-        arbiter = SPAAArbiter()
-        arbiter.telemetry = Telemetry()
-        grants = arbiter.arbitrate(self.nominations(), frozenset(range(7)))
-        assert len(grants) == 1
-        summary = arbiter.telemetry.arbitration_summary()[arbiter.name]
+        tel = self.record("SPAA", self.nominations(), frozenset(range(7)))
+        summary = tel.arbitration_summary()["SPAA-base"]
         assert summary == {"nominations": 2, "grants": 1, "conflicts": 1}
 
     def test_wavefront_counts_all_blocked(self):
-        arbiter = WavefrontArbiter(num_rows=16, num_outputs=7)
-        arbiter.telemetry = Telemetry()
-        grants = arbiter.arbitrate(self.nominations(), frozenset())
-        assert grants == []
-        summary = arbiter.telemetry.arbitration_summary()[arbiter.name]
+        tel = self.record("WFA", self.nominations(), frozenset())
+        summary = tel.arbitration_summary()["WFA-base"]
         assert summary == {"nominations": 2, "grants": 0, "conflicts": 2}
 
     def test_pim1_counts_wasted_grants(self):
-        arbiter = PIMArbiter(random.Random(0), iterations=1)
-        arbiter.telemetry = Telemetry()
         # Two outputs may grant the same row: one grant is wasted.
         nominations = [Nomination(row=0, packet=1, outputs=(0, 1))]
-        arbiter.arbitrate(nominations, frozenset(range(7)))
-        wasted = arbiter.telemetry.registry.get("pim_wasted_grants_total")
+        tel = self.record("PIM1", nominations, frozenset(range(7)))
+        wasted = tel.registry.get("pim_wasted_grants_total")
         assert wasted is not None
         assert wasted.total() == 1.0
 
-    def test_default_arbiter_telemetry_is_null(self):
-        arbiter = SPAAArbiter()
-        assert arbiter.telemetry is NULL_TELEMETRY
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    def test_every_algorithm_counts_its_nominations(self, algorithm):
+        tel = Telemetry()
+        model = StandaloneRouterModel(
+            StandaloneConfig(algorithm=algorithm, load=8, trials=40), telemetry=tel
+        )
+        build, nominated = model._build_nominations, []
+
+        def counting_build(*args):
+            nominations = build(*args)
+            nominated.append(len(nominations))
+            return nominations
+
+        model._build_nominations = counting_build
+        stats = model.run()
+        summary = tel.arbitration_summary()[model._arbiter.name]
+        assert summary["nominations"] == sum(nominated) > 0
+        assert summary["grants"] == round(stats.mean * stats.count)
+        assert summary["conflicts"] == summary["nominations"] - summary["grants"]
+
+    def test_grants_are_counted_before_fault_injection(self):
+        from repro.resilience.faults import FaultConfig
+
+        tel, kept = Telemetry(), []
+        StandaloneRouterModel(
+            StandaloneConfig(algorithm="PIM1", trials=40),
+            telemetry=tel,
+            faults=FaultConfig(seed=1, grant_suppression_rate=0.5),
+            trial_hook=lambda trial, grants: kept.append(len(grants)),
+        ).run()
+        assert tel.arbitration_summary()["PIM1"]["grants"] > sum(kept) > 0
 
 
 class TestSimulatorIntegration:
@@ -138,6 +171,22 @@ class TestSimulatorIntegration:
         assert observed == plain
         assert observed.counters  # and it carries the counters
 
+    def test_router_counts_grants_before_fault_injection(self):
+        from repro.resilience.faults import FaultConfig
+
+        def grants(faults):
+            tel = Telemetry()
+            NetworkSimulator(small_config(), telemetry=tel, faults=faults).run()
+            arbitrated = tel.arbitration_summary()["SPAA-base"]["grants"]
+            return arbitrated, tel.registry.get("router_port_grants_total").total()
+
+        arbitrated, dispatched = grants(None)
+        assert arbitrated == dispatched > 0
+        arbitrated, dispatched = grants(
+            FaultConfig(seed=1, grant_suppression_rate=0.3)
+        )
+        assert arbitrated > dispatched > 0
+
     def test_bnf_point_counters_none_without_telemetry(self):
         point = NetworkSimulator(small_config()).bnf_point()
         assert point.counters is None
@@ -159,12 +208,35 @@ class TestSimulatorIntegration:
             warmup_cycles=200,
             measure_cycles=2_000,
         )
-        tel = Telemetry()
+        sink = MemorySink()
+        tel = Telemetry(sink=sink)
         NetworkSimulator(config, telemetry=tel).run()
         engagements = tel.registry.get(
             "router_starvation_engagements_total"
         ).total()
-        assert engagements > 0
+        assert engagements == 146
+        # Every transition, as (time, node, old_count, engaged): the
+        # old count is the number of nominations flagged starving when
+        # draining engages, and 0 when it ends.
+        starve = [
+            (r["time"], r["node"], r["old_count"], r["engaged"])
+            for r in sink.records
+            if r["kind"] == "starve"
+        ]
+        assert starve[:8] == [
+            (222.23977313122313, 2, 2, True),
+            (238.73977313122316, 2, 0, False),
+            (249.73977313122316, 3, 2, True),
+            (250.73977313122316, 3, 0, False),
+            (253.23977313122313, 0, 3, True),
+            (256.23977313122316, 0, 0, False),
+            (258.23977313122316, 3, 2, True),
+            (260.7397731312231, 0, 2, True),
+        ]
+        assert len(starve) == 291
+        assert sum(engaged for *_, engaged in starve) == engagements
+        digest = hashlib.sha256(repr(starve).encode()).hexdigest()[:16]
+        assert digest == "056740c31f103ea0"
 
     def test_standalone_model_wires_arbiter(self):
         tel = Telemetry()
@@ -174,7 +246,7 @@ class TestSimulatorIntegration:
         stats = model.run()
         assert stats.count == 10
         summary = tel.arbitration_summary()
-        assert summary  # the WFA arbiter reported its passes
+        assert summary  # the model recorded the WFA passes
         (algo,) = summary
         assert summary[algo]["nominations"] > 0
         assert tel.manifest is not None

@@ -7,7 +7,11 @@ launches and the same nominations.  This file pins that for two small
 regimes -- a 4x4 torus around the knee and an 8x8 torus driven hard
 enough that buffers fill, heads block and escape channels carry
 traffic -- under all four arbitration timings, with telemetry off and
-with the event trace on.
+with the event trace on.  The traced run also pins the telemetry bytes:
+every record of the trace, counters snapshot included, digested with
+the fields that describe the host or the wall clock left out
+(``GOLDEN_TRACE``).  Those literals change only with a change that
+declares new or different telemetry output, or with the model half.
 
 The literals were generated from the commit *before* the nomination
 index replaced the per-launch buffer scan.  They come in two halves.
@@ -23,6 +27,7 @@ keeps both, which is the proof that it reordered nothing.
 """
 
 import hashlib
+import json
 from typing import NamedTuple
 
 import pytest
@@ -109,6 +114,24 @@ GOLDEN_EFFORT = {
     ("8x8-saturated", "PIM1"): Effort(4641, 1697, 604),
 }
 
+#: digest of the whole traced record stream, see :func:`trace_digest`
+GOLDEN_TRACE = {
+    ("4x4-knee", "SPAA-base"): "1679136da208743a",
+    ("4x4-knee", "SPAA-rotary"): "cfb73e4ba29ba7bf",
+    ("4x4-knee", "WFA-base"): "a64a467b4c43930e",
+    ("4x4-knee", "PIM1"): "28dd46a4fbd64cfc",
+    ("8x8-saturated", "SPAA-base"): "d6e6d36e94cc0767",
+    ("8x8-saturated", "SPAA-rotary"): "08655582f16248bd",
+    ("8x8-saturated", "WFA-base"): "a7bddb5ca2ba840b",
+    ("8x8-saturated", "PIM1"): "958939837644427a",
+}
+
+#: record fields that describe the host, the release or the wall clock
+#: (manifest and run-end), not the simulated run
+HOST_FIELDS = frozenset(
+    {"package_version", "python", "platform", "created_at", "wall_time_s"}
+)
+
 
 def run_fingerprint(
     shape, algorithm, monkeypatch, telemetry=None
@@ -190,6 +213,15 @@ def nomination_digest(records) -> tuple[int, str]:
     return count, digest.hexdigest()[:16]
 
 
+def trace_digest(records) -> str:
+    """Hash of every record in emission order, host fields dropped."""
+    digest = hashlib.sha256()
+    for record in records:
+        kept = {k: v for k, v in record.items() if k not in HOST_FIELDS}
+        digest.update(json.dumps(kept, sort_keys=True).encode())
+    return digest.hexdigest()[:16]
+
+
 @pytest.mark.parametrize("shape, algorithm", list(GOLDEN_MODEL))
 def test_timing_model_is_bit_identical_to_the_golden(shape, algorithm, monkeypatch):
     golden_model, nominations = GOLDEN_MODEL[shape, algorithm]
@@ -202,6 +234,7 @@ def test_timing_model_is_bit_identical_to_the_golden(shape, algorithm, monkeypat
     traced = run_fingerprint(shape, algorithm, monkeypatch, Telemetry(sink=sink))
     assert traced == (model, effort), "an events-on Telemetry changed the run"
     assert nomination_digest(sink.records) == nominations
+    assert trace_digest(sink.records) == GOLDEN_TRACE[shape, algorithm]
 
 
 def test_the_saturated_shape_exercises_blocked_heads_and_escape_channels():
