@@ -9,7 +9,8 @@ claims are the rows of ``repro.experiments.claims.CLAIMS``, scored by
 Every bench takes the ``perf_record`` fixture and registers at least
 one domain throughput metric on it.  At session end the collected
 records are written as ``BENCH_<area>.json`` at the repo root (an area
-file is left alone when the session ran only some of its benches) --
+file is left alone when the session ran only some of its benches, and
+loses the records of benches no longer collected) --
 see :mod:`repro.obs.perf` and the "Bench records" section of
 docs/observability.md.
 """
@@ -35,6 +36,7 @@ def pytest_configure(config):
     config._repro_perf_session = PerfSession(
         preset=os.environ.get("REPRO_BENCH_PRESET", "smoke")
     )
+    config._repro_collected_benches = set()
 
 
 @pytest.fixture(scope="session")
@@ -81,11 +83,21 @@ def record_sweep_metrics(perf_record, benchmark):
     return record
 
 
+def pytest_itemcollected(item):
+    # Every collected bench, before -k/-m deselection: a bench on file
+    # that is not among its module's is gone, not merely not run.
+    item.config._repro_collected_benches.add(
+        (Path(str(item.fspath)).stem, item.name)
+    )
+
+
 def pytest_sessionfinish(session, exitstatus):
     perf_session = getattr(session.config, "_repro_perf_session", None)
     if perf_session is None or not perf_session.has_records:
         return
-    paths = perf_session.write(REPO_ROOT)
+    paths = perf_session.write(
+        REPO_ROOT, collected=session.config._repro_collected_benches
+    )
     reporter = session.config.pluginmanager.get_plugin("terminalreporter")
     if reporter is not None:
         if paths:

@@ -6,7 +6,9 @@ free-output bitmasks, generated from the keyed RNG stream of
 :mod:`repro.kernels.rng` so it is bit-identical (packet for packet,
 busy output for busy output) to what
 :meth:`repro.sim.standalone.StandaloneRouterModel._generate_packets`
-and ``_generate_free_outputs`` produce trial by trial.
+and ``_generate_free_outputs`` produce for each trial.  It draws its
+own arrays and never reads the object path's shared packet table, so
+the parity gate compares two independent generators.
 
 The layout bakes in the *default* 16x7 connection matrix (Figure 5):
 read port 0 of every input port drives the four torus outputs, read

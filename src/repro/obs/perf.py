@@ -328,14 +328,20 @@ class PerfSession:
             area = record.module.removeprefix("bench_")
         self._by_area.setdefault(area, []).append(record)
 
-    def write(self, root: Path | str) -> list[Path]:
+    def write(
+        self, root: Path | str, collected: set[tuple[str, str]] | None = None
+    ) -> list[Path]:
         """Write ``BENCH_<area>.json`` files; return the paths written.
 
-        An area file is rewritten only when this session ran every
-        bench already in it: a partial run (one module, ``-k``) would
-        otherwise erase the other benches' records.  Such a file is
-        left alone and a line saying so lands in :attr:`kept`.
-        Deleting the file is how a renamed bench is rebaselined.
+        *collected* holds the ``(module, name)`` of every bench the
+        session collected, before ``-k``/``-m`` deselection.  A bench
+        on file whose module was collected without it is gone (deleted
+        or renamed) and is dropped.  Any other bench on file that this
+        session did not run -- deselected, or its module not collected
+        -- keeps the area file as it is: a partial run would otherwise
+        erase its record.  Such a file is left alone and a line naming
+        the benches not run lands in :attr:`kept`.  Without
+        *collected*, every bench on file counts as collected.
         """
         root = Path(root)
         run_id = uuid.uuid4().hex[:12]
@@ -345,16 +351,24 @@ class PerfSession:
         sha = git_sha(root)
         fingerprint = machine_fingerprint()
         written: list[Path] = []
+        modules = {module for module, _ in collected or ()}
         for area in sorted(self._by_area):
             benches = sorted(self._by_area[area], key=lambda b: b.name)
             path = root / bench_filename(area)
             if path.exists():
-                on_file = {b.name for b in AreaRecord.load(path).benches}
-                ran = on_file & {b.name for b in benches}
-                if ran != on_file:
+                on_file = AreaRecord.load(path).benches
+                if collected is not None:
+                    on_file = [
+                        b for b in on_file
+                        if b.module not in modules or (b.module, b.name) in collected
+                    ]
+                names = {b.name for b in on_file}
+                missing = sorted(names - {b.name for b in benches})
+                if missing:
                     self.kept.append(
                         f"{path.name} kept - partial run "
-                        f"({len(ran)} of {len(on_file)} benches)"
+                        f"({len(names) - len(missing)} of {len(names)} "
+                        f"benches; not run: {', '.join(missing)})"
                     )
                     continue
             AreaRecord(

@@ -44,6 +44,7 @@ seed-stability tests.
 from __future__ import annotations
 
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -80,17 +81,29 @@ from repro.sim.metrics import RunningStats
 #: valid values of the ``backend`` switch.
 BACKENDS = ("object", "vectorized")
 
-# Packet generation, table-driven: each draw indexes a tuple instead of
-# building an enum or a candidate list.  ``_TWO_DIRECTIONS[first][k]``
-# is the pair (first direction, k-th of the other three in order), i.e.
-# the pop-then-index rule the vectorized workload mirrors.
+# Packet generation, table-driven: a drawn packet is one byte, its
+# ``kind`` -- ``port * _KINDS_PER_PORT + choice`` -- where ``choice``
+# indexes ``_OUTPUT_CHOICES``: the three local outputs, the four single
+# torus directions, then ``(first, k-th of the other three in order)``
+# for each first direction, i.e. the pop-then-index rule the vectorized
+# workload mirrors.  ``_PORT_OF[kind]`` and ``_OUTPUTS_OF[kind]`` undo
+# the packing.
 _INPUT_PORTS = tuple(InputPort)
-_LOCAL_CHOICES = tuple((int(out),) for out in LOCAL_OUTPUTS)
-_ONE_DIRECTION = tuple((int(first),) for first in TORUS_OUTPUTS)
-_TWO_DIRECTIONS = tuple(
-    tuple((int(first), int(second)) for second in TORUS_OUTPUTS if second != first)
-    for first in TORUS_OUTPUTS
+_OUTPUT_CHOICES = (
+    tuple((int(out),) for out in LOCAL_OUTPUTS)
+    + tuple((int(first),) for first in TORUS_OUTPUTS)
+    + tuple(
+        (int(first), int(second))
+        for first in TORUS_OUTPUTS
+        for second in TORUS_OUTPUTS
+        if second != first
+    )
 )
+_KINDS_PER_PORT = len(_OUTPUT_CHOICES)
+_ONE_DIRECTION_CHOICE = len(LOCAL_OUTPUTS)
+_TWO_DIRECTION_CHOICE = _ONE_DIRECTION_CHOICE + len(TORUS_OUTPUTS)
+_PORT_OF = tuple(port for port in _INPUT_PORTS for _ in _OUTPUT_CHOICES)
+_OUTPUTS_OF = _OUTPUT_CHOICES * len(_INPUT_PORTS)
 
 # Packed draw keys of packet generation: ``_PORT_KEY | uid * _UID_KEY``
 # is ``pack_key(D_PORT, uid, 0)``, and so on.  The config bounds
@@ -103,6 +116,58 @@ _FIRST_DIR_KEY = pack_key(D_FIRST_DIR, 0, 0)
 _TWO_COIN_KEY = pack_key(D_TWO_COIN, 0, 0)
 _SECOND_DIR_KEY = pack_key(D_SECOND_DIR, 0, 0)
 
+#: how many packet tables stay retained, least recently used evicted
+#: first, and the bytes one table may hold: one per drawn packet plus
+#: ``_RECORD_BYTES`` per trial for the record itself.  A config that
+#: alone exceeds the budget draws into a throwaway record instead.
+TABLE_KEYS = 4
+TABLE_BUDGET = 1 << 20
+_RECORD_BYTES = 64
+
+
+#: The shared packet tables, least recently used first.  A table holds
+#: the drawn packets of every trial of one workload, a ``(seed,
+#: local_fraction, two_direction_fraction)``: nothing else reaches
+#: packet generation.  ``table[trial]`` holds the kinds of the packets
+#: drawn so far, in uid order.  Every draw is keyed by ``(trial,
+#: domain, uid)``, so the packets at load ``L`` are the first ``L`` of
+#: any longer record of the trial: a record only ever grows, to the
+#: largest load requested so far.  Models of one process run one at a
+#: time, so the tables are not locked.
+_TABLES: OrderedDict[tuple, list[bytearray]] = OrderedDict()
+
+
+def _table_bytes(table: list[bytearray], trials: int = 0, load: int = 0) -> int:
+    """What *table* costs against :data:`TABLE_BUDGET` once it serves
+    ``trials`` trials at ``load``."""
+    drawn = sum(
+        max(len(record), load) if trial < trials else len(record)
+        for trial, record in enumerate(table)
+    )
+    new = max(0, trials - len(table))
+    return drawn + new * load + (len(table) + new) * _RECORD_BYTES
+
+
+def _packet_table(config: StandaloneConfig) -> list[bytearray] | None:
+    """The shared table *config* draws into, or None for a throwaway.
+
+    The table is the most recently used one afterwards; one that would
+    outgrow :data:`TABLE_BUDGET` serving *config* is replaced by an
+    empty one, so no table ever holds more than the budget.
+    """
+    trials, load = config.trials, config.load
+    if trials * (_RECORD_BYTES + load) > TABLE_BUDGET:
+        return None
+    key = (config.seed, config.local_fraction, config.two_direction_fraction)
+    table = _TABLES.pop(key, [])
+    if _table_bytes(table, trials, load) > TABLE_BUDGET:
+        table = []
+    _TABLES[key] = table
+    while len(_TABLES) > TABLE_KEYS:
+        _TABLES.popitem(last=False)
+    table.extend(bytearray() for _ in range(trials - len(table)))
+    return table
+
 
 class StandalonePacket(NamedTuple):
     """A waiting packet: identity, port, candidate outputs, age rank."""
@@ -111,6 +176,9 @@ class StandalonePacket(NamedTuple):
     port: InputPort
     outputs: tuple[int, ...]
     age: int
+
+
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -229,6 +297,9 @@ class StandaloneRouterModel:
         self._single_output = style == "single-output"
         #: (port, outputs) -> nomination cells, see :meth:`_nomination_cells`
         self._cells: dict[tuple[InputPort, tuple[int, ...]], tuple] = {}
+        #: the shared packet table of the current run (None outside a
+        #: run, or when the run's config is too large to retain).
+        self._table: list[bytearray] | None = None
         #: why a requested vectorized run fell back to the object path
         #: (None when no fallback happened).
         self.fallback_reason: str | None = None
@@ -265,6 +336,7 @@ class StandaloneRouterModel:
                 heartbeat=self.heartbeat,
                 trial_hook=self._trial_hook,
             )
+        self._table = _packet_table(self.config)
         tel = self.telemetry
         if tel.enabled:
             tel.open_run(self.config, model="standalone")
@@ -297,6 +369,7 @@ class StandaloneRouterModel:
             if trial_hook is not None:
                 trial_hook(trial, grants)
             stats.add(float(len(grants)))
+        self._table = None
         if tel.enabled:
             tel.finalize(trials=self.config.trials, mean_matches=stats.mean)
         return stats
@@ -304,33 +377,50 @@ class StandaloneRouterModel:
     # -- workload generation ------------------------------------------------
 
     def _generate_packets(self, trial: int = 0) -> list[StandalonePacket]:
-        """Draw ``load`` packets from the keys of one trial base.
+        """The first ``load`` packets of *trial*.
 
-        Same keys and derivations as :class:`TrialStream`'s
-        ``randbelow`` (``word % n``) and ``uniform`` (top 53 bits).
+        During :meth:`run` they come from the shared table, drawn only
+        where no earlier run drew them; outside a run, or when the
+        config is too large to retain, into a throwaway record.
         """
-        config = self.config
-        local_fraction = config.local_fraction
-        two_direction_fraction = config.two_direction_fraction
+        load = self.config.load
+        record = bytearray() if self._table is None else self._table[trial]
+        if len(record) < load:
+            self._draw_packets(trial, record, load)
+        port_of, outputs_of = _PORT_OF, _OUTPUTS_OF
+        # tuple.__new__ is what StandalonePacket(...) runs, without the
+        # Python-level frame of the generated __new__.  Oldest first
+        # within a port: lower uid == arrived earlier.
+        return [
+            _new_tuple(StandalonePacket, (uid, port_of[kind], outputs_of[kind], uid))
+            for uid, kind in enumerate(record[:load])
+        ]
+
+    def _draw_packets(self, trial: int, record: bytearray, load: int) -> None:
+        """Extend *record* with the kinds of packets ``len(record)..load-1``.
+
+        Each packet draws from the keys of one trial base, with the same
+        keys and derivations as :class:`TrialStream`'s ``randbelow``
+        (``word % n``) and ``uniform`` (top 53 bits).
+        """
+        local_fraction = self.config.local_fraction
+        two_direction_fraction = self.config.two_direction_fraction
         base = self._stream.trial_base(trial)
-        packets = []
-        for uid in range(config.load):
+        for uid in range(len(record), load):
             key = uid * _UID_KEY
-            port = _INPUT_PORTS[keyed_word(base, _PORT_KEY | key) % 8]
+            kind = keyed_word(base, _PORT_KEY | key) % 8 * _KINDS_PER_PORT
             coin = keyed_word(base, _LOCAL_COIN_KEY | key) >> 11
             if coin * 2.0**-53 < local_fraction:
-                outputs = _LOCAL_CHOICES[keyed_word(base, _LOCAL_OUT_KEY | key) % 3]
+                kind += keyed_word(base, _LOCAL_OUT_KEY | key) % 3
             else:
                 first = keyed_word(base, _FIRST_DIR_KEY | key) % 4
                 coin = keyed_word(base, _TWO_COIN_KEY | key) >> 11
                 if coin * 2.0**-53 < two_direction_fraction:
                     second = keyed_word(base, _SECOND_DIR_KEY | key) % 3
-                    outputs = _TWO_DIRECTIONS[first][second]
+                    kind += _TWO_DIRECTION_CHOICE + first * 3 + second
                 else:
-                    outputs = _ONE_DIRECTION[first]
-            packets.append(StandalonePacket(uid, port, outputs, uid))
-        # Oldest first within a port: lower uid == arrived earlier.
-        return packets
+                    kind += _ONE_DIRECTION_CHOICE + first
+            record.append(kind)
 
     def _generate_free_outputs(self, trial: int = 0) -> frozenset[int]:
         """Sample the busy outputs with a keyed partial Fisher-Yates.

@@ -124,12 +124,15 @@ def _session(*names: str, module: str = "bench_figure10") -> PerfSession:
 
 class TestPartialRunKeepsTheAreaFile:
     @pytest.mark.parametrize(
-        "ran, count",
-        [(("test_b",), 1), (("test_a", "test_b", "test_renamed"), 2)],
+        "ran, count, missing",
+        [
+            (("test_b",), 1, "test_a, test_c"),
+            (("test_a", "test_b", "test_renamed"), 2, "test_c"),
+        ],
         ids=["subset", "renamed-bench"],
     )
     def test_partial_run_leaves_the_file_alone_and_says_so(
-        self, tmp_path, ran, count
+        self, tmp_path, ran, count, missing
     ):
         _session("test_a", "test_b", "test_c").write(tmp_path)
         path = tmp_path / "BENCH_figures.json"
@@ -138,7 +141,8 @@ class TestPartialRunKeepsTheAreaFile:
         assert partial.write(tmp_path) == []
         assert path.read_bytes() == before
         assert partial.kept == [
-            f"BENCH_figures.json kept - partial run ({count} of 3 benches)"
+            f"BENCH_figures.json kept - partial run ({count} of 3 benches; "
+            f"not run: {missing})"
         ]
 
     def test_superset_run_rewrites_the_file(self, tmp_path):
@@ -162,6 +166,74 @@ class TestPartialRunKeepsTheAreaFile:
         (written,) = session.write(tmp_path)
         assert written.name == "BENCH_kernels.json"
         assert len(session.kept) == 1
+
+
+class TestCollectedBenches:
+    """A bench no longer collected is gone; one collected but not run is
+    a partial run.  Replays ``BENCH_overhead.json`` after one of its
+    benches was deleted: four records on file plus the deleted one."""
+
+    ON_FILE = [
+        ("bench_obs_overhead", "test_counters_only_overhead_is_moderate"),
+        ("bench_obs_overhead", "test_disabled_telemetry_overhead_under_two_percent"),
+        ("bench_obs_overhead", "test_event_tracing_runs_and_reports"),
+        ("bench_resilience_overhead", "test_detached_resilience_overhead_under_two_percent"),
+        ("bench_resilience_overhead", "test_guarded_run_overhead_is_moderate"),
+    ]
+    DELETED = ON_FILE[1]
+    COLLECTED = set(ON_FILE) - {DELETED}
+
+    @staticmethod
+    def session(benches) -> PerfSession:
+        session = PerfSession()
+        for module, name in benches:
+            session.add(PerfRecorder(name, module).finish(0.5))
+        return session
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        self.session(self.ON_FILE).write(tmp_path)
+        return tmp_path / "BENCH_overhead.json"
+
+    def test_a_full_run_drops_the_deleted_bench(self, path):
+        full = self.session(sorted(self.COLLECTED))
+        assert full.write(path.parent, collected=self.COLLECTED) == [path]
+        assert full.kept == []
+        assert sorted(
+            (b.module, b.name) for b in AreaRecord.load(path).benches
+        ) == sorted(self.COLLECTED)
+
+    def test_without_collected_names_the_stale_bench_keeps_the_file(self, path):
+        full = self.session(sorted(self.COLLECTED))
+        assert full.write(path.parent) == []
+        assert full.kept == [
+            "BENCH_overhead.json kept - partial run (4 of 5 benches; not run: "
+            "test_disabled_telemetry_overhead_under_two_percent)"
+        ]
+
+    def test_a_deselected_run_is_still_kept(self, path):
+        """``-k``: every bench is collected, one of them runs."""
+        before = path.read_bytes()
+        selected = self.session([self.ON_FILE[0]])
+        assert selected.write(path.parent, collected=self.COLLECTED) == []
+        assert path.read_bytes() == before
+        assert selected.kept == [
+            "BENCH_overhead.json kept - partial run (1 of 4 benches; not run: "
+            "test_detached_resilience_overhead_under_two_percent, "
+            "test_event_tracing_runs_and_reports, "
+            "test_guarded_run_overhead_is_moderate)"
+        ]
+
+    def test_benches_of_a_module_not_collected_keep_the_file(self, path):
+        """One module run alone leaves its area-mates' records alone."""
+        obs = {bench for bench in self.COLLECTED if bench[0] == "bench_obs_overhead"}
+        one_module = self.session(sorted(obs))
+        assert one_module.write(path.parent, collected=obs) == []
+        assert one_module.kept == [
+            "BENCH_overhead.json kept - partial run (2 of 4 benches; not run: "
+            "test_detached_resilience_overhead_under_two_percent, "
+            "test_guarded_run_overhead_is_moderate)"
+        ]
 
 
 class TestDiff:

@@ -9,6 +9,7 @@ import pytest
 from repro.core.types import validate_matching
 from repro.kernels.rng import KEY_FIELD_LIMIT
 from repro.router.ports import InputPort
+from repro.sim import standalone
 from repro.sim.standalone import (
     StandaloneConfig,
     StandalonePacket,
@@ -232,6 +233,167 @@ class TestSeedStability:
                                           seed=123)
                 StandaloneRouterModel(config, trial_hook=hook).run()
         assert digest.hexdigest() == self.DIGESTS[algorithm]
+
+
+class TestPacketTable:
+    """Every model of one workload reads one shared table of trial states.
+
+    The table holds each trial's drawn packets and grows to the largest
+    load asked for; these tests pin that what a model sees does not
+    depend on which models ran before it, and that retention stays
+    bounded.
+    """
+
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self, monkeypatch):
+        monkeypatch.setattr(standalone, "_TABLES", type(standalone._TABLES)())
+
+    GRID = [
+        (algorithm, load, occupancy)
+        for algorithm in ("MCM", "PIM", "WFA", "SPAA", "OPF")
+        for load in (3, 12)
+        for occupancy in (0.0, 0.5)
+    ]
+
+    @staticmethod
+    def grants(algorithm, load, occupancy, seed=5, trials=6):
+        observed = []
+        config = StandaloneConfig(algorithm=algorithm, load=load,
+                                  occupancy=occupancy, trials=trials,
+                                  seed=seed)
+        StandaloneRouterModel(
+            config,
+            trial_hook=lambda trial, grants: observed.append(
+                (trial, tuple((g.row, g.packet, g.output) for g in grants))
+            ),
+        ).run()
+        return tuple(observed)
+
+    def unshared(self, monkeypatch, grid, **kwargs):
+        """Each cell's grants with every packet drawn afresh."""
+        with monkeypatch.context() as patch:
+            patch.setattr(standalone, "_packet_table", lambda config: None)
+            return {cell: self.grants(*cell, **kwargs) for cell in grid}
+
+    @pytest.mark.parametrize("load", [1, 5, 16])
+    @pytest.mark.parametrize("trial", [0, 3])
+    def test_a_load_is_a_prefix_of_a_larger_one(self, load, trial):
+        """Draws are keyed by uid, so load L is the head of load 4L."""
+        def packets(load):
+            config = StandaloneConfig(load=load, trials=4, seed=17)
+            return StandaloneRouterModel(config)._generate_packets(trial)
+
+        assert packets(4 * load)[:load] == packets(load)
+
+    def test_shared_packets_equal_fresh_ones(self):
+        config = StandaloneConfig(load=24, trials=3, seed=8)
+        model = StandaloneRouterModel(config)
+        fresh = [model._generate_packets(trial) for trial in range(3)]
+        seen = []
+        model._build_nominations = lambda packets, free, trial: (
+            seen.append(packets) or []
+        )
+        model.run()
+        assert seen == fresh
+        packet = seen[2][5]
+        assert type(packet) is StandalonePacket
+        assert packet.uid == packet.age == 5
+        assert isinstance(packet.port, InputPort)
+
+    @pytest.mark.parametrize("order", ["as-listed", "reversed"])
+    def test_grants_do_not_depend_on_run_order(self, monkeypatch, order):
+        expected = self.unshared(monkeypatch, self.GRID)
+        grid = self.GRID if order == "as-listed" else self.GRID[::-1]
+        assert {cell: self.grants(*cell) for cell in grid} == expected
+
+    def test_workloads_with_other_packet_mixes_do_not_share(self):
+        """Seed and both traffic fractions key the table; nothing else."""
+        def packets(**kwargs):
+            config = StandaloneConfig(**{"load": 12, "trials": 2, "seed": 3,
+                                         **kwargs})
+            seen = []
+            model = StandaloneRouterModel(config)
+            model._build_nominations = lambda packets, free, trial: (
+                seen.append(packets) or []
+            )
+            model.run()
+            fresh = StandaloneRouterModel(config)
+            assert seen == [fresh._generate_packets(trial) for trial in range(2)]
+            return seen
+
+        mixes = [{}, {"local_fraction": 1.0}, {"two_direction_fraction": 0.0},
+                 {"seed": 4}, {"occupancy": 0.5, "algorithm": "PIM"}]
+        results = [packets(**mix) for mix in mixes]
+        assert len(standalone._TABLES) == 4
+        assert results[4] == results[0]
+
+    def test_grants_survive_eviction(self, monkeypatch):
+        monkeypatch.setattr(standalone, "TABLE_KEYS", 1)
+        seeds = (5, 6, 5, 6)
+        cells = [("PIM1", 12, 0.5), ("SPAA", 3, 0.0)]
+        expected = {
+            seed: self.unshared(monkeypatch, cells, seed=seed) for seed in (5, 6)
+        }
+        for seed in seeds:
+            observed = {cell: self.grants(*cell, seed=seed) for cell in cells}
+            assert observed == expected[seed]
+            assert list(standalone._TABLES) == [(seed, 0.5, 0.5)]
+
+    def test_retention_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(standalone, "TABLE_BUDGET", 60)
+        monkeypatch.setattr(standalone, "_RECORD_BYTES", 0)
+        for seed, load, trials in [
+            (1, 4, 10), (1, 6, 10), (2, 8, 5), (3, 60, 1), (4, 5, 12),
+            (1, 2, 30), (5, 61, 1), (6, 2, 3), (2, 3, 20), (1, 6, 10),
+        ]:
+            StandaloneRouterModel(
+                StandaloneConfig(load=load, trials=trials, seed=seed)
+            ).run()
+            tables = standalone._TABLES
+            assert len(tables) <= standalone.TABLE_KEYS
+            for table in tables.values():
+                assert standalone._table_bytes(table) == sum(map(len, table)) <= 60
+        # Least recently used first; the over-budget config (load 61)
+        # drew into a throwaway record and kept nothing, and the last
+        # run's table was replaced rather than grown past the budget.
+        assert [seed for seed, _, _ in tables] == [4, 6, 2, 1]
+        assert [len(record) for record in tables[1, 0.5, 0.5]] == [6] * 10
+
+    def test_records_count_against_the_budget(self):
+        """Many trials of a tiny load retain their records' own cost."""
+        def table(trials, load):
+            return standalone._packet_table(
+                StandaloneConfig(load=load, trials=trials)
+            )
+
+        per_record = standalone._RECORD_BYTES + 1
+        assert table(standalone.TABLE_BUDGET // per_record + 1, 1) is None
+        fits = table(standalone.TABLE_BUDGET // per_record, 1)
+        assert standalone._table_bytes(fits) == len(fits) * standalone._RECORD_BYTES
+        assert standalone._TABLES[42, 0.5, 0.5] is fits
+
+    def test_a_table_grows_to_the_largest_load(self):
+        for load in (4, 16, 8):
+            StandaloneRouterModel(
+                StandaloneConfig(load=load, trials=3, seed=2)
+            ).run()
+        (table,) = standalone._TABLES.values()
+        assert [len(record) for record in table] == [16, 16, 16]
+
+    def test_vectorized_models_never_touch_the_table(self, monkeypatch):
+        pytest.importorskip("numpy")
+
+        def forbidden(config):
+            raise AssertionError("the vectorized backend read the packet table")
+
+        monkeypatch.setattr(standalone, "_packet_table", forbidden)
+        for algorithm in ("PIM1", "WFA", "SPAA", "OPF"):
+            model = StandaloneRouterModel(
+                StandaloneConfig(algorithm=algorithm, load=8, trials=20),
+                backend="vectorized",
+            )
+            assert model.backend == "vectorized"
+            model.run()
 
 
 class TestPaperShape:
