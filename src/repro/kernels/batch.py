@@ -7,11 +7,12 @@ counts feed the Welford accumulator one trial at a time in trial order,
 so mean/variance/min/max are not merely close to the object path's --
 they are the same floating-point values.
 
-Grant *objects* are only materialized when someone needs them (a fault
-injector, whose per-grant suppression draws are sequential, or a
-``trial_hook``, which the parity tests use to diff per-trial grants);
-a plain measurement stays entirely in array land plus one cheap
-counts loop.
+Grants are only computed when someone reads them (a fault injector,
+whose per-grant suppression draws are sequential, or a ``trial_hook``,
+which the parity tests use to diff per-trial grants).  A plain
+measurement takes each kernel's array-op match counts and builds no
+grant; its one Python loop is the Welford accumulation.  Any future
+consumer of kernel grants must set ``collect`` the same way.
 """
 
 from __future__ import annotations

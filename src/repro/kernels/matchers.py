@@ -23,9 +23,14 @@ Cross-trial arbiter state vectorizes two ways:
   rotation period -- one ``cumsum``.
 * SPAA's least-recently-selected history is a genuine sequential
   recurrence (each grant reorders future priorities), so its grant
-  step runs as a tight Python loop over primitive lists, with the
-  expensive parts (workload, nomination construction, output choices)
-  still batched.
+  step runs as a tight Python loop over primitive lists -- but only
+  when grants are collected.  The history decides which row wins an
+  output, never whether it is won, so the match counts (one per
+  distinct nominated output) are plain array ops.
+
+Every kernel computes its counts with array ops and does per-grant
+work only when ``collect`` is set (a fault injector or a
+``trial_hook`` reads the grants).
 """
 
 from __future__ import annotations
@@ -82,7 +87,13 @@ def cell_table(workload: BatchWorkload) -> np.ndarray:
 def wfa_kernel(
     workload: BatchWorkload, rotary: bool, collect: bool
 ) -> tuple[np.ndarray, list[list[Grant]] | None]:
-    """Wrapped wave-front arbitration, all trials per sweep step."""
+    """Wrapped wave-front arbitration, all trials per sweep step.
+
+    Each trial's usable-cell matrix is gathered once, rolled so that
+    its priority cell sits at (0, 0): sweep step (diagonal, column
+    offset) then reads the same rolled cell in every trial, and the
+    112-step sweep runs on contiguous ``(T,)`` boolean slices.
+    """
     trials = workload.trials
     cells = cell_table(workload)
     valid = (cells != SENTINEL) & workload.free_bool[:, None, :]
@@ -103,35 +114,39 @@ def wfa_kernel(
         start_row = pointer // NUM_OUTPUT_PORTS
         start_col = pointer % NUM_OUTPUT_PORTS
 
-    row_free = np.full(trials, (1 << NUM_ROWS) - 1, np.int64)
-    col_free = np.full(trials, (1 << NUM_OUTPUT_PORTS) - 1, np.int64)
-    counts = np.zeros(trials, np.int64)
-    t_all = np.arange(trials)
-    steps: list[tuple[np.ndarray, ...]] = []
+    # rolled[i, j, t] is valid[t, (start_row + i) % 16, (start_col + j) % 7]
+    rows = (start_row[:, None] + np.arange(NUM_ROWS)) % NUM_ROWS
+    cols = (start_col[:, None] + np.arange(NUM_OUTPUT_PORTS)) % NUM_OUTPUT_PORTS
+    rolled = np.ascontiguousarray(
+        valid[
+            np.arange(trials)[:, None, None], rows[:, :, None], cols[:, None, :]
+        ].transpose(1, 2, 0)
+    )
+    row_free = np.ones((NUM_ROWS, trials), bool)
+    col_free = np.ones((NUM_OUTPUT_PORTS, trials), bool)
+    steps: list[tuple[int, int, np.ndarray]] = []
     for diagonal in range(NUM_ROWS):
         for col_offset in range(NUM_OUTPUT_PORTS):
-            col = (start_col + col_offset) % NUM_OUTPUT_PORTS
-            row = (start_row + diagonal - col_offset) % NUM_ROWS
-            ok = (
-                valid[t_all, row, col]
-                & (((row_free >> row) & 1) != 0)
-                & (((col_free >> col) & 1) != 0)
-            )
+            row_offset = (diagonal - col_offset) % NUM_ROWS
+            ok = rolled[row_offset, col_offset] & row_free[row_offset]
+            ok &= col_free[col_offset]
             if not ok.any():
                 continue
-            row_free &= ~np.where(ok, np.int64(1) << row, 0)
-            col_free &= ~np.where(ok, np.int64(1) << col, 0)
-            counts += ok
+            row_free[row_offset] &= ~ok
+            col_free[col_offset] &= ~ok
             if collect:
-                sel = np.nonzero(ok)[0]
-                srow, scol = row[sel], col[sel]
-                steps.append((sel, srow, scol, cells[sel, srow, scol]))
+                steps.append((row_offset, col_offset, np.nonzero(ok)[0]))
+    # Every grant takes one row, so the match count is the rows taken.
+    counts = NUM_ROWS - row_free.sum(axis=0)
     if not collect:
         return counts, None
     per_trial: list[list[Grant]] = [[] for _ in range(trials)]
-    for sel, srow, scol, suid in steps:
+    for row_offset, col_offset, sel in steps:
+        srow = (start_row[sel] + row_offset) % NUM_ROWS
+        scol = (start_col[sel] + col_offset) % NUM_OUTPUT_PORTS
         for t, r, c, u in zip(
-            sel.tolist(), srow.tolist(), scol.tolist(), suid.tolist()
+            sel.tolist(), srow.tolist(), scol.tolist(),
+            cells[sel, srow, scol].tolist(),
         ):
             per_trial[t].append(Grant(row=r, packet=u, output=c))
     return counts, per_trial
@@ -166,16 +181,16 @@ def pim1_kernel(
     offers = requested & (row_rank == (k.astype(np.int64) + 1)[:, None, :])
 
     n_offers = offers.sum(axis=2)  # (T, 16) offers per row
+    # Every row with an offer accepts exactly one of them.
+    counts = (n_offers > 0).sum(axis=1)
+    if not collect:
+        return counts, None
     rows = np.arange(NUM_ROWS, dtype=np.uint64)[None, :]
     j = krng.words(workload.seed, t, krng.D_PIM_ACCEPT, 0, rows) % np.maximum(
         n_offers, 1
     ).astype(np.uint64)
     offer_rank = np.cumsum(offers, axis=2)
     accepted = offers & (offer_rank == (j.astype(np.int64) + 1)[:, :, None])
-
-    counts = (n_offers > 0).sum(axis=1)
-    if not collect:
-        return counts, None
     per_trial: list[list[Grant]] = [[] for _ in range(trials)]
     # nonzero is row-major: trials ascending, rows ascending within a
     # trial -- exactly the accept loop's ascending-row emission order.
@@ -296,27 +311,39 @@ def opf_kernel(
     return counts, per_trial
 
 
+#: set bits per 7-bit output mask.
+_POPCOUNT = np.array([bin(mask).count("1") for mask in range(1 << 7)])
+
+
 def spaa_kernel(
     workload: BatchWorkload, rotary: bool, collect: bool
 ) -> tuple[np.ndarray, list[list[Grant]] | None]:
-    """SPAA's grant step: vectorized nominations, sequential LRS loop.
+    """SPAA's grant step: array counts, sequential LRS loop for grants.
 
-    The least-recently-selected history couples every trial to all
-    earlier grants, so the grant step itself is a Python loop -- but
-    over primitive lists prepared by the batched nomination
-    construction, not over packet/Nomination objects.
+    Nominations only ever target free outputs, and every nominated
+    output grants exactly one of its claimants, so a trial's match
+    count is its number of distinct nominated outputs -- whoever wins
+    them.  Only *which* row wins depends on the least-recently-selected
+    history, which couples every trial to all earlier grants; that
+    Python loop runs over primitive lists, and only when the grants
+    themselves are wanted.
     """
     trials = workload.trials
     noms = single_output_batch(workload, check_free=True)
+    out_mask = np.bitwise_or.reduce(
+        np.where(noms.valid, 1 << noms.out, 0), axis=1
+    )
+    counts = _POPCOUNT[out_mask]
+    if not collect:
+        return counts, None
+
     valid_l = noms.valid.tolist()
     row_l = noms.row.tolist()
     out_l = noms.out.tolist()
     uid_l = noms.uid.tolist()
-
     last = [[-1] * NUM_ROWS for _ in range(NUM_OUTPUT_PORTS)]
     clock = 0
-    counts = np.zeros(trials, np.int64)
-    per_trial: list[list[Grant]] | None = [] if collect else None
+    per_trial: list[list[Grant]] = []
     for t in range(trials):
         by_out: dict[int, list[tuple[int, int]]] = {}
         t_valid, t_row, t_out, t_uid = valid_l[t], row_l[t], out_l[t], uid_l[t]
@@ -340,9 +367,6 @@ def spaa_kernel(
             )
             clock += 1
             history[win_row] = clock
-            if collect:
-                grants.append(Grant(row=win_row, packet=win_uid, output=out))
-        counts[t] = len(by_out)
-        if collect:
-            per_trial.append(grants)
+            grants.append(Grant(row=win_row, packet=win_uid, output=out))
+        per_trial.append(grants)
     return counts, per_trial

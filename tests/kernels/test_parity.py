@@ -37,11 +37,22 @@ def run_backend(config, backend, faults=None):
     return per_trial, summary, model
 
 
+def plain_stats(config, backend):
+    """Stats tuple of a run with no hook and no faults: the path every
+    figure takes, where the kernels only count."""
+    stats = StandaloneRouterModel(config, backend=backend).run()
+    return (
+        stats.count, stats.mean, stats.variance, stats.minimum, stats.maximum
+    )
+
+
 def assert_parity(config, faults=None):
     obj_grants, obj_stats, _ = run_backend(config, "object", faults)
     vec_grants, vec_stats, model = run_backend(config, "vectorized", faults)
     assert model.backend == "vectorized", model.fallback_reason
     assert vec_stats == obj_stats
+    plain_obj = obj_stats if faults is None else plain_stats(config, "object")
+    assert plain_stats(config, "vectorized") == plain_obj, "count-only path"
     mismatched = [
         trial for trial in obj_grants if obj_grants[trial] != vec_grants[trial]
     ]
