@@ -11,8 +11,7 @@ least-recently-selected instead.
 
 The example registers the new arbiter in the algorithm registry, runs
 it through the standalone matching model next to the library's
-algorithms (including iSLIP1, which ships in ``repro.core``), and
-measures the unfairness directly.
+algorithms, and measures the unfairness directly.
 
 Run: ``python examples/custom_arbiter.py``
 """
@@ -79,7 +78,7 @@ def matching_comparison() -> None:
     print("Matching capability (single router, load 32, 400 trials)\n")
     rows = []
     register()
-    for algorithm in ("SPAA", "daisy-chain", "PIM1", "iSLIP1", "MCM"):
+    for algorithm in ("SPAA", "daisy-chain", "PIM1", "MCM"):
         loaded = measure_matches(
             StandaloneConfig(algorithm=algorithm, load=32, trials=400)
         )

@@ -5,7 +5,7 @@ algorithms (PIM, PIM1, WFA, MCM, OPF) from Mukherjee et al., "A
 Comparative Study of Arbitration Algorithms for the Alpha 21364
 Pipelined Router" (ASPLOS 2002), together with the full simulation
 substrate needed to regenerate every figure in the paper: the 2D torus
-network, the 21364 router pipeline, virtual cut-through routing with
+network, the 21364 pipelined router, virtual cut-through routing with
 escape channels, the coherence-protocol workload, and the standalone
 and timing performance models.
 

@@ -22,10 +22,6 @@ class TransactionKind(enum.Enum):
     #: discipline can be exercised and studied.
     IO_READ = "io-read"
 
-    @property
-    def coherence_hops(self) -> int:
-        return 3 if self is TransactionKind.THREE_HOP else 2
-
 
 @dataclass(slots=True)
 class Transaction:

@@ -7,20 +7,14 @@ their hardware timing characteristics and the anti-starvation overlay.
 
 from repro.core.antistarvation import AntiStarvationConfig, AntiStarvationTracker
 from repro.core.base import Arbiter, usable_nominations
-from repro.core.islip import ISLIPArbiter
 from repro.core.maxflow import MaxFlow
 from repro.core.mcm import MCMArbiter
-from repro.core.mwm import GreedyMWMArbiter, WeightRule
 from repro.core.opf import OPFArbiter
 from repro.core.pim import PIMArbiter, expected_convergence_iterations
 from repro.core.policies import (
     LeastRecentlySelectedPolicy,
-    OldestFirstPolicy,
-    RandomPolicy,
     RotaryRulePolicy,
-    RoundRobinPolicy,
     SelectionPolicy,
-    make_policy,
 )
 from repro.core.registry import (
     ALGORITHMS,
@@ -53,8 +47,6 @@ __all__ = [
     "AntiStarvationTracker",
     "Arbiter",
     "ArbiterContext",
-    "GreedyMWMArbiter",
-    "ISLIPArbiter",
     "ArbitrationTiming",
     "Grant",
     "LeastRecentlySelectedPolicy",
@@ -62,12 +54,9 @@ __all__ = [
     "MaxFlow",
     "Nomination",
     "OPFArbiter",
-    "OldestFirstPolicy",
     "PIM1_TIMING",
     "PIMArbiter",
-    "RandomPolicy",
     "RotaryRulePolicy",
-    "RoundRobinPolicy",
     "SPAAArbiter",
     "SPAA_TIMING",
     "SelectionPolicy",
@@ -75,12 +64,10 @@ __all__ = [
     "WFA_3CYCLE_TIMING",
     "WFA_TIMING",
     "WavefrontArbiter",
-    "WeightRule",
     "algorithm_timing",
     "available_algorithms",
     "expected_convergence_iterations",
     "make_arbiter",
-    "make_policy",
     "nomination_style",
     "usable_nominations",
     "validate_matching",

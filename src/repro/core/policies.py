@@ -3,15 +3,14 @@
 When several input-port arbiters nominate packets to the same output
 port, the output arbiter breaks the tie with a *selection policy*.  The
 paper (section 3) lists random, round-robin, least-recently-selected
-(LRS), priority chains and the Rotary Rule; the 21364 uses LRS for
-SPAA-base and the Rotary Rule (network traffic first, LRS within each
-class) for SPAA-rotary.
+(LRS), priority chains and the Rotary Rule.  This module implements
+the two the 21364 uses: LRS for SPAA-base and the Rotary Rule (network
+traffic first, LRS within each class) for SPAA-rotary.
 """
 
 from __future__ import annotations
 
 import abc
-import random
 from typing import Sequence
 
 from repro.core.types import Nomination, SourceKind
@@ -19,8 +18,6 @@ from repro.core.types import Nomination, SourceKind
 
 class SelectionPolicy(abc.ABC):
     """Picks one winner among nominations competing for one output."""
-
-    name: str = "policy"
 
     @abc.abstractmethod
     def select(self, output: int, candidates: Sequence[Nomination]) -> Nomination:
@@ -51,47 +48,12 @@ def _split_starving(
     return starving if starving else candidates
 
 
-class RandomPolicy(SelectionPolicy):
-    """Uniform random selection (used by PIM's grant and accept steps)."""
-
-    name = "random"
-
-    def __init__(self, rng: random.Random) -> None:
-        self._rng = rng
-
-    def select(self, output: int, candidates: Sequence[Nomination]) -> Nomination:
-        candidates = _split_starving(candidates)
-        return candidates[self._rng.randrange(len(candidates))]
-
-
-class RoundRobinPolicy(SelectionPolicy):
-    """Rotating-pointer selection, one pointer per output port."""
-
-    name = "round-robin"
-
-    def __init__(self) -> None:
-        self._pointers: dict[int, int] = {}
-
-    def select(self, output: int, candidates: Sequence[Nomination]) -> Nomination:
-        candidates = _split_starving(candidates)
-        pointer = self._pointers.get(output, 0)
-        return min(candidates, key=lambda nom: (nom.row - pointer) % _ROW_MODULUS)
-
-    def notify_grant(self, output: int, winner: Nomination) -> None:
-        self._pointers[output] = (winner.row + 1) % _ROW_MODULUS
-
-    def reset(self) -> None:
-        self._pointers.clear()
-
-
 class LeastRecentlySelectedPolicy(SelectionPolicy):
     """Pick the row granted longest ago for this output (SPAA-base).
 
     Rows that were never granted rank oldest of all; among those, the
     lowest row index wins, which makes the policy deterministic.
     """
-
-    name = "least-recently-selected"
 
     def __init__(self) -> None:
         self._clock = 0
@@ -124,8 +86,6 @@ class RotaryRulePolicy(SelectionPolicy):
     describes for SPAA-rotary and PIM1-rotary.
     """
 
-    name = "rotary"
-
     def __init__(self) -> None:
         self._lrs = LeastRecentlySelectedPolicy()
 
@@ -140,38 +100,3 @@ class RotaryRulePolicy(SelectionPolicy):
 
     def reset(self) -> None:
         self._lrs.reset()
-
-
-class OldestFirstPolicy(SelectionPolicy):
-    """Grant the oldest waiting packet (an age-based priority chain)."""
-
-    name = "oldest-first"
-
-    def select(self, output: int, candidates: Sequence[Nomination]) -> Nomination:
-        candidates = _split_starving(candidates)
-        return max(candidates, key=lambda nom: (nom.age, -nom.row))
-
-
-#: Row indices are small (the 21364 has 16 read-port arbiters); the
-#: modulus only has to exceed the largest row index in use.
-_ROW_MODULUS = 1 << 16
-
-
-def make_policy(name: str, rng: random.Random | None = None) -> SelectionPolicy:
-    """Instantiate a selection policy by name.
-
-    ``"random"`` requires *rng*; the stateful policies ignore it.
-    """
-    if name == "random":
-        if rng is None:
-            raise ValueError("the random policy needs an rng")
-        return RandomPolicy(rng)
-    if name == "round-robin":
-        return RoundRobinPolicy()
-    if name == "least-recently-selected":
-        return LeastRecentlySelectedPolicy()
-    if name == "rotary":
-        return RotaryRulePolicy()
-    if name == "oldest-first":
-        return OldestFirstPolicy()
-    raise ValueError(f"unknown selection policy {name!r}")

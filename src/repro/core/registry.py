@@ -7,9 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.base import Arbiter
-from repro.core.islip import ISLIPArbiter
 from repro.core.mcm import MCMArbiter
-from repro.core.mwm import GreedyMWMArbiter, WeightRule
 from repro.core.opf import OPFArbiter
 from repro.core.pim import PIMArbiter
 from repro.core.spaa import SPAAArbiter
@@ -23,11 +21,11 @@ from repro.core.wavefront import WavefrontArbiter
 
 
 #: How an algorithm's input side presents packets to the arbiter:
-#: ``"pool"`` -- every waiting packet, port-capacity constrained (MCM
-#: and the MWM references, which search exhaustively); ``"per-cell"``
-#: -- each read-port arbiter offers per-output candidates (PIM, WFA,
-#: iSLIP: the centralized-matrix algorithms); ``"single-output"`` --
-#: one packet aimed at one output per input port (SPAA, OPF).
+#: ``"pool"`` -- every waiting packet, port-capacity constrained (MCM,
+#: which searches exhaustively); ``"per-cell"`` -- each read-port
+#: arbiter offers per-output candidates (PIM, WFA: the
+#: centralized-matrix algorithms); ``"single-output"`` -- one packet
+#: aimed at one output per input port (SPAA, OPF).
 NOMINATION_STYLES = ("pool", "per-cell", "single-output")
 
 
@@ -37,10 +35,9 @@ class AlgorithmSpec:
 
     name: str
     factory: Callable[["ArbiterContext"], Arbiter]
+    #: ``None`` for standalone-only algorithms (MCM and full PIM: no
+    #: few-cycle hardware implementation, so no timing studies).
     timing: ArbitrationTiming | None
-    #: whether the algorithm appears in timing studies (MCM and full
-    #: PIM are standalone-only: no few-cycle hardware implementation).
-    timing_capable: bool = True
     #: how the standalone model builds this algorithm's nominations.
     nomination_style: str = "per-cell"
 
@@ -72,13 +69,12 @@ def _registry() -> dict[str, AlgorithmSpec]:
     return {
         "MCM": AlgorithmSpec(
             "MCM", lambda ctx: MCMArbiter(), timing=None,
-            timing_capable=False, nomination_style="pool",
+            nomination_style="pool",
         ),
         "PIM": AlgorithmSpec(
             "PIM",
             lambda ctx: PIMArbiter(ctx.rng, iterations=None),
             timing=None,
-            timing_capable=False,
         ),
         "PIM1": AlgorithmSpec(
             "PIM1", lambda ctx: PIMArbiter(ctx.rng, iterations=1), timing=PIM1_TIMING
@@ -114,27 +110,6 @@ def _registry() -> dict[str, AlgorithmSpec]:
         "OPF": AlgorithmSpec(
             "OPF", lambda ctx: OPFArbiter(), timing=SPAA_TIMING,
             nomination_style="single-output",
-        ),
-        # Beyond the paper's headline set: the hardware-friendly PIM
-        # variant it cites, and the MWM references of section 3.
-        "iSLIP1": AlgorithmSpec(
-            "iSLIP1",
-            lambda ctx: ISLIPArbiter(ctx.num_rows, ctx.num_outputs),
-            timing=PIM1_TIMING,
-        ),
-        "LQF": AlgorithmSpec(
-            "LQF",
-            lambda ctx: GreedyMWMArbiter(WeightRule.LQF),
-            timing=None,
-            timing_capable=False,
-            nomination_style="pool",
-        ),
-        "OCF": AlgorithmSpec(
-            "OCF",
-            lambda ctx: GreedyMWMArbiter(WeightRule.OCF),
-            timing=None,
-            timing_capable=False,
-            nomination_style="pool",
         ),
     }
 

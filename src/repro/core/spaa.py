@@ -28,37 +28,23 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.base import Arbiter, usable_nominations
-from repro.core.policies import (
-    LeastRecentlySelectedPolicy,
-    RotaryRulePolicy,
-    SelectionPolicy,
-)
+from repro.core.policies import LeastRecentlySelectedPolicy, RotaryRulePolicy
 from repro.core.types import Grant, Nomination
 
 
 class SPAAArbiter(Arbiter):
-    """Independent per-output grant with a pluggable selection policy.
+    """Independent per-output grant, one selection policy per arbiter.
 
     Args:
-        rotary: use the Rotary Rule instead of plain
+        rotary: use the Rotary Rule (``SPAA-rotary``) instead of plain
             least-recently-selected (``SPAA-base``).
-        policy: override the selection policy entirely (used by
-            ablation studies); when given, *rotary* must be left False.
     """
 
-    def __init__(
-        self,
-        rotary: bool = False,
-        policy: SelectionPolicy | None = None,
-    ) -> None:
-        if policy is not None and rotary:
-            raise ValueError("pass either rotary=True or an explicit policy")
-        if policy is None:
-            policy = RotaryRulePolicy() if rotary else LeastRecentlySelectedPolicy()
-        self._policy = policy
-        self.name = "SPAA-rotary" if rotary else f"SPAA-{policy.name}"
-        if not rotary and isinstance(policy, LeastRecentlySelectedPolicy):
-            self.name = "SPAA-base"
+    def __init__(self, rotary: bool = False) -> None:
+        self._policy = (
+            RotaryRulePolicy() if rotary else LeastRecentlySelectedPolicy()
+        )
+        self.name = "SPAA-rotary" if rotary else "SPAA-base"
 
     def reset(self) -> None:
         self._policy.reset()

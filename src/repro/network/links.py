@@ -52,8 +52,13 @@ class LinkSpec:
 
     Attributes:
         pin_to_pin_cycles: on-chip latency from a network input pin to
-            a network output pin, including the router pipeline plus
-            synchronization, pad and transport delays (13 core cycles).
+            a network output pin: 13 core cycles (10.8 ns at 1.2 GHz).
+            The network-to-network pipeline of Figure 4(b) schedules
+            the first flit in ECC, T, DW, LA, RE, GA (6 cycles), the
+            crossbar takes 1 more, and synchronization, pad
+            receiver/driver and pin<->router transport add 6 (paper
+            section 2.2).  The 13 thus already contains the LA/RE/GA
+            arbitration stages.
         link_latency_network_clocks: wire latency between chips,
             measured in link clocks (3 in the paper's runs).
         local_port_cycles: local-port pipeline latency (router-table

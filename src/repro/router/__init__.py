@@ -1,18 +1,10 @@
-"""Router substrate: ports, buffers, connection matrix, pipeline, router."""
+"""Router substrate: ports, buffers, connection matrix, router."""
 
 from repro.router.buffers import BufferOverflowError, InputBuffer
 from repro.router.connection_matrix import (
     DEFAULT_CONNECTION_MATRIX,
     ConnectionMatrix,
     default_connections,
-)
-from repro.router.pipeline import (
-    ARBITRATION_STAGES,
-    LOCAL_TO_NETWORK,
-    NETWORK_TO_NETWORK,
-    PipelineSpec,
-    Stage,
-    pin_to_pin_cycles,
 )
 from repro.router.ports import (
     LOCAL_INPUTS,
@@ -33,7 +25,6 @@ from repro.router.ports import (
 from repro.router.router import Dispatch, HopPlan, Launch, Router
 
 __all__ = [
-    "ARBITRATION_STAGES",
     "BufferOverflowError",
     "ConnectionMatrix",
     "DEFAULT_CONNECTION_MATRIX",
@@ -43,23 +34,18 @@ __all__ = [
     "InputPort",
     "LOCAL_INPUTS",
     "LOCAL_OUTPUTS",
-    "LOCAL_TO_NETWORK",
     "Launch",
-    "NETWORK_TO_NETWORK",
     "NUM_INPUT_PORTS",
     "NUM_OUTPUT_PORTS",
     "NUM_ROWS",
     "OutputPort",
-    "PipelineSpec",
     "READ_PORTS_PER_INPUT",
     "Router",
-    "Stage",
     "TORUS_OUTPUTS",
     "default_connections",
     "input_for_direction",
     "network_rows",
     "output_for_direction",
-    "pin_to_pin_cycles",
     "port_of_row",
     "row_of",
 ]

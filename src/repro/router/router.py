@@ -617,10 +617,3 @@ class Router:
     def total_buffered(self) -> int:
         return self._buffered
 
-    def has_arbitrable_work(self) -> bool:
-        """Cheap check: any non-in-flight packet waiting anywhere.
-
-        Only channel heads are ever in flight, and a head stays put
-        until its launch resolves, so comparing counts is enough.
-        """
-        return sum(map(len, self._heads)) > len(self._in_flight)

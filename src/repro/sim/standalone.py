@@ -471,7 +471,7 @@ class StandaloneRouterModel:
     def _per_cell_nominations(
         self, packets: list[StandalonePacket]
     ) -> list[Nomination]:
-        """PIM/WFA/iSLIP: every waiting packet, per connected read port.
+        """PIM/WFA: every waiting packet, per connected read port.
 
         One nomination per (packet, read port) with the packet's
         connected candidate outputs.  The per-cell reduction -- the

@@ -1,71 +1,14 @@
 """Unit tests for the output-port selection policies."""
 
-import random
-
-import pytest
-
-from repro.core.policies import (
-    LeastRecentlySelectedPolicy,
-    OldestFirstPolicy,
-    RandomPolicy,
-    RotaryRulePolicy,
-    RoundRobinPolicy,
-    make_policy,
-)
+from repro.core.policies import LeastRecentlySelectedPolicy, RotaryRulePolicy
 from repro.core.types import Nomination, SourceKind
 
 
-def nom(row, source=SourceKind.NETWORK, age=0, starving=False):
+def nom(row, source=SourceKind.NETWORK, starving=False):
     return Nomination(
-        row=row, packet=100 + row, outputs=(0,), source=source, age=age,
+        row=row, packet=100 + row, outputs=(0,), source=source,
         starving=starving,
     )
-
-
-class TestRandomPolicy:
-    def test_selects_a_candidate(self):
-        policy = RandomPolicy(random.Random(1))
-        candidates = [nom(0), nom(1), nom(2)]
-        for _ in range(20):
-            assert policy.select(0, candidates) in candidates
-
-    def test_covers_all_candidates_eventually(self):
-        policy = RandomPolicy(random.Random(2))
-        candidates = [nom(0), nom(1), nom(2)]
-        seen = {policy.select(0, candidates).row for _ in range(200)}
-        assert seen == {0, 1, 2}
-
-    def test_starving_candidates_preempt(self):
-        policy = RandomPolicy(random.Random(3))
-        candidates = [nom(0), nom(1, starving=True), nom(2)]
-        for _ in range(20):
-            assert policy.select(0, candidates).row == 1
-
-
-class TestRoundRobinPolicy:
-    def test_rotates_across_grants(self):
-        policy = RoundRobinPolicy()
-        candidates = [nom(0), nom(5), nom(9)]
-        winners = []
-        for _ in range(3):
-            winner = policy.select(0, candidates)
-            policy.notify_grant(0, winner)
-            winners.append(winner.row)
-        assert winners == [0, 5, 9]
-
-    def test_pointers_are_per_output(self):
-        policy = RoundRobinPolicy()
-        candidates = [nom(0), nom(1)]
-        winner = policy.select(0, candidates)
-        policy.notify_grant(0, winner)
-        # Output 3 has its own pointer, still at zero.
-        assert policy.select(3, candidates).row == 0
-
-    def test_reset_restores_pointers(self):
-        policy = RoundRobinPolicy()
-        policy.notify_grant(0, nom(0))
-        policy.reset()
-        assert policy.select(0, [nom(0), nom(1)]).row == 0
 
 
 class TestLeastRecentlySelected:
@@ -100,6 +43,12 @@ class TestLeastRecentlySelected:
             winners.append(winner.row)
         assert winners == [0, 1, 2, 3, 0, 1, 2, 3]
 
+    def test_starving_row_beats_history(self):
+        """The anti-starvation overlay outranks least-recently-selected."""
+        policy = LeastRecentlySelectedPolicy()
+        policy.notify_grant(0, nom(2))
+        assert policy.select(0, [nom(1), nom(2, starving=True)]).row == 2
+
 
 class TestRotaryRule:
     def test_network_beats_local(self):
@@ -127,30 +76,3 @@ class TestRotaryRule:
             nom(1, source=SourceKind.NETWORK),
         ]
         assert policy.select(0, candidates).row == 0
-
-
-class TestOldestFirst:
-    def test_highest_age_wins(self):
-        policy = OldestFirstPolicy()
-        assert policy.select(0, [nom(0, age=5), nom(1, age=9)]).row == 1
-
-    def test_age_tie_breaks_by_row(self):
-        policy = OldestFirstPolicy()
-        assert policy.select(0, [nom(4, age=5), nom(1, age=5)]).row == 1
-
-
-class TestMakePolicy:
-    @pytest.mark.parametrize(
-        "name", ["round-robin", "least-recently-selected", "rotary", "oldest-first"]
-    )
-    def test_builds_stateful_policies(self, name):
-        assert make_policy(name).name == name
-
-    def test_random_needs_rng(self):
-        with pytest.raises(ValueError, match="needs an rng"):
-            make_policy("random")
-        assert make_policy("random", random.Random(0)).name == "random"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown selection policy"):
-            make_policy("coin-flip")

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.policies import RoundRobinPolicy
 from repro.core.spaa import SPAAArbiter
 from repro.core.types import Grant, Nomination, SourceKind
 
@@ -76,16 +75,6 @@ class TestGrantStep:
         ]
         # Row 8 wins on the row-index tiebreak, not on source kind.
         assert arbiter.arbitrate(noms, frozenset({0}))[0].row == 8
-
-    def test_custom_policy_injection(self):
-        arbiter = SPAAArbiter(policy=RoundRobinPolicy())
-        assert "round-robin" in arbiter.name
-        grants = arbiter.arbitrate([nom(0, 1, 0), nom(5, 2, 0)], frozenset({0}))
-        assert grants[0].row == 0
-
-    def test_rotary_with_explicit_policy_rejected(self):
-        with pytest.raises(ValueError, match="either rotary"):
-            SPAAArbiter(rotary=True, policy=RoundRobinPolicy())
 
     def test_reset_clears_lrs_history(self):
         arbiter = SPAAArbiter()

@@ -19,9 +19,9 @@ The split of ``latency`` into decision and tail cycles cannot show in
 that sum (the two always add up to ``latency``), so the grant times
 along the path are pinned as well.  All of this pins the constants;
 whether they are *right* is a separate question DESIGN.md section 5
-records (``router/pipeline.py`` derives the 13 pin-to-pin cycles as
-already containing LA, RE and GA, so every hop pays about three cycles
-twice).
+records (the docstring of ``LinkSpec.pin_to_pin_cycles`` derives the
+13 pin-to-pin cycles as already containing LA, RE and GA, so every hop
+pays about three cycles twice).
 """
 
 import pytest

@@ -16,10 +16,8 @@ PUBLIC_MODULES = [
     "repro.core",
     "repro.core.antistarvation",
     "repro.core.base",
-    "repro.core.islip",
     "repro.core.maxflow",
     "repro.core.mcm",
-    "repro.core.mwm",
     "repro.core.opf",
     "repro.core.pim",
     "repro.core.policies",
@@ -37,7 +35,6 @@ PUBLIC_MODULES = [
     "repro.router",
     "repro.router.buffers",
     "repro.router.connection_matrix",
-    "repro.router.pipeline",
     "repro.router.ports",
     "repro.router.router",
     "repro.coherence",
