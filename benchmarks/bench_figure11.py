@@ -5,13 +5,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.figure11 import PANELS, run_panel
+from repro.experiments.figure10 import run_panel
+from repro.experiments.figure11 import PANELS, SCALING_ALGORITHMS
 
 
-def _run(benchmark, panel, **kwargs):
+def _run(benchmark, panel, algorithms=SCALING_ALGORITHMS):
     return benchmark.pedantic(
         run_panel,
-        kwargs={"panel": panel, "preset": "smoke", **kwargs},
+        kwargs={"panel": panel, "preset": "smoke", "algorithms": algorithms},
         iterations=1, rounds=1,
     )
 

@@ -43,6 +43,8 @@ def _space(preset: str) -> ScenarioSpace:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise SystemExit("--count must be at least 1")
     config = CampaignConfig(
         output_dir=args.output_dir,
         seed=args.seed,
@@ -86,7 +88,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bundle(args: argparse.Namespace) -> dict:
+    """The bundle record *args* names; a missing file or one that is no
+    replay bundle (a ``minimal.json`` included) is a one-line refusal."""
+    try:
+        return load_bundle(args.bundle)
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"chaos {args.command}: {error}") from error
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
+    _bundle(args)  # refused before anything runs
     result = replay_bundle(args.bundle, trace_path=args.trace)
     print(result.describe())
     return 0 if result.reproduced else 1
@@ -94,7 +106,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_shrink(args: argparse.Namespace) -> int:
     bundle_path = Path(args.bundle)
-    record = load_bundle(bundle_path)
+    record = _bundle(args)
     scenario = ChaosScenario.from_dict(record["scenario"])
     target = record["outcome"]["status"]
     progress = progress_printer(args)
@@ -261,22 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_p.set_defaults(func=_cmd_report)
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="run a campaign over a remote worker fleet "
-             "(forwards to 'repro-experiments serve chaos'; "
-             "see docs/service.md)",
-        add_help=False,
-    )
-    serve_p.add_argument("rest", nargs=argparse.REMAINDER)
-    serve_p.set_defaults(func=_cmd_serve)
     return parser
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.cli import main as service_main
-
-    return service_main(["serve", "chaos", *args.rest])
 
 
 def main(argv: list[str] | None = None, fleet=None) -> int:

@@ -62,7 +62,9 @@ def load_bundle(path: str | Path) -> dict:
         path = path / "bundle.json"
     record = json.loads(path.read_text(encoding="utf-8"))
     if record.get("kind") != "chaos-bundle":
-        raise ValueError(f"{path}: not a chaos replay bundle")
+        raise ValueError(
+            f"{path}: not a chaos replay bundle (kind {record.get('kind')!r})"
+        )
     if record.get("schema") != BUNDLE_SCHEMA:
         raise ValueError(
             f"{path}: bundle schema v{record.get('schema')} does not match "

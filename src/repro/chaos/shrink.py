@@ -126,9 +126,10 @@ def write_minimal(
 ) -> Path:
     """Store the minimal reproducer next to its bundle.
 
-    The file is itself replayable: ``repro chaos replay`` accepts a
-    ``minimal.json`` wherever it accepts a ``bundle.json`` scenario --
-    both carry a full scenario record.
+    The file carries the full minimal scenario record
+    (``ChaosScenario.from_dict(record["scenario"])`` rebuilds it) but no
+    recorded outcome digest, so ``repro chaos replay`` refuses it:
+    replay the ``bundle.json`` beside it instead.
     """
     record = {
         "kind": "chaos-minimal",

@@ -47,32 +47,12 @@ from typing import Callable, NamedTuple
 
 from repro.core.timing import SPAA_TIMING, WFA_3CYCLE_TIMING
 from repro.experiments import figure10, figure11
-from repro.experiments.figure10 import PRESETS
+from repro.experiments.figure10 import Panel, panel_config
 from repro.experiments.report import curves_table, format_table
-from repro.sim.config import (
-    NetworkConfig,
-    SimulationConfig,
-    TrafficConfig,
-    saturation_buffer_plan,
-)
 from repro.sim.metrics import BNFCurve
 from repro.sim.observers import ThroughputTimeline
 from repro.sim.sweep import sweep_algorithm, throughput_gain_at_latency
 from repro.sim.timing_model import NetworkSimulator
-
-
-def _base_config(preset: str, seed: int) -> SimulationConfig:
-    warmup, measure = PRESETS[preset]
-    return SimulationConfig(
-        algorithm="SPAA-base",
-        network=NetworkConfig(
-            width=8, height=8, buffer_plan=saturation_buffer_plan()
-        ),
-        traffic=TrafficConfig(injection_rate=0.03),
-        warmup_cycles=warmup,
-        measure_cycles=measure,
-        seed=seed,
-    )
 
 
 @dataclass(frozen=True)
@@ -97,7 +77,7 @@ def run_arb_latency_cost(
     seed: int = 42,
 ) -> ArbLatencyCostResult:
     """Sweep SPAA's arbitration latency under heavy load (claim T1)."""
-    base = _base_config(preset, seed)
+    base = panel_config(figure10.PANELS[1], preset, seed).with_rate(0.03)
     throughputs = []
     for latency in latencies:
         timing = replace(SPAA_TIMING, latency=latency)
@@ -128,7 +108,7 @@ def run_pipelining_gain(
     Both configurations use 3-cycle arbitration; the only difference
     left is the initiation interval (1 vs 3) -- pipelining itself.
     """
-    base = _base_config(preset, seed)
+    base = panel_config(figure10.PANELS[1], preset, seed).with_rate(0.03)
     return PipeliningGainResult({
         "SPAA-base": sweep_algorithm(replace(base, algorithm="SPAA-base"), rates),
         WFA_3CYCLE: sweep_algorithm(
@@ -162,25 +142,18 @@ def run_saturation_oscillation(
     seed: int = 42,
 ) -> OscillationResult:
     """Measure the clog/clear cycle of saturated networks (claim T3)."""
-    warmup, measure = PRESETS[preset]
     by_network: dict[str, tuple[float, int | None]] = {}
     for size in sizes:
-        config = SimulationConfig(
-            algorithm="SPAA-base",
-            network=NetworkConfig(
-                width=size, height=size, buffer_plan=saturation_buffer_plan()
-            ),
-            traffic=TrafficConfig(injection_rate=overload_rate),
-            warmup_cycles=warmup,
-            measure_cycles=measure,
-            seed=seed,
-        )
+        label = f"{size}x{size}"
+        config = panel_config(
+            Panel(label, size, size, "uniform", ()), preset, seed
+        ).with_rate(overload_rate)
         simulator = NetworkSimulator(config)
         timeline = ThroughputTimeline(window_cycles=window_cycles)
         simulator.attach_observer(timeline)
         simulator.run()
-        skip = int(warmup // window_cycles)
-        by_network[f"{size}x{size}"] = (
+        skip = int(config.warmup_cycles // window_cycles)
+        by_network[label] = (
             timeline.oscillation(skip), timeline.dominant_period(skip)
         )
     return OscillationResult(by_network=by_network)

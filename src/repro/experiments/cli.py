@@ -72,22 +72,10 @@ def supervisor_from_flags(
     )
 
 
-def _sweep_guard(args: argparse.Namespace) -> SweepGuard | None:
-    """Build the resilience bundle for fig10/fig11 from the CLI flags."""
-    wanted = (
-        args.faults
-        or args.invariants
-        or args.watchdog is not None
-        or args.watchdog_remediate
-        or args.journal_dir is not None
-        or args.resume
-        or args.max_attempts > 1
-        or args.point_timeout is not None
-        or args.workers > 1
-        or args.fleet is not None
-    )
-    if not wanted:
-        return None
+def _sweep_guard(args: argparse.Namespace) -> SweepGuard:
+    """Every fig10/fig11 sweep option from the CLI flags."""
+    if args.max_attempts < 1:
+        raise SystemExit("--max-attempts must be at least 1")
     if args.resume and args.journal_dir is None:
         raise SystemExit("--resume requires --journal-dir")
     if args.watchdog_remediate and args.watchdog is None:
@@ -111,13 +99,15 @@ def _sweep_guard(args: argparse.Namespace) -> SweepGuard | None:
         journal_path=args.journal_dir,
         resume=args.resume,
         max_attempts=args.max_attempts,
-        # Always built: every pooled sweep (--workers > 1, or a fleet)
-        # runs under the scheduler, so --quarantine-after alone must take
-        # effect; the serial executor ignores it.
+        # Every pooled sweep (--workers > 1, or a fleet) runs under the
+        # scheduler, so --quarantine-after alone must take effect; the
+        # serial executor ignores it.
         supervisor=supervisor_from_flags(
             args.point_timeout, args.quarantine_after
         ),
         fleet=args.fleet,
+        telemetry_dir=args.telemetry_dir,
+        workers=args.workers,
     )
 
 
@@ -134,9 +124,7 @@ def _standalone(args: argparse.Namespace) -> dict:
 def _sweeps(args: argparse.Namespace, panels: tuple) -> dict:
     """fig10/fig11 keyword arguments from the flags."""
     return {"preset": args.preset, "panels": panels, "seed": SEED,
-            "progress": progress_printer(args),
-            "telemetry_dir": args.telemetry_dir,
-            "guard": _sweep_guard(args), "workers": args.workers}
+            "progress": progress_printer(args), "guard": _sweep_guard(args)}
 
 
 def _run_fig10(args: argparse.Namespace):
@@ -149,7 +137,7 @@ def _run_fig10(args: argparse.Namespace):
 
 def _run_fig11(args: argparse.Namespace):
     panels = tuple(p for p in figure11.PANELS
-                   if not args.panel or args.panel.lower() == p.key)
+                   if not args.panel or args.panel.lower() == figure11.letter(p))
     if not panels:
         raise SystemExit("Figure 11 panels are a, b and c")
     return figure11.run_figure11(**_sweeps(args, panels))

@@ -16,12 +16,14 @@ SPAA-rotary).  Headline paper claims this regenerates:
 The sweeps run on the saturation-calibrated buffer plan (see
 ``repro.sim.config.saturation_buffer_plan``), which our model needs
 for back-pressure to bind at the paper's saturation point.
+
+:class:`Panel`, :func:`panel_config` and :func:`run_panel` serve
+Figure 11's panels and the in-text claims as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.core.registry import TIMING_ALGORITHMS
 from repro.experiments.report import panels_report
@@ -35,15 +37,33 @@ from repro.sim.metrics import BNFCurve
 from repro.sim.sweep import SweepGuard, sweep_algorithms
 
 
+def panel_slug(name: str) -> str:
+    """Filesystem-safe directory name for a panel."""
+    return "".join(c if c.isalnum() or c in "-x" else "_" for c in name).strip("_")
+
+
 @dataclass(frozen=True)
 class Panel:
-    """One subplot of Figure 10."""
+    """One subplot of Figure 10 or 11: what its sweep varies.
+
+    Everything else -- the timing model, the buffer plan and the run
+    length -- is the same for every panel (see :func:`panel_config`).
+    *slug* names the panel's journal and trace directory; it defaults
+    to :func:`panel_slug` of the name.
+    """
 
     name: str
     width: int
     height: int
     pattern: str
     rates: tuple[float, ...]
+    mshr_limit: int = 16
+    pipeline_scale: int = 1
+    slug: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.slug:
+            object.__setattr__(self, "slug", panel_slug(self.name))
 
 
 _RATES = (0.002, 0.005, 0.01, 0.02, 0.03, 0.045, 0.065)
@@ -72,15 +92,23 @@ class Figure10Result:
 
 
 def panel_config(panel: Panel, preset: str = "fast", seed: int = 42) -> SimulationConfig:
-    """The SimulationConfig one panel sweeps (rate filled per point)."""
+    """The SimulationConfig one panel sweeps (rate filled per point).
+
+    Figures 10 and 11 and the in-text claims all build their runs here.
+    """
     warmup, measure = PRESETS[preset]
     return SimulationConfig(
         network=NetworkConfig(
             width=panel.width,
             height=panel.height,
             buffer_plan=saturation_buffer_plan(),
+            pipeline_scale=panel.pipeline_scale,
         ),
-        traffic=TrafficConfig(pattern=panel.pattern, injection_rate=0.01),
+        traffic=TrafficConfig(
+            pattern=panel.pattern,
+            injection_rate=0.01,
+            mshr_limit=panel.mshr_limit,
+        ),
         warmup_cycles=warmup,
         measure_cycles=measure,
         seed=seed,
@@ -93,60 +121,21 @@ def run_panel(
     algorithms: tuple[str, ...] = TIMING_ALGORITHMS,
     seed: int = 42,
     progress=None,
-    telemetry_dir=None,
-    guard: SweepGuard | None = None,
-    workers: int = 1,
+    guard: SweepGuard = SweepGuard(),
 ) -> dict[str, BNFCurve]:
-    """Sweep one Figure 10 panel.
+    """Sweep one panel of Figure 10 or 11 with *guard*'s options.
 
-    With *telemetry_dir* set, every BNF point writes a JSONL telemetry
-    trace under ``<telemetry_dir>/<panel-slug>/`` and carries its
-    arbiter counters (see :mod:`repro.obs`).  With a *guard* (see
-    :class:`repro.sim.sweep.SweepGuard`) every point runs with fault
-    injection / invariant checking / watchdog / checkpointing attached;
-    the journal is scoped per panel.  With ``workers > 1`` the panel's
-    (algorithm, rate) points run on pooled workers (see
-    :func:`repro.sim.sweep.sweep_algorithms`) with bitwise identical
-    per-point stats.
+    The guard is scoped to the panel's slug, so its journal and traces
+    land in ``<journal_path>/<slug>.journal.jsonl`` and
+    ``<telemetry_dir>/<slug>/`` and identical (algorithm, rate) points
+    of different panels never collide.  Every option is described in
+    :func:`repro.sim.sweep.sweep_algorithms`; with ``workers > 1`` the
+    per-point stats stay bitwise identical to a serial run.
     """
-    return sweep_panel(
-        panel_slug(panel.name), panel_config(panel, preset, seed), algorithms,
-        panel.rates, progress, telemetry_dir, guard, workers,
-    )
-
-
-def sweep_panel(
-    slug: str,
-    config: SimulationConfig,
-    algorithms: tuple[str, ...],
-    rates: tuple[float, ...],
-    progress,
-    telemetry_dir,
-    guard: SweepGuard | None,
-    workers: int,
-) -> dict[str, BNFCurve]:
-    """Sweep one figure panel (Figure 10 or 11) under its own *slug*.
-
-    The slug names the panel's trace directory under *telemetry_dir*
-    and its journal under the guard's journal directory, so identical
-    (algorithm, rate) points of different panels never collide.
-    """
-    if telemetry_dir is not None:
-        telemetry_dir = Path(telemetry_dir) / slug
     return sweep_algorithms(
-        config,
-        algorithms,
-        rates,
-        progress,
-        telemetry_dir=telemetry_dir,
-        workers=workers,
-        **(guard.scoped(slug).sweep_kwargs() if guard else {}),
+        panel_config(panel, preset, seed), algorithms, panel.rates, progress,
+        **guard.scoped(panel.slug).sweep_kwargs(),
     )
-
-
-def panel_slug(name: str) -> str:
-    """Filesystem-safe directory name for a panel."""
-    return "".join(c if c.isalnum() or c in "-x" else "_" for c in name).strip("_")
 
 
 def run_figure10(
@@ -155,9 +144,7 @@ def run_figure10(
     algorithms: tuple[str, ...] = TIMING_ALGORITHMS,
     seed: int = 42,
     progress=None,
-    telemetry_dir=None,
-    guard: SweepGuard | None = None,
-    workers: int = 1,
+    guard: SweepGuard = SweepGuard(),
 ) -> Figure10Result:
     """Regenerate every panel of Figure 10."""
     result = Figure10Result(preset=preset)
@@ -165,8 +152,7 @@ def run_figure10(
         if progress is not None:
             progress(f"--- {panel.name} ---")
         result.panels[panel.name] = run_panel(
-            panel, preset, algorithms, seed, progress, telemetry_dir, guard,
-            workers,
+            panel, preset, algorithms, seed, progress, guard
         )
     return result
 

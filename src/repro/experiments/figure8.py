@@ -13,8 +13,11 @@ from dataclasses import dataclass, replace
 
 from repro.core.registry import STANDALONE_ALGORITHMS
 from repro.experiments.report import matches_report
-from repro.sim.standalone import StandaloneConfig, find_mcm_saturation_load
-from repro.sim.sweep import sweep_standalone
+from repro.sim.standalone import (
+    StandaloneConfig,
+    find_mcm_saturation_load,
+    measure_matches,
+)
 
 #: Fractions of the MCM saturation load along the x-axis.
 DEFAULT_FRACTIONS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
@@ -59,16 +62,18 @@ def run_figure8(
     saturation = find_mcm_saturation_load(base, backend=backend)
     series: dict[str, tuple[float, ...]] = {}
     for algorithm in algorithms:
-        configs = [
-            replace(
-                base,
-                algorithm=algorithm,
-                load=max(1, round(fraction * saturation)),
+        series[algorithm] = tuple(
+            measure_matches(
+                replace(
+                    base,
+                    algorithm=algorithm,
+                    load=max(1, round(fraction * saturation)),
+                ),
+                faults=faults,
+                backend=backend,
             )
             for fraction in fractions
-        ]
-        values = sweep_standalone(configs, faults=faults, backend=backend)
-        series[algorithm] = tuple(values)
+        )
     return Figure8Result(
         saturation_load=saturation, fractions=tuple(fractions), series=series
     )

@@ -12,8 +12,11 @@ from dataclasses import dataclass, replace
 
 from repro.core.registry import STANDALONE_ALGORITHMS
 from repro.experiments.report import matches_report
-from repro.sim.standalone import StandaloneConfig, find_mcm_saturation_load
-from repro.sim.sweep import sweep_standalone
+from repro.sim.standalone import (
+    StandaloneConfig,
+    find_mcm_saturation_load,
+    measure_matches,
+)
 
 DEFAULT_OCCUPANCIES = (0.0, 0.25, 0.5, 0.75)
 
@@ -52,14 +55,17 @@ def run_figure9(
     saturation = find_mcm_saturation_load(base, backend=backend)
     series: dict[str, tuple[float, ...]] = {}
     for algorithm in algorithms:
-        configs = [
-            replace(
-                base, algorithm=algorithm, load=saturation, occupancy=occupancy
+        series[algorithm] = tuple(
+            measure_matches(
+                replace(
+                    base, algorithm=algorithm, load=saturation,
+                    occupancy=occupancy,
+                ),
+                faults=faults,
+                backend=backend,
             )
             for occupancy in occupancies
-        ]
-        values = sweep_standalone(configs, faults=faults, backend=backend)
-        series[algorithm] = tuple(values)
+        )
     return Figure9Result(
         saturation_load=saturation,
         occupancies=tuple(occupancies),

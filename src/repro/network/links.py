@@ -128,15 +128,6 @@ class LinkRetrySpec:
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
 
-    def backoff_cycles(self, attempt: int) -> float:
-        """Nominal core cycles before retransmission *attempt* (0-based).
-
-        This is the un-jittered policy value; the fault injector's
-        :meth:`~repro.resilience.faults.FaultInjector.retry_backoff_cycles`
-        applies the seeded jitter on top.
-        """
-        return self.backoff_base_cycles * self.backoff_factor**attempt
-
 
 DEFAULT_CLOCKS = ClockSpec()
 DEFAULT_LINK = LinkSpec()

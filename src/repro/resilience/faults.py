@@ -165,9 +165,10 @@ class FaultInjector:
     def retry_backoff_cycles(self, attempt: int) -> float:
         """Jittered core cycles before retransmission *attempt* (0-based).
 
-        Scales :meth:`LinkRetrySpec.backoff_cycles` by a seeded uniform
-        factor in ``[1 - jitter, 1 + jitter]`` so simultaneous faulted
-        packets de-synchronize instead of retrying in lockstep.  The
+        Scales the :class:`LinkRetrySpec` policy's nominal
+        ``backoff_base_cycles * backoff_factor**attempt`` by a seeded
+        uniform factor in ``[1 - jitter, 1 + jitter]`` so simultaneous
+        faulted packets de-synchronize instead of retrying in lockstep.  The
         draw comes from the injector's dedicated backoff stream, so a
         given fault seed replays the exact same jitter schedule.
         """

@@ -10,8 +10,7 @@ or a fleet is given:
   :class:`~repro.sim.sweep.PointSpec` *per attempt* to the
   :class:`~repro.resilience.PointSupervisor` scheduler -- over local
   spawn workers or (``fleet=...``) a remote fleet -- reschedules failed
-  attempts itself (backoff waits in the parent, so a backing-off point
-  never occupies a worker slot) and hands every result to the sweep's
+  attempts itself and hands every result to the sweep's
   :class:`~repro.sim.sweep.Landing` as it completes;
 * each **worker** runs :func:`run_point_attempt`, i.e. the serial
   executor's :func:`~repro.sim.sweep.run_attempt`, and writes its own
@@ -51,7 +50,6 @@ from repro.sim.sweep import (
     PointResult,
     PointSpec,
     SweepPointError,
-    backoff_delay,
     run_attempt,
     trace_filename,
 )
@@ -248,8 +246,7 @@ def _drain(
                     continue
                 if result.attempts < landing.max_attempts:
                     specs[key] = replace(spec, attempt=result.attempts)
-                    delay_s = backoff_delay(spec.retry_backoff_s, result.attempts)
-                    supervisor.submit(key, specs[key], delay_s=delay_s)
+                    supervisor.submit(key, specs[key])
                 else:
                     failed[key] = result.error
                     attempts[key] = result.attempts

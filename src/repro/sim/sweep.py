@@ -2,11 +2,13 @@
 
 :func:`sweep_algorithms` is the one sweep driver, and its docstring the
 one place every sweep option (guards, journal, resume, retries,
-workers) is described.  It plans the pending (algorithm, rate) points
-as :class:`PointSpec`, lets an *executor* decide who runs each
-attempt, and lands every :class:`PointResult` through one
-:class:`Landing` -- journal record, progress line, curve point -- so
-a serial sweep and a pooled one differ only in the executor:
+workers, traces) is described; :class:`SweepGuard` carries all of
+them as one object from the command line to the figure runner.  The
+driver plans the pending (algorithm, rate) points as
+:class:`PointSpec`, lets an *executor* decide who runs each attempt,
+and lands every :class:`PointResult` through one :class:`Landing` --
+journal record, progress line, curve point -- so a serial sweep and a
+pooled one differ only in the executor:
 
 * the **serial executor** (:func:`_run_serial`) calls
   :func:`run_attempt` in this process, point by point in sweep order.
@@ -19,7 +21,6 @@ a serial sweep and a pooled one differ only in the executor:
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -68,15 +69,16 @@ def parse_trace_filename(name: str) -> tuple[str, float]:
 
 @dataclass(frozen=True)
 class SweepGuard:
-    """One bundle of resilience settings for a (multi-)sweep.
+    """Every option of a figure sweep, as one object.
 
-    The figure runners (:mod:`repro.experiments.figure10` / ``figure11``)
-    and the CLI thread this single object down to
-    :func:`sweep_algorithms` instead of loose keyword arguments; every
-    field but ``journal_path`` is that function's option of the same
-    name.  ``journal_path`` may be a directory; :meth:`scoped` then
-    derives a per-panel journal file so identical (algorithm, rate)
-    points in different panels never collide.
+    The CLI builds one and the figure runner
+    (:func:`repro.experiments.figure10.run_panel`) hands it to
+    :func:`sweep_algorithms`; every field but ``journal_path`` is that
+    function's option of the same name.  ``journal_path`` and
+    ``telemetry_dir`` may be directories shared by several panels;
+    :meth:`scoped` then derives each panel's journal file and trace
+    directory so identical (algorithm, rate) points in different panels
+    never collide.
     """
 
     faults: FaultConfig | None = None
@@ -85,17 +87,20 @@ class SweepGuard:
     journal_path: Path | str | None = None
     resume: bool = False
     max_attempts: int = 1
-    retry_backoff_s: float = 0.0
     supervisor: SupervisorConfig | None = None
     fleet: object | None = None
+    telemetry_dir: Path | str | None = None
+    workers: int = 1
 
     def scoped(self, name: str) -> "SweepGuard":
-        """A copy whose journal lives at ``<journal_path>/<name>.journal.jsonl``."""
-        if self.journal_path is None:
-            return self
+        """A copy whose journal lives at ``<journal_path>/<name>.journal.jsonl``
+        and whose traces go to ``<telemetry_dir>/<name>/`` (each when set)."""
+        journal, traces = self.journal_path, self.telemetry_dir
         return replace(
             self,
-            journal_path=Path(self.journal_path) / f"{name}.journal.jsonl",
+            journal_path=None if journal is None
+            else Path(journal) / f"{name}.journal.jsonl",
+            telemetry_dir=None if traces is None else Path(traces) / name,
         )
 
     def sweep_kwargs(self) -> dict:
@@ -140,7 +145,6 @@ class PointSpec:
     faults: FaultConfig | None
     invariants: InvariantConfig | None
     watchdog: WatchdogConfig | None
-    retry_backoff_s: float
     #: which attempt this spec runs (0-based); the executor bumps it
     #: when rescheduling a failed point, and :func:`_run_point` derives
     #: the attempt's seed bumps from it.
@@ -250,9 +254,8 @@ def run_attempt(spec: PointSpec, heartbeat=None) -> PointResult:
 
     Both executors call this -- the serial loop directly, a pooled
     worker through :func:`repro.sim.parallel.run_point_attempt` -- so a
-    point's result never depends on who ran it.  Retry scheduling (and
-    its backoff sleep) is the executor's job: a failed attempt returns
-    immediately.  *heartbeat* is threaded into the simulator's
+    point's result never depends on who ran it.  Retry scheduling is
+    the executor's job: a failed attempt returns immediately.  *heartbeat* is threaded into the simulator's
     heartbeat tick (the beat comes from inside the event loop, so a
     wedged simulation goes silent and gets reaped).
     """
@@ -266,13 +269,6 @@ def run_attempt(spec: PointSpec, heartbeat=None) -> PointResult:
             error=f"{type(error).__name__}: {error}",
         )
     return PointResult(algorithm, spec.rate, spec.attempt + 1, point, resilience)
-
-
-def backoff_delay(retry_backoff_s: float, next_attempt: int) -> float:
-    """Exponential wall-clock backoff before (0-based) *next_attempt*."""
-    if next_attempt <= 0 or retry_backoff_s <= 0:
-        return 0.0
-    return retry_backoff_s * 2 ** (next_attempt - 1)
 
 
 @dataclass
@@ -340,7 +336,6 @@ def _run_serial(pending: list[PointSpec], landing: Landing) -> None:
                     result.algorithm, result.rate, result.attempts, result.error
                 )
             spec = replace(spec, attempt=result.attempts)
-            time.sleep(backoff_delay(spec.retry_backoff_s, spec.attempt))
 
 
 def sweep_algorithms(
@@ -356,7 +351,6 @@ def sweep_algorithms(
     journal: SweepJournal | None = None,
     resume: bool = False,
     max_attempts: int = 1,
-    retry_backoff_s: float = 0.0,
     workers: int = 1,
     supervisor: SupervisorConfig | None = None,
     fleet=None,
@@ -398,8 +392,6 @@ def sweep_algorithms(
         max_attempts: tries per point before giving up; retries bump
             the simulation and fault seeds so a deterministic failure
             is not replayed verbatim.
-        retry_backoff_s: wall-clock wait before attempt *n* grows as
-            ``retry_backoff_s * 2**(n-1)`` (0 disables waiting).
         workers: 1 (the default) runs every point in this process, in
             sweep order, and raises :class:`SweepPointError` at the
             first point that exhausts *max_attempts*.  With
@@ -446,7 +438,6 @@ def sweep_algorithms(
                 faults=faults,
                 invariants=invariants,
                 watchdog=watchdog,
-                retry_backoff_s=retry_backoff_s,
             ))
     with journal.lock() if journal is not None else nullcontext():
         if pooled:
@@ -478,35 +469,6 @@ def sweep_algorithm(
     """
     curves = sweep_algorithms(config, (config.algorithm,), rates, **options)
     return curves[config.algorithm]
-
-
-def sweep_standalone(
-    configs: Sequence,
-    faults=None,
-    backend: str = "object",
-    progress: Callable[[str], None] | None = None,
-) -> list[float]:
-    """Mean matches for a list of standalone-model configurations.
-
-    The standalone twin of :func:`sweep_algorithm`: the Figure 8/9
-    runners build one :class:`~repro.sim.standalone.StandaloneConfig`
-    per curve point and this evaluates them in order.  *backend*
-    selects the object oracle or the vectorized kernels for every
-    point; *faults* applies one matching-layer fault schedule to all
-    of them.
-    """
-    from repro.sim.standalone import measure_matches
-
-    means: list[float] = []
-    for config in configs:
-        mean = measure_matches(config, faults=faults, backend=backend)
-        means.append(mean)
-        if progress is not None:
-            progress(
-                f"{config.algorithm} load={config.load} "
-                f"occ={config.occupancy:.2g} -> {mean:.3f} matches"
-            )
-    return means
 
 
 def geometric_rates(low: float, high: float, count: int) -> list[float]:

@@ -108,7 +108,7 @@ class TestRealShrink:
 
 
 class TestMinimalRecord:
-    def test_minimal_json_is_replayable(self, tmp_path):
+    def test_minimal_json_rebuilds_the_scenario(self, tmp_path):
         minimal, steps = shrink_scenario(
             noisy_deadlock(), run=stall_only_oracle
         )

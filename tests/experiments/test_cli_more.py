@@ -63,8 +63,30 @@ class TestSupervisorFlags:
         assert supervisor.heartbeat_stale_s == 30.0
         assert supervisor.quarantine_after == 3
 
-    def test_serial_run_builds_no_guard(self):
-        assert self._guard() is None
+    def test_flagless_guard_yields_the_sweep_defaults(self):
+        """A plain serial line sweeps with sweep_algorithms' defaults; the
+        supervisor is the one exception, and the serial executor ignores
+        it."""
+        import inspect
+
+        from repro.sim.sweep import sweep_algorithms
+
+        kwargs = self._guard().sweep_kwargs()
+        supervisor = kwargs.pop("supervisor")
+        assert supervisor.point_timeout_s is None
+        assert supervisor.quarantine_after == 3
+        parameters = inspect.signature(sweep_algorithms).parameters
+        assert kwargs == {name: parameters[name].default for name in kwargs}
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--max-attempts", "0"), "--max-attempts must be at least 1"),
+        (("--max-attempts", "-2"), "--max-attempts must be at least 1"),
+        (("--quarantine-after", "0"), "--quarantine-after must be at least 1"),
+    ])
+    def test_bad_retry_flags_refused_on_a_serial_line(self, flags, message):
+        """Refused before any point runs, with no other flag on the line."""
+        with pytest.raises(SystemExit, match=message):
+            self._guard(*flags)
 
     def test_bad_values_rejected(self):
         with pytest.raises(SystemExit, match="quarantine-after"):

@@ -68,15 +68,15 @@ class TestFigure10:
 
 class TestFigure11:
     def test_panel_definitions_match_the_paper(self):
-        by_key = {panel.key: panel for panel in figure11.PANELS}
-        assert by_key["a"].pipeline_scale == 2
-        assert by_key["b"].mshr_limit == 64
-        assert (by_key["c"].width, by_key["c"].height) == (12, 12)
+        by_letter = {figure11.letter(panel): panel for panel in figure11.PANELS}
+        assert by_letter["a"].pipeline_scale == 2
+        assert by_letter["b"].mshr_limit == 64
+        assert (by_letter["c"].width, by_letter["c"].height) == (12, 12)
 
     def test_single_panel_smoke(self):
-        panel = figure11.ScalingPanel(
-            "a", "tiny 2x", 4, 4, mshr_limit=16, pipeline_scale=2,
-            rates=(0.02,),
+        panel = figure10.Panel(
+            "tiny 2x", 4, 4, "uniform", (0.02,), pipeline_scale=2,
+            slug="fig11a",
         )
         result = figure11.run_figure11(preset="smoke", panels=(panel,))
         text = figure11.format_figure11(result)

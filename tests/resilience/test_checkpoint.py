@@ -397,6 +397,15 @@ class TestSweepGuard:
         # No journal directory: scoping is a no-op.
         assert SweepGuard().scoped("4x4_random") == SweepGuard()
 
+    def test_scoped_derives_per_panel_trace_dirs(self, tmp_path):
+        scoped = SweepGuard(
+            journal_path=tmp_path / "j", telemetry_dir=tmp_path / "t"
+        ).scoped("fig11b")
+        assert scoped.journal_path == tmp_path / "j" / "fig11b.journal.jsonl"
+        assert scoped.telemetry_dir == tmp_path / "t" / "fig11b"
+        unset = SweepGuard(max_attempts=2).scoped("fig11b")
+        assert unset.journal_path is None and unset.telemetry_dir is None
+
     def test_sweep_kwargs_builds_a_journal(self, tmp_path):
         guard = SweepGuard(
             faults=FaultConfig(seed=1, flit_drop_rate=1e-3),

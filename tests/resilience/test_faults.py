@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.network.links import LinkRetrySpec
+from repro.resilience.backoff import jittered_backoff
 from repro.resilience.faults import (
     REASON_LINK_RETRIES_EXHAUSTED,
     FaultConfig,
@@ -74,9 +75,11 @@ class TestFaultConfig:
 class TestRetrySpec:
     def test_backoff_is_exponential(self):
         retry = LinkRetrySpec(backoff_base_cycles=4.0, backoff_factor=2.0)
-        assert retry.backoff_cycles(0) == 4.0
-        assert retry.backoff_cycles(1) == 8.0
-        assert retry.backoff_cycles(3) == 32.0
+        delays = [
+            jittered_backoff(retry.backoff_base_cycles, retry.backoff_factor, n)
+            for n in (0, 1, 3)
+        ]
+        assert delays == [4.0, 8.0, 32.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -151,7 +151,6 @@ class TestPlumbing:
             faults=None,
             invariants=None,
             watchdog=None,
-            retry_backoff_s=0.0,
         )
         restored = pickle.loads(pickle.dumps(spec))
         result = run_point_attempt(restored)
