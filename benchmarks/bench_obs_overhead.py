@@ -1,11 +1,11 @@
 """Telemetry overhead: what enabled telemetry costs a timing run.
 
-Disabled telemetry needs no timing gate: every instrumented site (the
-router, the timing model, the callers of ``Arbiter.arbitrate``) tests
-``tel.enabled`` first, and the default
-:data:`~repro.obs.telemetry.NULL_TELEMETRY` has flags but no hooks, so
-a site that forgets its guard raises ``AttributeError`` in every test
-that runs it (``tests/obs/test_telemetry.py``).
+Disabled telemetry needs no timing gate: telemetry off is ``None``,
+every instrumented site (the timing model's launch, pass and resolve
+records, the callers of ``Arbiter.arbitrate``, the resilience checks)
+tests ``tel is not None`` first, and the router and the arbiters hold
+no telemetry at all, so a site that forgets its guard raises
+``AttributeError`` in every untraced test that runs it.
 
 These benches run the same simulation interleaved A/B against a run
 without telemetry and report (without a tight gate -- the cost is real

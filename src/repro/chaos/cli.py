@@ -98,8 +98,8 @@ def _bundle(args: argparse.Namespace) -> dict:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    _bundle(args)  # refused before anything runs
-    result = replay_bundle(args.bundle, trace_path=args.trace)
+    record = _bundle(args)  # refused before anything runs
+    result = replay_bundle(record, trace_path=args.trace)
     print(result.describe())
     return 0 if result.reproduced else 1
 

@@ -56,11 +56,20 @@ def write_bundle(
 
 
 def load_bundle(path: str | Path) -> dict:
-    """Read and sanity-check one bundle file."""
+    """Read and check one bundle file.
+
+    Everything that makes a file no replayable bundle -- not a JSON
+    object, the wrong kind or schema, a scenario or outcome that does
+    not rebuild, an outcome whose recorded digest no longer matches --
+    raises ``ValueError`` (or ``OSError`` for an unreadable path), so
+    the CLI refuses every malformed bundle in one line.
+    """
     path = Path(path)
     if path.is_dir():
         path = path / "bundle.json"
     record = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: not a chaos replay bundle (not a JSON object)")
     if record.get("kind") != "chaos-bundle":
         raise ValueError(
             f"{path}: not a chaos replay bundle (kind {record.get('kind')!r})"
@@ -70,6 +79,15 @@ def load_bundle(path: str | Path) -> dict:
             f"{path}: bundle schema v{record.get('schema')} does not match "
             f"this reader (v{BUNDLE_SCHEMA})"
         )
+    try:
+        ChaosScenario.from_dict(record["scenario"])
+        ScenarioOutcome.from_dict(record["outcome"])
+    except (KeyError, TypeError) as error:
+        raise ValueError(
+            f"{path}: malformed bundle ({type(error).__name__}: {error})"
+        ) from error
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from error
     return record
 
 
@@ -112,17 +130,19 @@ class ReplayResult:
 
 
 def replay_bundle(
-    path: str | Path, trace_path: str | Path | None = None
+    bundle: str | Path | dict, trace_path: str | Path | None = None
 ) -> ReplayResult:
     """Re-execute a bundle's scenario and compare against its record.
 
-    The scenario is reconstructed entirely from the bundle -- nothing
-    from the original campaign directory is consulted -- so a bundle
-    copied to another machine replays the same.  The recorded outcome's
-    digest is verified on load (a hand-edited bundle fails loudly
-    rather than "reproducing" a fiction).
+    *bundle* is a bundle path (file or directory) or a record
+    :func:`load_bundle` already returned.  The scenario is
+    reconstructed entirely from the bundle -- nothing from the original
+    campaign directory is consulted -- so a bundle copied to another
+    machine replays the same.  The recorded outcome's digest is
+    verified on load (a hand-edited bundle fails loudly rather than
+    "reproducing" a fiction).
     """
-    record = load_bundle(path)
+    record = bundle if isinstance(bundle, dict) else load_bundle(bundle)
     scenario = ChaosScenario.from_dict(record["scenario"])
     original = ScenarioOutcome.from_dict(record["outcome"])
     replayed = run_scenario(scenario, trace_path)

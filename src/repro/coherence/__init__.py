@@ -5,7 +5,6 @@ from repro.coherence.protocol import CoherenceEngine, ProtocolHost
 from repro.coherence.transactions import (
     Transaction,
     TransactionKind,
-    TransactionLog,
 )
 
 __all__ = [
@@ -14,5 +13,4 @@ __all__ = [
     "ProtocolHost",
     "Transaction",
     "TransactionKind",
-    "TransactionLog",
 ]

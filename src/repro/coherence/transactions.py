@@ -10,7 +10,7 @@ which may cross many routers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class TransactionKind(enum.Enum):
@@ -55,14 +55,3 @@ class Transaction:
     def complete(self) -> bool:
         return self.completed_at is not None
 
-
-@dataclass
-class TransactionLog:
-    """Optional in-memory log of completed transactions (examples, tests)."""
-
-    completed: list[Transaction] = field(default_factory=list)
-    keep: bool = False
-
-    def record(self, transaction: Transaction) -> None:
-        if self.keep:
-            self.completed.append(transaction)

@@ -12,9 +12,8 @@ package makes them measurable:
 * :mod:`repro.obs.sink` -- ``NullSink`` / ``MemorySink`` /
   ``JsonlSink`` trace outputs;
 * :mod:`repro.obs.manifest` -- the run manifest heading every trace;
-* :mod:`repro.obs.telemetry` -- the facade the simulators talk to,
-  with a :data:`~repro.obs.telemetry.NULL_TELEMETRY` fast path so
-  disabled telemetry costs one branch;
+* :mod:`repro.obs.telemetry` -- the facade the simulators talk to;
+  telemetry off is ``None``, so a disabled site costs one branch;
 * :mod:`repro.obs.analysis` / :mod:`repro.obs.cli` -- the
   ``repro obs`` trace reader (``summarize`` / ``diff`` / ``ports``);
 * :mod:`repro.obs.perf` -- structured benchmark records
@@ -52,10 +51,9 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 from repro.obs.sink import JsonlSink, MemorySink, NullSink, TraceSink, read_jsonl
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.telemetry import Telemetry
 
 __all__ = [
-    "NULL_TELEMETRY",
     "OBS_SCHEMA_VERSION",
     "RECORD_FIELDS",
     "AreaRecord",

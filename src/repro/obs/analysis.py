@@ -16,6 +16,7 @@ from pathlib import Path
 from repro.obs.events import OBS_SCHEMA_VERSION
 from repro.obs.manifest import RunManifest
 from repro.obs.sink import read_jsonl
+from repro.router.ports import OutputPort
 
 
 @dataclass
@@ -255,11 +256,6 @@ def summarize_trace(path: str | Path, strict_schema: bool = True) -> TraceSummar
 
 def output_port_name(output: int) -> str:
     """Human name for an output-port index (falls back to the number)."""
-    # Imported lazily: repro.router imports repro.core which imports
-    # repro.obs.telemetry, so a module-level import here would close an
-    # import cycle through the obs package __init__.
-    from repro.router.ports import OutputPort
-
     try:
         return OutputPort(output).name
     except ValueError:

@@ -2,11 +2,13 @@
 
 One :class:`Telemetry` object aggregates a metrics registry and a trace
 sink behind the narrow set of hooks the hot paths call.  The design
-rule is *one branch when disabled*: every instrumented site reads
-``self.telemetry`` (a plain attribute, defaulting to
-:data:`NULL_TELEMETRY`) and tests ``.enabled`` before doing any work,
-so a simulation without telemetry pays an attribute load and a
-predictable branch -- nothing else.
+rule is *one branch when disabled*: telemetry off is ``None``, and
+every instrumented site tests ``tel is not None`` before doing any
+work, so a simulation without telemetry pays an attribute load and a
+predictable branch -- nothing else.  Only the simulators, the
+supervisors and the resilience checks hold a Telemetry; the model
+layer (``core``, ``router``, ``network``, ``coherence``) never sees
+one: its callers record what it did.
 
 Within an enabled Telemetry there are still two tiers:
 
@@ -42,8 +44,6 @@ LATENCY_BOUNDS_CYCLES = tuple(float(2**e) for e in range(5, 17))
 
 class Telemetry:
     """Live telemetry: counters + optional trace events."""
-
-    enabled = True
 
     def __init__(self, sink: TraceSink | None = None) -> None:
         self.sink = sink if sink is not None else NullSink()
@@ -212,10 +212,11 @@ class Telemetry:
     ) -> None:
         """One arbitration pass of *algorithm*.
 
-        Called by whoever ran the arbiter (the router's GA stage, the
-        standalone model) with the number of nominations it passed in
-        and of grants it got back, before any fault filters them; every
-        nomination left unserved is a conflict.  *wasted* is the
+        Called by whoever ran the arbiter (the timing simulator's pass
+        recorder at the router's GA stage, the standalone model) with
+        the number of nominations it passed in and of grants it got
+        back, before any fault filters them; every nomination left
+        unserved is a conflict.  *wasted* is the
         arbiter's ``wasted_grants`` (PIM's accept-step waste).
         """
         series = self._algo_series.get(algorithm)
@@ -505,22 +506,3 @@ class Telemetry:
             key: series[0].value for key, series in self._port_series.items()
         }
 
-
-class _NullTelemetry:
-    """The shared disabled singleton: the flags sites read, no hooks.
-
-    Every instrumented site tests ``.enabled`` (or ``.events``) before
-    it calls a hook, so this class has none: a call that forgets the
-    guard raises ``AttributeError`` in the tests instead of silently
-    paying a method call per event.
-    """
-
-    enabled = False
-    events = False
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: the module-wide disabled telemetry; hot paths default to this.
-NULL_TELEMETRY = _NullTelemetry()

@@ -55,7 +55,6 @@ from repro.resilience.invariants import (
     InvariantConfig,
     InvariantViolation,
     InvariantViolationError,
-    ResilienceReport,
 )
 from repro.resilience.watchdog import (
     DeadlockError,
@@ -80,7 +79,6 @@ __all__ = [
     "PointSupervisor",
     "ProgressWatchdog",
     "REASON_LINK_RETRIES_EXHAUSTED",
-    "ResilienceReport",
     "SupervisorConfig",
     "SupervisorEvent",
     "SweepJournal",

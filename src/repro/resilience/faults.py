@@ -21,8 +21,9 @@ given (config, seed) pair replays the exact same fault schedule:
 The injector interposes at two seams: the timing model consults
 :meth:`FaultInjector.link_fault` on every link arrival, and the router
 calls :meth:`FaultInjector.filter_grants` (installed as
-``Router.grant_filter``) between the arbitration algorithm and grant
-application.  Both seams cost a single ``is None`` check when no
+``Router.grant_filter``, or chained from the simulator's pass recorder
+when telemetry is attached) between the arbitration algorithm and
+grant application.  Both seams cost a single ``is None`` check when no
 injector is attached.
 """
 
@@ -214,7 +215,7 @@ class FaultInjector:
         end = config.stall_start_cycle + config.stall_cycles
         return config.stall_start_cycle <= now < end
 
-    def filter_grants(self, router, launch, live, grants, now):
+    def filter_grants(self, router, launch, live, grants, now, telemetry=None):
         """``Router.grant_filter`` hook: break individual grants.
 
         Suppressed grants simply vanish from the grant list -- the
@@ -224,12 +225,13 @@ class FaultInjector:
         nomination's other candidate output, but only when that
         alternate hop plan is still ready, so flow control stays
         honest (the fault changes the decision, not the physics).
+        The injected faults are recorded on *telemetry* when given.
         """
         config = self.config
-        tel = router.telemetry
+        tel = telemetry
         if self.stalled(router.node, now):
             self.counts["stall-blocked"] += len(grants)
-            if tel.enabled and grants:
+            if tel is not None and grants:
                 tel.on_grant_fault(now, router.node, "stall-blocked", len(grants))
             return []
         rng = self._rng
@@ -259,11 +261,11 @@ class FaultInjector:
             kept.append(grant)
         if suppressed:
             self.counts["grant-suppressed"] += suppressed
-            if tel.enabled:
+            if tel is not None:
                 tel.on_grant_fault(now, router.node, "grant-suppressed", suppressed)
         if misrouted:
             self.counts["grant-misrouted"] += misrouted
-            if tel.enabled:
+            if tel is not None:
                 tel.on_grant_fault(now, router.node, "grant-misrouted", misrouted)
         return kept
 

@@ -200,7 +200,7 @@ class InvariantChecker:
         if found:
             self.violations.extend(found)
             tel = sim.telemetry
-            if tel.enabled:
+            if tel is not None:
                 for violation in found:
                     tel.on_invariant_violation(
                         violation.time, violation.name, violation.detail
@@ -366,26 +366,3 @@ class ArbitrationInvariants:
             if self.fail_fast:
                 raise InvariantViolationError([violation]) from error
 
-
-@dataclass
-class ResilienceReport:
-    """Aggregate outcome of a guarded run (sweeps attach one per point)."""
-
-    invariant_violations: int = 0
-    watchdog_fires: int = 0
-    faults_injected: int = 0
-    packets_dropped: int = 0
-    link_retries: int = 0
-    attempts: int = 1
-    resumed: bool = False
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResilienceReport":
-        report = cls()
-        for key, value in data.items():
-            if hasattr(report, key):
-                setattr(report, key, value)
-        return report

@@ -382,7 +382,7 @@ class PointSupervisor:
                 self._leases.beat(task_id)
         elif not live:
             self._counts["duplicates"] += 1
-            if self.telemetry is not None and self.telemetry.enabled:
+            if self.telemetry is not None:
                 self.telemetry.on_duplicate_result(
                     time.monotonic() - self._started,
                     "<unknown>" if task_id is None else str(task_id),
@@ -408,7 +408,7 @@ class PointSupervisor:
 
     def _record_crash(self, kind: str, task_id: Any, detail: str) -> None:
         count = self._leases.record_crash(task_id)
-        tracing = self.telemetry is not None and self.telemetry.enabled
+        tracing = self.telemetry is not None
         elapsed = time.monotonic() - self._started
         if kind == "timeout":
             self._counts["timeouts"] += 1

@@ -111,7 +111,7 @@ class ProgressWatchdog:
                 # cured the stall, so it was a lost wake-up.
                 self.remediated += 1
                 tel = sim.telemetry
-                if tel.enabled:
+                if tel is not None:
                     tel.on_watchdog_remediation(sim.now, "remediated")
             self._kick_state = None  # re-arm for the next episode
             return None
@@ -141,7 +141,7 @@ class ProgressWatchdog:
             self.deadlocked += 1
             diagnostic["verdict"] = "deadlocked"
             tel = sim.telemetry
-            if tel.enabled:
+            if tel is not None:
                 tel.on_watchdog_remediation(sim.now, "deadlocked")
         elif self.config.remediate:
             diagnostic["verdict"] = "deadlocked"
@@ -149,7 +149,7 @@ class ProgressWatchdog:
         if len(self.diagnostics) < self.config.max_snapshots:
             self.diagnostics.append(diagnostic)
         tel = sim.telemetry
-        if tel.enabled:
+        if tel is not None:
             tel.on_watchdog(sim.now, diagnostic)
         if raise_now:
             raise DeadlockError(diagnostic)

@@ -16,8 +16,9 @@ drives it with two calls per arbitration *launch*:
   (buffer departure, output busy time, downstream reservation) and
   releases the losers for re-nomination.
 
-Everything timing related (when launches happen, event scheduling) is
-the simulator's job; the router is purely reactive.
+Everything timing related (when launches happen, event scheduling) and
+everything recorded about a launch (telemetry) is the simulator's job;
+the router is purely reactive.
 
 Launches far outnumber packet movements (beyond saturation three in
 four nominate nothing), so :meth:`nominate` reads a *nomination index*
@@ -52,7 +53,6 @@ from repro.network.routing import (
     escape_vc_after_hop,
 )
 from repro.network.topology import Direction, Torus2D
-from repro.obs.telemetry import NULL_TELEMETRY
 from repro.router.buffers import InputBuffer
 from repro.router.connection_matrix import ConnectionMatrix
 from repro.router.ports import (
@@ -111,6 +111,10 @@ class Launch:
     time: float
     nominations: list[Nomination]
     plans: dict[tuple[int, int, int], HopPlan]
+    #: nominations whose outputs were taken between nominate and
+    #: resolve -- the pipelined speculation window in action; set by
+    #: :meth:`Router.resolve`
+    dropped: int = 0
 
 
 @dataclass(slots=True)
@@ -119,6 +123,8 @@ class Dispatch:
 
     packet: Packet
     plan: HopPlan
+    #: the read port (row) whose nomination won
+    row: int
     grant_time: float
     service_cycles: float
 
@@ -126,13 +132,13 @@ class Dispatch:
 class Router:
     """One 21364 router inside the timing model."""
 
-    #: observability hook; the simulator swaps in a live Telemetry.
-    telemetry = NULL_TELEMETRY
-    #: fault-injection seam: when set, called between the arbitration
-    #: algorithm and grant application as ``filter(router, launch,
-    #: live, grants, now) -> grants`` (see repro.resilience.faults).
-    #: Packets whose grants are filtered out are released exactly like
-    #: arbitration losers, so flow control stays consistent.
+    #: the one seam between the arbitration algorithm and grant
+    #: application: when set, called as ``filter(router, launch, live,
+    #: grants, now) -> grants`` with the pass's classified nominations
+    #: and the algorithm's grants.  The simulator installs its pass
+    #: recorder and the fault injector here.  Packets whose grants are
+    #: filtered out are released exactly like arbitration losers, so
+    #: flow control stays consistent.
     grant_filter = None
 
     def __init__(
@@ -398,10 +404,6 @@ class Router:
                 port_nominations += 1
         if not nominations:
             return None
-        tel = self.telemetry
-        if tel.events:
-            for nom in nominations:
-                tel.on_nomination(now, self.node, nom.row, nom.packet, nom.outputs)
         return Launch(time=now, nominations=nominations, plans=plans)
 
     def _pick_for_row(
@@ -510,39 +512,18 @@ class Router:
             else:
                 speculation_drops += 1
                 self._in_flight.discard(nom.packet)
-        tel = self.telemetry
-        if tel.enabled and speculation_drops:
-            # The launch's output(s) were taken between nominate and
-            # resolve -- the pipelined speculation window in action.
-            tel.on_speculation_drops(speculation_drops)
+        launch.dropped = speculation_drops
         if not live:
             return []
 
-        antistarvation, arbiter = self.antistarvation, self.arbiter
-        draining = antistarvation.draining
-        live = antistarvation.classify(live, now)
-        grants = arbiter.arbitrate(live, _FREE_OUTPUT_SETS[free])
-        if tel.enabled:
-            if antistarvation.draining != draining:
-                # The flagged nominations are the old-colored packets
-                # that engaged draining; none are flagged once it ends.
-                tel.on_starvation(
-                    now,
-                    self.node,
-                    sum(nom.starving for nom in live),
-                    antistarvation.draining,
-                )
-            tel.on_arbitration(
-                arbiter.name, len(live), len(grants), arbiter.wasted_grants
-            )
+        live = self.antistarvation.classify(live, now)
+        grants = self.arbiter.arbitrate(live, _FREE_OUTPUT_SETS[free])
         if self.grant_filter is not None:
             grants = self.grant_filter(self, launch, live, grants, now)
         granted = {nom_key for nom_key in ((g.row, g.packet) for g in grants)}
         for nom in live:
             if (nom.row, nom.packet) not in granted:
                 self._in_flight.discard(nom.packet)
-        if tel.events and len(grants) < len(live):
-            tel.on_conflicts(now, self.node, arbiter.name, len(live) - len(grants))
         return [self._apply_grant(grant, launch, now) for grant in grants]
 
     def upstream_node(self, port: InputPort) -> int:
@@ -586,18 +567,12 @@ class Router:
         self.output_busy_until[int(plan.output)] = (
             now + self.output_tail_cycles + service
         )
-        tel = self.telemetry
-        if tel.enabled:
-            tel.on_dispatch(
-                now,
-                self.node,
-                grant.row,
-                packet.uid,
-                int(plan.output),
-                self.output_tail_cycles + service,
-            )
         return Dispatch(
-            packet=packet, plan=plan, grant_time=now, service_cycles=service
+            packet=packet,
+            plan=plan,
+            row=grant.row,
+            grant_time=now,
+            service_cycles=service,
         )
 
     def reset_arbitration_state(self) -> None:

@@ -64,9 +64,6 @@ class FleetTransport:
         self._tasks_by_token: dict[str, Any] = {}
         self._started = time.monotonic()
 
-    def _tracing(self) -> bool:
-        return self.telemetry is not None and self.telemetry.enabled
-
     def idle_holder(
         self, busy: Callable[[Any], Any]
     ) -> WorkerConnection | None:
@@ -99,7 +96,7 @@ class FleetTransport:
             raise
         self.stats["leases"] += 1
         self.stats["reassignments"] += reassigned
-        if self._tracing():
+        if self.telemetry is not None:
             self.telemetry.on_lease_granted(
                 time.monotonic() - self._started,
                 str(lease.task_id),
@@ -118,7 +115,7 @@ class FleetTransport:
             kind, worker = item[0], item[1]
             if kind == "join":
                 self.stats["worker_connects"] += 1
-                if self._tracing():
+                if self.telemetry is not None:
                     self.telemetry.on_worker_connect(
                         time.monotonic() - self._started, worker.name
                     )
@@ -154,7 +151,7 @@ class FleetTransport:
         # The remote analogue of reaping: drop the connection so a
         # wedged worker cannot later deliver a stale result as a live
         # one (and its process notices on reconnect).
-        if self._tracing():
+        if self.telemetry is not None:
             self.telemetry.on_lease_expired(
                 time.monotonic() - self._started,
                 str(lease.task_id),

@@ -6,8 +6,6 @@ from repro.sim.config import (
     NetworkConfig,
     SimulationConfig,
     TrafficConfig,
-    fast_run,
-    paper_run,
     saturation_buffer_plan,
 )
 from repro.sim.engine import EventQueue
@@ -84,12 +82,10 @@ __all__ = [
     "SweepPointError",
     "TrafficConfig",
     "UniformPattern",
-    "fast_run",
     "find_mcm_saturation_load",
     "geometric_rates",
     "make_pattern",
     "measure_matches",
-    "paper_run",
     "parse_trace_filename",
     "saturation_buffer_plan",
     "simulate",

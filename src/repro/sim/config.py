@@ -175,16 +175,6 @@ class SimulationConfig:
         return replace(self, algorithm=algorithm)
 
 
-def paper_run(config: SimulationConfig) -> SimulationConfig:
-    """Stretch a config to the paper's 75 000-cycle runs."""
-    return replace(config, warmup_cycles=15_000, measure_cycles=60_000)
-
-
-def fast_run(config: SimulationConfig) -> SimulationConfig:
-    """Shrink a config for benchmarks and smoke tests."""
-    return replace(config, warmup_cycles=4_000, measure_cycles=12_000)
-
-
 def saturation_buffer_plan() -> BufferPlan:
     """Lean buffering that lets tree saturation bind (see DESIGN.md §5).
 

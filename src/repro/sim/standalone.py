@@ -65,7 +65,7 @@ from repro.kernels.rng import (
     keyed_word,
     pack_key,
 )
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.router.connection_matrix import DEFAULT_CONNECTION_MATRIX, ConnectionMatrix
 from repro.router.ports import (
     InputPort,
@@ -267,7 +267,7 @@ class StandaloneRouterModel:
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.config = config
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = telemetry
         self.invariants = invariants
         #: optional liveness callable (see repro.resilience.supervisor),
         #: driven every few trials from inside :meth:`run`'s loop.
@@ -316,7 +316,7 @@ class StandaloneRouterModel:
                 f"extra ({kernels.INSTALL_HINT}) or use backend='object'"
             )
         ok, reason = kernels.supports(self.config)
-        if ok and self.telemetry.enabled:
+        if ok and self.telemetry is not None:
             ok, reason = False, "telemetry requires the object backend"
         if ok and self.invariants is not None:
             ok, reason = False, "invariant checking requires the object backend"
@@ -338,7 +338,7 @@ class StandaloneRouterModel:
             )
         self._table = _packet_table(self.config)
         tel = self.telemetry
-        if tel.enabled:
+        if tel is not None:
             tel.open_run(self.config, model="standalone")
         stats = RunningStats()
         arbiter = self._arbiter
@@ -354,7 +354,7 @@ class StandaloneRouterModel:
             free_outputs = self._generate_free_outputs(trial)
             nominations = self._build_nominations(packets, free_outputs, trial)
             grants = arbiter.arbitrate(nominations, free_outputs)
-            if tel.enabled:
+            if tel is not None:
                 tel.on_arbitration(
                     arbiter.name, len(nominations), len(grants), arbiter.wasted_grants
                 )
@@ -370,7 +370,7 @@ class StandaloneRouterModel:
                 trial_hook(trial, grants)
             stats.add(float(len(grants)))
         self._table = None
-        if tel.enabled:
+        if tel is not None:
             tel.finalize(trials=self.config.trials, mean_matches=stats.mean)
         return stats
 

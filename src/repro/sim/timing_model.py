@@ -33,7 +33,7 @@ from repro.core.registry import ArbiterContext, algorithm_timing, make_arbiter
 from repro.network.channels import entry_channel
 from repro.network.packets import Packet
 from repro.network.topology import Torus2D
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.resilience.faults import (
     REASON_LINK_RETRIES_EXHAUSTED,
     FaultConfig,
@@ -64,8 +64,11 @@ class NetworkSimulator:
 
     Pass a :class:`repro.obs.telemetry.Telemetry` to collect arbitration
     counters, per-port utilization and (with a real sink) a JSONL
-    event trace; the default :data:`~repro.obs.telemetry.NULL_TELEMETRY`
-    keeps every instrumented site down to one branch.
+    event trace.  The router knows nothing of it: the simulator records
+    each launch after :meth:`Router.nominate`, each arbitration pass
+    from the router's ``grant_filter`` seam and each grant after
+    :meth:`Router.resolve`.  Without telemetry (``None``, the default)
+    every site is one ``is not None`` branch.
 
     The resilience layer (:mod:`repro.resilience`) attaches the same
     way: ``faults`` takes a :class:`~repro.resilience.FaultConfig` (or
@@ -91,7 +94,7 @@ class NetworkSimulator:
         #: driven from inside the event loop via a periodic tick, so a
         #: wedged loop stops beating -- which is the whole point.
         self.heartbeat = heartbeat
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = telemetry
         if faults is not None and not isinstance(faults, FaultInjector):
             faults = FaultInjector(faults)
         if invariants is not None and not isinstance(invariants, InvariantChecker):
@@ -148,9 +151,19 @@ class NetworkSimulator:
         self._wire_topology()
 
         self._link_faults_active = faults is not None and faults.affects_links
-        if faults is not None and faults.affects_grants:
-            for router in self.routers:
-                router.grant_filter = faults.filter_grants
+        self._grant_faults = (
+            faults if faults is not None and faults.affects_grants else None
+        )
+        #: per node, whether its last recorded pass left draining engaged
+        self._draining = [False] * self.topology.num_nodes
+        if telemetry is not None:
+            grant_filter = self._record_pass
+        elif self._grant_faults is not None:
+            grant_filter = self._grant_faults.filter_grants
+        else:
+            grant_filter = None
+        for router in self.routers:
+            router.grant_filter = grant_filter
 
         self.engine = CoherenceEngine(
             host=self,
@@ -181,9 +194,6 @@ class NetworkSimulator:
         self._on_delivery: list = []
         if invariants is not None:
             self.attach_observer(invariants)
-        if self.telemetry.enabled:
-            for router in self.routers:
-                router.telemetry = self.telemetry
 
     def _build_router(self, node: int, rng: random.Random) -> Router:
         context = ArbiterContext(
@@ -233,7 +243,7 @@ class NetworkSimulator:
         if self._in_window(self.queue.now):
             self.stats.packets_injected += 1
         tel = self.telemetry
-        if tel.enabled:
+        if tel is not None:
             tel.on_injection(
                 self.queue.now,
                 node,
@@ -249,7 +259,7 @@ class NetworkSimulator:
     def run(self) -> NetworkStats:
         """Simulate warmup + measurement and return the window's stats."""
         tel = self.telemetry
-        if tel.enabled:
+        if tel is not None:
             tel.open_run(self.config, model="timing")
         for node in range(self.topology.num_nodes):
             self.queue.schedule_at(
@@ -278,7 +288,7 @@ class NetworkSimulator:
         # Guarded runs are expected to be drained afterwards, and the
         # interesting diagnostics (drain-warn, drain-time watchdog
         # fires) happen there -- keep the sink open until then.
-        if tel.enabled and not self._guarded():
+        if tel is not None and not self._guarded():
             self._finalize_telemetry()
         return self.stats
 
@@ -339,7 +349,7 @@ class NetworkSimulator:
         self.drained_clean = clean
         self.stats.transactions_aborted = self.engine.transactions_aborted
         tel = self.telemetry
-        if tel.enabled:
+        if tel is not None:
             if not clean:
                 tel.on_drain_exhausted(
                     self.queue.now,
@@ -353,11 +363,8 @@ class NetworkSimulator:
     def bnf_point(self) -> BNFPoint:
         """Run and summarize as one Burton-Normal-Form point."""
         stats = self.run()
-        counters = (
-            self.telemetry.arbitration_summary()
-            if self.telemetry.enabled
-            else None
-        )
+        tel = self.telemetry
+        counters = tel.arbitration_summary() if tel is not None else None
         return BNFPoint(
             offered_rate=self.config.traffic.injection_rate,
             throughput=stats.delivered_flits_per_router_ns(),
@@ -454,6 +461,10 @@ class NetworkSimulator:
                 if next_free is not None:
                     self._request_launch(router, delay=next_free - now)
             return
+        tel = self.telemetry
+        if tel is not None and tel.events:
+            for nom in launch.nominations:
+                tel.on_nomination(now, router.node, nom.row, nom.packet, nom.outputs)
         router.last_launch_time = now
         self.queue.schedule_at(
             now + self.timing.decision_latency,
@@ -465,10 +476,56 @@ class NetworkSimulator:
     def _resolve(self, router: Router, launch: Launch) -> None:
         now = self.queue.now
         dispatches = router.resolve(now, launch)
+        tel = self.telemetry
+        if tel is not None:
+            if launch.dropped:
+                tel.on_speculation_drops(launch.dropped)
+            for dispatch in dispatches:
+                tel.on_dispatch(
+                    now,
+                    router.node,
+                    dispatch.row,
+                    dispatch.packet.uid,
+                    int(dispatch.plan.output),
+                    router.output_tail_cycles + dispatch.service_cycles,
+                )
         for dispatch in dispatches:
             self._apply_dispatch(router, dispatch)
         # Losers (and newly uncovered heads) can renominate immediately.
         self._request_launch(router)
+
+    def _record_pass(self, router: Router, launch: Launch, live, grants, now):
+        """The router's ``grant_filter`` while telemetry is attached.
+
+        Sees each arbitration pass between the algorithm and grant
+        application and records it: the anti-starvation transition the
+        pass's classification made, the arbitration counters (raw
+        grants), then -- after any grant faults -- the conflicts.
+        Draining changes only in the ``classify`` that precedes every
+        call, so comparing with the node's flag at its previous pass
+        finds every transition.
+        """
+        tel = self.telemetry
+        node = router.node
+        draining = router.antistarvation.draining
+        if draining != self._draining[node]:
+            self._draining[node] = draining
+            # The flagged nominations are the old-colored packets that
+            # engaged draining; none are flagged once it ends.
+            tel.on_starvation(
+                now, node, sum(nom.starving for nom in live), draining
+            )
+        arbiter = router.arbiter
+        tel.on_arbitration(
+            arbiter.name, len(live), len(grants), arbiter.wasted_grants
+        )
+        if self._grant_faults is not None:
+            grants = self._grant_faults.filter_grants(
+                router, launch, live, grants, now, tel
+            )
+        if tel.events and len(grants) < len(live):
+            tel.on_conflicts(now, node, arbiter.name, len(live) - len(grants))
+        return grants
 
     def attach_observer(self, observer) -> None:
         """Subscribe *observer*, before (or during) a run.
@@ -571,7 +628,7 @@ class NetworkSimulator:
         now = self.queue.now
         self.stats.link_faults += 1
         tel = self.telemetry
-        if tel.enabled:
+        if tel is not None:
             tel.on_link_fault(now, router.node, packet.uid, fault, attempt)
         retry = self.faults.retry
         if attempt >= retry.max_retries:
@@ -580,7 +637,7 @@ class NetworkSimulator:
             )
             return
         self.stats.link_retries += 1
-        if tel.enabled:
+        if tel is not None:
             tel.on_link_retry()
         # Jittered backoff (seeded, from the injector's dedicated
         # stream): packets faulted in the same burst de-synchronize
@@ -601,7 +658,7 @@ class NetworkSimulator:
         reasons = self.stats.drops_by_reason
         reasons[reason] = reasons.get(reason, 0) + 1
         tel = self.telemetry
-        if tel.enabled:
+        if tel is not None:
             tel.on_drop(
                 self.queue.now, router.node, packet.uid, packet.pclass.label, reason
             )
@@ -639,7 +696,7 @@ class NetworkSimulator:
             for hook in self._on_delivery:
                 hook(self, packet)
         tel = self.telemetry
-        if tel.enabled:
+        if tel is not None:
             tel.on_delivery(
                 now,
                 packet.destination,

@@ -6,6 +6,12 @@ counts the passes, who traces them and who runs the router around them
 lives above this package, so nothing in it may import the simulators,
 the router model or the observability layer, and no arbiter or
 starvation tracker carries a telemetry handle of its own.
+
+The same holds one level up for the whole model layer -- ``core``,
+``router``, ``network`` and ``coherence``: the router nominates and
+resolves, and the simulator that drives it records what it did.  No
+model module imports the platform (observability, simulators,
+resilience, chaos, service, experiments, kernels) or names telemetry.
 """
 
 import ast
@@ -14,7 +20,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.coherence
 import repro.core
+import repro.network
+import repro.router
 from repro.core.antistarvation import AntiStarvationTracker
 from repro.core.base import Arbiter
 from repro.core.registry import ArbiterContext, available_algorithms, make_arbiter
@@ -22,6 +31,22 @@ from repro.core.registry import ArbiterContext, available_algorithms, make_arbit
 CORE = Path(repro.core.__file__).parent
 FORBIDDEN = ("repro.obs", "repro.sim", "repro.router")
 SOURCES = sorted(CORE.glob("*.py"))
+
+SRC = CORE.parent
+PLATFORM = (
+    "repro.obs",
+    "repro.sim",
+    "repro.resilience",
+    "repro.chaos",
+    "repro.service",
+    "repro.experiments",
+    "repro.kernels",
+)
+MODEL_SOURCES = sorted(
+    path
+    for package in (repro.core, repro.router, repro.network, repro.coherence)
+    for path in Path(package.__file__).parent.glob("*.py")
+)
 
 
 def imported_modules(tree: ast.AST):
@@ -36,14 +61,27 @@ def imported_modules(tree: ast.AST):
             yield from (f"{module}.{alias.name}" for alias in node.names)
 
 
-def forbidden(module: str) -> bool:
-    return any(module == name or module.startswith(name + ".") for name in FORBIDDEN)
+def forbidden(module: str, names=FORBIDDEN) -> bool:
+    return any(module == name or module.startswith(name + ".") for name in names)
+
+
+def names_in(tree: ast.AST) -> set[str]:
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
 
 
 def test_the_scan_sees_the_package():
     assert {path.name for path in SOURCES} >= {"base.py", "antistarvation.py", "pim.py"}
     assert forbidden("repro.obs.telemetry") and forbidden("repro.sim")
     assert not forbidden("repro.simulator") and not forbidden("repro.core.types")
+    assert {path.parent.name for path in MODEL_SOURCES} == {
+        "core", "router", "network", "coherence"
+    }
+    assert forbidden("repro.obs.telemetry", PLATFORM)
+    assert forbidden("repro.kernels.batch", PLATFORM)
+    assert not forbidden("repro.router.router", PLATFORM)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -57,9 +95,24 @@ def test_core_imports_no_upper_layer(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_core_never_names_telemetry(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not {name for name in names if "telemetry" in name.lower()}
+    assert not {name for name in names_in(tree) if "telemetry" in name.lower()}
+
+
+def model_id(path: Path) -> str:
+    return str(path.relative_to(SRC))
+
+
+@pytest.mark.parametrize("path", MODEL_SOURCES, ids=model_id)
+def test_model_imports_no_platform(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = set(imported_modules(tree))
+    assert sorted(m for m in modules if forbidden(m, PLATFORM)) == []
+
+
+@pytest.mark.parametrize("path", MODEL_SOURCES, ids=model_id)
+def test_model_never_names_telemetry(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not {name for name in names_in(tree) if "telemetry" in name.lower()}
 
 
 @pytest.mark.parametrize("algorithm", available_algorithms())

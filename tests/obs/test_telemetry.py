@@ -7,7 +7,7 @@ import pytest
 from repro.core.registry import available_algorithms
 from repro.core.types import Nomination
 from repro.obs.sink import MemorySink
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.resilience.invariants import InvariantChecker
 from repro.router.ports import network_rows
 from repro.sim.config import NetworkConfig, SimulationConfig, TrafficConfig
@@ -27,27 +27,10 @@ def small_config(**overrides):
     return SimulationConfig(**defaults)
 
 
-class TestNullTelemetry:
-    def test_is_disabled_and_falsy(self):
-        assert NULL_TELEMETRY.enabled is False
-        assert NULL_TELEMETRY.events is False
-        assert not NULL_TELEMETRY
-
-    def test_an_unguarded_hook_call_fails_loudly(self):
-        # the null telemetry has flags, not hooks: a site that forgets
-        # ``if tel.enabled:`` must fail here, not pay a call per event
-        public = {n for n in vars(type(NULL_TELEMETRY)) if not n.startswith("_")}
-        assert public == {"enabled", "events"}
-        with pytest.raises(AttributeError):
-            NULL_TELEMETRY.on_injection(0.0, 0, 0, "request", 1)
-        with pytest.raises(AttributeError):
-            NULL_TELEMETRY.finalize()
-
-
 class TestTelemetryFacade:
     def test_counters_without_sink(self):
         tel = Telemetry()
-        assert tel.enabled and not tel.events
+        assert not tel.events
         tel.on_arbitration("SPAA-base", nominated=4, granted=3)
         tel.on_arbitration("SPAA-base", nominated=2, granted=2)
         assert tel.arbitration_summary() == {

@@ -113,9 +113,7 @@ class FakeSim:
         self.now = 0.0
         self.routers = []
         self.kicks = 0
-        from repro.obs.telemetry import NULL_TELEMETRY
-
-        self.telemetry = NULL_TELEMETRY
+        self.telemetry = None
 
     def total_buffered_packets(self):
         return 3

@@ -7,8 +7,6 @@ from repro.sim.config import (
     NetworkConfig,
     SimulationConfig,
     TrafficConfig,
-    fast_run,
-    paper_run,
     saturation_buffer_plan,
 )
 
@@ -72,11 +70,6 @@ class TestSimulationConfig:
         assert swept.algorithm == "WFA-rotary"
         assert config.traffic.injection_rate != 0.5
         assert config.algorithm == "SPAA-base"
-
-    def test_presets(self):
-        config = SimulationConfig(warmup_cycles=1, measure_cycles=1)
-        assert paper_run(config).total_cycles == 75_000
-        assert fast_run(config).total_cycles < 20_000
 
     def test_arbitration_override_carried(self):
         config = SimulationConfig(arbitration_override=WFA_3CYCLE_TIMING)

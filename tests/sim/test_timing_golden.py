@@ -12,6 +12,9 @@ every record of the trace, counters snapshot included, digested with
 the fields that describe the host or the wall clock left out
 (``GOLDEN_TRACE``).  Those literals change only with a change that
 declares new or different telemetry output, or with the model half.
+One more traced run, a starving 2x2 under every grant fault
+(``FAULTED_GOLDEN_TRACE``), pins where an arbitration pass's records
+fall relative to each other: starve, grant-fault, conflict, grant.
 
 The literals were generated from the commit *before* the nomination
 index replaced the per-launch buffer scan.  They come in two halves.
@@ -28,12 +31,15 @@ keeps both, which is the proof that it reordered nothing.
 
 import hashlib
 import json
+from collections import defaultdict
 from typing import NamedTuple
 
 import pytest
 
+from repro.core.antistarvation import AntiStarvationConfig
 from repro.network.channels import ChannelKind
 from repro.obs import MemorySink, Telemetry
+from repro.resilience.faults import FaultConfig
 from repro.router.router import Router
 from repro.sim import (
     NetworkConfig,
@@ -125,6 +131,9 @@ GOLDEN_TRACE = {
     ("8x8-saturated", "WFA-base"): "a7bddb5ca2ba840b",
     ("8x8-saturated", "PIM1"): "958939837644427a",
 }
+
+#: :func:`trace_digest` of :func:`faulted_starving_trace`
+FAULTED_GOLDEN_TRACE = "02d514724758a2c2"
 
 #: record fields that describe the host, the release or the wall clock
 #: (manifest and run-end), not the simulated run
@@ -245,3 +254,56 @@ def test_the_saturated_shape_exercises_blocked_heads_and_escape_channels():
         if key[0] == "8x8-saturated":
             assert model.escape_hops >= 40
             assert effort.nominate_none > effort.nominate_calls // 3
+
+
+def faulted_starving_trace() -> list[dict]:
+    """WFA on a saturated 2x2 that drains old packets under grant faults.
+
+    Anti-starvation engages at age 50 / two old packets, and the fault
+    injector suppresses and mis-routes grants and stalls node 1 for a
+    finite window, so single passes write starve, grant-fault and
+    conflict records together.  Drained, so the trace ends clean.
+    """
+    config = SimulationConfig(
+        algorithm="WFA-base",
+        network=NetworkConfig(
+            width=2, height=2, buffer_plan=saturation_buffer_plan()
+        ),
+        traffic=TrafficConfig(injection_rate=0.2),
+        antistarvation=AntiStarvationConfig(age_threshold=50, drain_threshold=2),
+        warmup_cycles=200,
+        measure_cycles=1_000,
+        seed=3,
+    )
+    faults = FaultConfig(
+        seed=5,
+        grant_suppression_rate=0.05,
+        grant_misroute_rate=0.2,
+        stall_node=1,
+        stall_start_cycle=400.0,
+        stall_cycles=150.0,
+    )
+    sink = MemorySink()
+    simulator = NetworkSimulator(
+        config, telemetry=Telemetry(sink=sink), faults=faults
+    )
+    simulator.run()
+    assert simulator.drain()
+    return sink.records
+
+
+def test_faulted_starving_trace_is_bit_identical_to_the_golden():
+    records = faulted_starving_trace()
+    passes = defaultdict(list)
+    for record in records:
+        if record["kind"] in ("starve", "grant-fault", "conflict"):
+            passes[record["time"], record["node"]].append(record["kind"])
+    # The digest pins the per-pass order only if passes mix the kinds.
+    assert any(
+        {"starve", "grant-fault", "conflict"} <= set(kinds)
+        for kinds in passes.values()
+    )
+    assert {
+        record["fault"] for record in records if record["kind"] == "grant-fault"
+    } == {"grant-suppressed", "grant-misrouted", "stall-blocked"}
+    assert trace_digest(records) == FAULTED_GOLDEN_TRACE
